@@ -37,6 +37,22 @@ class JammedConfiguration(CcfgError):
         self.diagnostics = diagnostics or []
 
 
+class InvariantViolation(CcfgError):
+    """A resolved step broke static balance, the friction cone, friction
+    complementarity or non-penetration.
+
+    `invariant` names the first check that failed and `residuals` holds the
+    worst measured value of every check: balance residual (N, N*m), cone
+    excess (N), complementarity residual (N*m/s) and penetration depth (m,
+    negative when penetrating).
+    """
+
+    def __init__(self, message, invariant, residuals):
+        super().__init__(message)
+        self.invariant = invariant
+        self.residuals = residuals
+
+
 class NotReady(CcfgError):
     """Wrench-cone estimate queried before enough samples were ingested."""
 

@@ -7,6 +7,7 @@ import numpy as np
 from ..config import NoiseConfig, SimConfig
 from ..core import PlanarPose
 from ..core.mechanics import friction_complementarity_residual
+from ..errors import InvariantViolation
 from .measure import MeasurementFrame, synthesize_measurements
 from .resolve import ModeSolution, resolve_mode
 from .world import SimWorld
@@ -21,7 +22,8 @@ def step(sw: SimWorld, impedance_target: PlanarPose, dt: float = 0.01,
 
     Returns the new state and its measurement frame.  The returned state
     satisfies static balance to 1e-6, friction complementarity to 1e-8 and
-    penetrates nothing deeper than 1e-9.
+    penetrates nothing deeper than 1e-9; a resolved step that does not
+    raises InvariantViolation.
     """
     cfg = config or SimConfig()
     depth = sw.penetration_depth()
@@ -29,18 +31,6 @@ def step(sw: SimWorld, impedance_target: PlanarPose, dt: float = 0.01,
         raise ValueError(f"current state penetrates by {-depth:g} m; "
                          "step requires a non-penetrating state")
     sol = resolve_mode(sw, impedance_target, config=cfg)
-
-    assert sol.residual_norm <= cfg.balance_tol, \
-        f"balance residual {sol.residual_norm:g} above {cfg.balance_tol:g}"
-    for c in sol.contacts:
-        r = friction_complementarity_residual(
-            c.f_normal, c.f_tangent, -c.slip / dt, mu=_mu_for(sw, c.iface))
-        assert r.cone_violation <= 1e-6 + 1e-6 * abs(c.f_normal), \
-            f"cone violated at {c.iface}: {r.cone_violation:g}"
-        if c.label.startswith("slide"):
-            assert r.comp_violation <= cfg.comp_tol, \
-                f"complementarity violated at {c.iface}: {r.comp_violation:g}"
-
     new_world = sw.with_poses(
         sol.object_pose, sol.hand_pose,
         t_index=sw.t_index + 1,
@@ -48,10 +38,43 @@ def step(sw: SimWorld, impedance_target: PlanarPose, dt: float = 0.01,
         env_wrench=sol.env_wrench,
         contact_label=sol.hypothesis.to_json(),
     )
-    assert new_world.penetration_depth() >= -1e-9
+    _check_invariants(sw, sol, new_world, cfg, dt)
 
     frame = synthesize_measurements(new_world, rng, noise, vision_period, dt)
     return new_world, frame
+
+
+def _check_invariants(sw: SimWorld, sol: ModeSolution, new_world: SimWorld,
+                      cfg: SimConfig, dt: float) -> None:
+    """Raise InvariantViolation unless the resolved step balances, keeps
+    every contact force in its friction cone, saturates friction where it
+    slides and penetrates nothing."""
+    failed = []
+    if sol.residual_norm > cfg.balance_tol:
+        failed.append(("balance", f"balance residual {sol.residual_norm:g} "
+                                  f"above {cfg.balance_tol:g}"))
+    cone = comp = 0.0
+    for c in sol.contacts:
+        r = friction_complementarity_residual(
+            c.f_normal, c.f_tangent, -c.slip / dt, mu=_mu_for(sw, c.iface))
+        cone = max(cone, r.cone_violation)
+        if r.cone_violation > 1e-6 + 1e-6 * abs(c.f_normal):
+            failed.append(("cone", f"cone violated at {c.iface}: "
+                                   f"{r.cone_violation:g} N"))
+        if c.label.startswith("slide"):
+            comp = max(comp, r.comp_violation)
+            if r.comp_violation > cfg.comp_tol:
+                failed.append(("complementarity",
+                               f"complementarity violated at {c.iface}: "
+                               f"{r.comp_violation:g}"))
+    depth = new_world.penetration_depth()
+    if depth < -1e-9:
+        failed.append(("penetration", f"penetrates by {-depth:g} m"))
+    if failed:
+        invariant, message = failed[0]
+        raise InvariantViolation(message, invariant, {
+            "balance": sol.residual_norm, "cone": cone,
+            "complementarity": comp, "penetration": depth})
 
 
 def _mu_for(sw: SimWorld, iface: str) -> float:

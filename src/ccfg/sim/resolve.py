@@ -6,18 +6,32 @@ square root-finding problem:
 
 unknowns   object pose delta (3), hand pose delta (3), one (f_n, f_t) pair
            per active contact point
-equations  hand force/torque balance against the impedance spring (3),
-           object force/torque balance including gravity (3), and two rows
-           per active contact: stick pins the contact point, slide keeps the
-           gap closed and ties f_t to -s * mu * f_n
+equations  object force/torque balance including gravity (3), hand
+           force/torque balance against the impedance spring (3), and two
+           rows per active contact
 
-The system is solved by Newton iteration with analytic Jacobians.  A face
-seated on the hand enters as two point contacts at the overlap patch ends,
-which reproduces the patch torque limits through f_n >= 0 at both ends.  The
-tangential split between two collinear stick points is statically
-indeterminate and wrench-neutral, so the solver takes the minimum-norm
-solution and the report redistributes the total proportionally to the
-normal forces.
+Every contact is one generic row: a material point of one body held on a
+line of another.  An object vertex on the hand line, a hand tip on an object
+face and an object vertex on the ground or a wall (lines of the fixed world)
+differ only in their data.  The force f_n n + f_t t, with n and t fixed in
+the line's frame, acts at the point on the point's body and its reaction on
+the line's body.  Stick pins the point to the line's material point it is
+held on, as a gap in a fixed world basis (world x/y at the hand, the line's
+own normal and tangent at the ground and walls); slide keeps the normal gap
+closed and ties f_t to -s * mu * f_n.  A face seated on the hand is two
+point contacts at the overlap patch ends, which reproduces the patch torque
+limits through f_n >= 0 at both ends.
+
+All hypotheses of one enumeration pass are solved together by Newton
+iteration with analytic Jacobians: one stacked iterate, one stacked residual
+and Jacobian per iteration, one stacked LU solve per system size.  A member
+leaves the batch when it converges (max |R| <= 1e-10), diverges (a
+non-finite step or a pose step above 0.5) or has taken 40 steps, after which
+its residual is evaluated once more.  Two collinear stick points leave the
+tangential split statically indeterminate and wrench-neutral: those systems,
+and any whose LU step is singular or above 1e8, take minimum-norm (gelsy)
+steps, and the report redistributes the split in proportion to the normal
+forces.
 
 Among the hypotheses that survive all feasibility checks the resolver picks
 the one with minimal slip dissipation (sum of squared tangential relative
@@ -26,11 +40,13 @@ enumeration order.
 """
 
 import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from ..config import SimConfig
 from ..core import PlanarPose, Wrench2, cross2, wrap_angle
@@ -38,32 +54,24 @@ from ..errors import JammedConfiguration, NoFeasibleMode
 from .modes import ContactModeHypothesis, enumerate_modes
 from .world import SimWorld
 
-_HAND_LINE = 0
-_TIP_FACE = 1
-_ENV = 2
+_OBJ, _HAND, _WORLD = 0, 1, 2          # bodies; the world has no unknowns
 
+# Columns of a contact row.  Points and vectors take two columns, in the
+# frame of the point's body (p) or of the line's body (the five vectors
+# anchor, n, t, pin, origin).  anchor is the stick pin, or for slide any
+# point of the line; pin is where the contact started (slip is measured from
+# it); the contact must stay within [lo, hi] along t from origin.  basis
+# holds the two stick residual rows in world coordinates, s the slide sign
+# (0 for stick).
+_PB, _LB, _P, _ANCHOR, _BASIS, _LO, _HI, _S, _MU = 0, 1, 2, 4, 14, 18, 19, 20, 21
+_NCOL = 22
 
-@dataclass
-class _Contact:
-    ctype: int
-    mode: str                  # stick / slide_pos / slide_neg
-    s: int                     # slide sign, 0 for stick
-    mu: float
-    iface: str                 # "hand" | "ground" | "wall{k}"
-    p_obj: np.ndarray          # object-frame anchor (material point)
-    t0: float = 0.0            # hand-frame tangential coordinate of hand anchor
-    # tip-on-face extras
-    face: int = -1
-    a_obj: Optional[np.ndarray] = None    # face base vertex, object frame
-    e_obj: Optional[np.ndarray] = None    # face direction, unit, object frame
-    n_obj: Optional[np.ndarray] = None    # face outward normal, object frame
-    face_len: float = 0.0
-    s_start: float = 0.0                  # tip coordinate along face at start
-    # environment extras
-    n_fix: Optional[np.ndarray] = None
-    t_fix: Optional[np.ndarray] = None
-    level: float = 0.0                    # n_fix . u at contact
-    pin_t: float = 0.0                    # t_fix . u at start
+_SIGN = {"stick": 0, "slide_pos": 1, "slide_neg": -1}
+_WORLD_POSE = np.array([[0.0], [0.0], [1.0], [0.0]])   # x, y, cos, sin
+_GELSY, _GELSY_LWORK = scipy.linalg.get_lapack_funcs(
+    ("gelsy", "gelsy_lwork"), dtype=np.float64)
+_EPS = float(np.finfo(np.float64).eps)
+_SLOTS = 512          # contact slots per batch; keeps its arrays near 1 MB
 
 
 @dataclass(frozen=True)
@@ -90,369 +98,366 @@ class ModeSolution:
     dissipation: float
     residual_norm: float
     trials: int
+    newton_iterations: int     # Jacobian evaluations summed over all trials
+    rejections: dict           # reason -> count over the infeasible trials
 
 
-@dataclass
-class _Trial:
-    index: int
-    hyp: ContactModeHypothesis
-    feasible: bool
-    reason: str
-    dissipation: float = math.inf
-    stick_count: int = 0
-    solution: Optional[dict] = None
-    contacts: Optional[list] = None
+# one solved hypothesis: reason is "" when feasible, and then solution holds
+# what the report needs
+_Trial = namedtuple("_Trial", "index hyp reason evaluations solution")
 
 
-def _build_contacts(sw: SimWorld, hyp: ContactModeHypothesis) -> list:
-    out = []
-    verts_w = sw.vertices_world()
-    t_hat = sw.hand_tangent()
-    n_hat = sw.hand_normal()
-    center = sw.hand_pose.position
-    R = sw.object_pose.rotation
+class _ContactRows:
+    """Contact rows of the hypotheses of one pass: calling it with a
+    hypothesis gives one (row, (iface, label)) per active contact, built once
+    per contact however many hypotheses share it."""
 
-    def sign_of(label):
-        return {"stick": 0, "slide_pos": 1, "slide_neg": -1}[label]
+    def __init__(self, sw: SimWorld):
+        self.sw, self.cache = sw, {}
+        self.verts_w, self.t_hat = sw.vertices_world(), sw.hand_tangent()
+        self.center, self.half = sw.hand_pose.position, sw.hand.half_length
 
-    def face_record(j, t0, label, s_label):
-        """Hand material point at coordinate t0 riding on object face j.
+    def __call__(self, hyp: ContactModeHypothesis) -> list:
+        keys = [("hand", hyp.hand_contact, hyp.hand_label)] \
+            if hyp.hand_label != "none" else []
+        keys += [("ground", v, lab) for v, lab in hyp.ground
+                 if lab != "separate"]
+        keys += [(k, v, lab) for k, v, lab in hyp.walls if lab != "separate"]
+        out = []
+        for key in keys:
+            if key not in self.cache:
+                self.cache[key] = self._build(*key)
+            out += self.cache[key]
+        return out
 
-        Slide labels are defined along the hand tangent; the face tangent may
-        run the other way, so the internal sign carries the frame flip.
-        """
+    def _build(self, where, which, label):
+        sw, hc = self.sw, which
+        if where != "hand":         # object vertex on the ground or a wall
+            if where == "ground":
+                n, t, mu, iface = (0.0, 1.0), (1.0, 0.0), sw.mu_ground, where
+                pin = (float(self.verts_w[which, 0]), sw.world.ground_height)
+            else:
+                wall = sw.world.walls[where]
+                n, t = (float(wall.facing), 0.0), (0.0, 1.0)
+                mu, iface = sw.mu_wall, f"wall{where}"
+                pin = (wall.x, float(self.verts_w[which, 1]))
+            return [((_OBJ, _WORLD, *sw.polygon.vertices[which], *pin, *n, *t,
+                      *pin, 0.0, 0.0, *n, *t, -math.inf, math.inf,
+                      _SIGN[label], mu), (iface, label))]
+        if hc.kind == "vertex":
+            return [self._on_hand(label, vertex=hc.vertex)]
+        if hc.kind == "flush":
+            # a sticking patch pins the object material at both patch ends;
+            # a sliding one glides the face under fixed hand coordinates
+            if label == "stick":
+                return [self._on_hand(label, p=(ox, oy), t0=float(t_star))
+                        for t_star, ox, oy in hc.anchors]
+            return [self._on_face(hc.face, float(t_star), label)
+                    for t_star, _, _ in hc.anchors]
+        if hc.kind == "pair":
+            # slide-only support pair: each patch end is either a hand tip
+            # riding the face or a face corner riding the hand line
+            if hc.tip != 0:
+                return [self._on_face(hc.face, hc.tip * self.half, label),
+                        self._on_hand(label, vertex=hc.vertex)]
+            return [self._on_hand(label, vertex=vi)
+                    for vi in (hc.face, (hc.face + 1) % len(self.verts_w))]
+        return [self._on_face(hc.face, hc.tip * self.half, label)]  # a tip
+
+    def _on_hand(self, label, vertex=None, p=None, t0=None):
+        """Object vertex (or point p at hand coordinate t0) on the hand."""
+        if vertex is not None:
+            p = self.sw.polygon.vertices[vertex]
+            t0 = float((self.verts_w[vertex] - self.center) @ self.t_hat)
+        anchor = (t0, 0.0) if label == "stick" else (0.0, 0.0)
+        return ((_OBJ, _HAND, p[0], p[1], *anchor, 0.0, -1.0, 1.0, 0.0,
+                 t0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, -self.half, self.half,
+                 _SIGN[label], self.sw.mu_hand), ("hand", label))
+
+    def _on_face(self, j, t0, label):
+        """Hand point at coordinate t0 riding on object face j.  Slide labels
+        run along the hand tangent and the face tangent may run the other
+        way, so the sign carries the frame flip."""
+        sw = self.sw
         a, b = sw.polygon.face_endpoints(j)
         edge = b - a
         length = float(np.hypot(*edge))
         e_obj = edge / length
-        n_obj = sw.polygon.normals[j]
-        pt_w = center + t0 * t_hat
+        pt_w = self.center + t0 * self.t_hat
         a_w = sw.object_pose.transform(a)
-        e_w = R @ e_obj
+        e_w = sw.object_pose.rotation @ e_obj
         s_start = float(e_w @ (pt_w - a_w))
-        s_clamped = min(max(s_start, 0.0), length)
-        p_pin = a + s_clamped * e_obj
-        flip = 1 if float(e_w @ t_hat) >= 0.0 else -1
-        return _Contact(_TIP_FACE, label, s_label * flip, sw.mu_hand,
-                        "hand", p_pin, t0=t0, face=j, a_obj=np.array(a),
-                        e_obj=e_obj, n_obj=np.array(n_obj),
-                        face_len=length, s_start=s_start)
-
-    hc = hyp.hand_contact
-    if hyp.hand_label != "none":
-        s = sign_of(hyp.hand_label)
-        if hc.kind == "vertex":
-            p = sw.polygon.vertices[hc.vertex]
-            t0 = float((verts_w[hc.vertex] - center) @ t_hat)
-            out.append(_Contact(_HAND_LINE, hyp.hand_label, s, sw.mu_hand,
-                                "hand", np.array(p), t0=t0))
-        elif hc.kind == "flush":
-            if s == 0:
-                # sticking patch: pin the object material at both patch ends
-                for t_star, ox, oy in hc.anchors:
-                    out.append(_Contact(_HAND_LINE, hyp.hand_label, 0,
-                                        sw.mu_hand, "hand",
-                                        np.array([ox, oy]), t0=float(t_star)))
-            else:
-                # sliding patch: the face glides under fixed hand coordinates
-                for t_star, _, _ in hc.anchors:
-                    out.append(face_record(hc.face, float(t_star),
-                                           hyp.hand_label, s))
-        elif hc.kind == "pair":
-            # slide-only support pair: each patch end is either a hand tip
-            # riding the face or a face corner riding the hand line
-            if hc.tip != 0:
-                out.append(face_record(hc.face, hc.tip * sw.hand.half_length,
-                                       hyp.hand_label, s))
-                corners = (hc.vertex,)
-            else:
-                corners = (hc.face, (hc.face + 1) % len(sw.polygon.vertices))
-            for vi in corners:
-                p = sw.polygon.vertices[vi]
-                t0 = float((verts_w[vi] - center) @ t_hat)
-                out.append(_Contact(_HAND_LINE, hyp.hand_label, s, sw.mu_hand,
-                                    "hand", np.array(p), t0=t0))
-        else:  # hand tip riding an object face
-            out.append(face_record(hc.face, hc.tip * sw.hand.half_length,
-                                   hyp.hand_label, s))
-
-    for v, label in hyp.ground:
-        if label == "separate":
-            continue
-        out.append(_Contact(_ENV, label, sign_of(label), sw.mu_ground,
-                            "ground", np.array(sw.polygon.vertices[v]),
-                            n_fix=np.array([0.0, 1.0]),
-                            t_fix=np.array([1.0, 0.0]),
-                            level=sw.world.ground_height,
-                            pin_t=float(verts_w[v, 0])))
-    for k, v, label in hyp.walls:
-        if label == "separate":
-            continue
-        wall = sw.world.walls[k]
-        out.append(_Contact(_ENV, label, sign_of(label), sw.mu_wall,
-                            f"wall{k}", np.array(sw.polygon.vertices[v]),
-                            n_fix=np.array([float(wall.facing), 0.0]),
-                            t_fix=np.array([0.0, 1.0]),
-                            level=float(wall.facing * wall.x),
-                            pin_t=float(verts_w[v, 1])))
-    return out
+        flip = 1 if float(e_w @ self.t_hat) >= 0.0 else -1
+        s = _SIGN[label] * flip
+        anchor = a + min(max(s_start, 0.0), length) * e_obj if s == 0 else a
+        return ((_HAND, _OBJ, t0, 0.0, *anchor, *sw.polygon.normals[j],
+                 *(-e_obj), *(a + s_start * e_obj), *a, -1.0, 0.0, 0.0, -1.0,
+                 -length, 0.0, s, sw.mu_hand), ("hand", label))
 
 
-def _residual_jacobian(z, sw, target, contacts):
-    """Assemble the square Newton system at iterate z."""
-    n = len(contacts)
-    m = 6 + 2 * n
-    R = np.zeros(m)
-    J = np.zeros((m, m))
+class _Batch:
+    """The contact rows of a batch of hypotheses sorted by (min_norm,
+    contact count), padded with empty slots (world on world, all data zero)
+    to C >= 1 slots each, and what the kernel derives from them once: per
+    (object, hand) the incidence of point and line and their sign (+1 on the
+    point's body, -1 on the line's), and the derivative rows over the pose
+    deltas whose translation columns are fixed.  The per-slot data runs over
+    the K = M * C slots, member-major, in one array (dropping members is one
+    gather); counts and min_norm run over the members."""
 
-    rox, roy = sw.object_pose.position
-    tho = sw.object_pose.angle
-    rhx, rhy = sw.hand_pose.position
-    thh = sw.hand_pose.angle
-    kx, ky, kth = sw.stiffness
-    mg = sw.mass * sw.world.gravity
+    _FIELDS = (("pb", ()), ("lb", ()), ("p", (2,)), ("p_perp", (2,)),
+               ("v", (5, 2)), ("v_perp", (5, 2)), ("basis", (2, 2)),
+               ("lo", ()), ("hi", ()), ("s", ()), ("s_mu", ()),
+               ("on_point", (2,)), ("on_line", (2,)), ("sign", (2,)),
+               ("d_angle", (6,)), ("d_gap", (2, 6)), ("d_lever", (2, 2, 6)),
+               ("stick_rows", (2, 6)))
 
-    dox, doy, po = z[0], z[1], z[2]
-    dhx, dhy, ph = z[3], z[4], z[5]
+    def __init__(self, rows: list, min_norm):
+        self.counts = np.array([len(r) for r in rows])
+        self.min_norm = min_norm
+        self.slots = C = max(1, self.counts.max())
+        self.fcol = 6 + 2 * np.arange(C)
+        empty = [((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), None)]
+        col = np.array([row for r in rows for row, _ in r + empty * (C - len(r))],
+                       dtype=float).T
+        K, ids = col.shape[1], np.array([[_OBJ], [_HAND]])
+        self.data = np.zeros((sum(math.prod(f) for _, f in self._FIELDS), K))
+        self._views()
+        self.pb[:], self.lb[:], self.p[:] = col[_PB], col[_LB], col[_P:_P + 2]
+        self.v[:] = col[_ANCHOR:_BASIS].reshape(5, 2, K)
+        self.p_perp[:] = -self.p[1], self.p[0]              # rotated +90
+        self.v_perp[:, 0], self.v_perp[:, 1] = -self.v[:, 1], self.v[:, 0]
+        self.basis[:] = col[_BASIS:_LO].reshape(2, 2, K) * (col[_S] == 0)
+        self.lo[:], self.hi[:], self.s[:] = col[_LO], col[_HI], col[_S]
+        self.s_mu[:] = col[_S] * col[_MU]
+        self.on_point[:], self.on_line[:] = col[_PB] == ids, col[_LB] == ids
+        self.sign[:] = self.on_point - self.on_line
+        self.d_angle[2::3] = self.on_line
+        for i in range(2):
+            self.d_gap[i, i::3] = self.sign
+            self.d_lever[:, i, i::3] = self.on_point - np.eye(2)[..., None]
+        self.stick_rows[:] = self.basis[:, 0, None] * self.d_gap[0] \
+            + self.basis[:, 1, None] * self.d_gap[1]
+        self._views()       # the booleans and indices derived from the rows
 
-    co, so = math.cos(tho + po), math.sin(tho + po)
-    ox, oy = rox + dox, roy + doy
-    ch, sh = math.cos(thh + ph), math.sin(thh + ph)
-    hx, hy = rhx + dhx, rhy + dhy
-    # hand tangent, normal and their angle derivatives
-    tx, ty = ch, sh
-    nx, ny = sh, -ch
-    dtx, dty = -sh, ch          # d tangent / d ph
-    dnx, dny = ch, sh           # d normal / d ph
+    def _views(self):
+        K, at = self.data.shape[1], 0
+        for name, shape in self._FIELDS:
+            size = math.prod(shape)
+            setattr(self, name, self.data[at:at + size].reshape(shape + (K,)))
+            at += size
+        self.stick = self.s == 0
+        self.sliding, self.hand_point = ~self.stick, self.pb == _HAND
+        self.member = np.repeat(np.arange(len(self.counts)), self.slots)
+        self.pi = 3 * self.member + self.pb.astype(np.intp)
+        self.li = 3 * self.member + self.lb.astype(np.intp)
 
-    def obj_pt(p):
-        px, py = p
-        wx = co * px - so * py
-        wy = so * px + co * py
-        return ox + wx, oy + wy, -wy, wx   # point and d/dpo (perp of R p)
+    def take(self, keep) -> "_Batch":
+        """The members selected by keep (a mask or indices)."""
+        idx = np.flatnonzero(keep) if keep.dtype == bool else keep
+        out = object.__new__(_Batch)
+        out.counts, out.min_norm = self.counts[idx], self.min_norm[idx]
+        C, out.slots, out.fcol = self.slots, self.slots, self.fcol
+        out.data = self.data[:, (C * idx[:, None] + np.arange(C)).ravel()]
+        out._views()
+        return out
 
-    # gravity torque about object origin
-    gx = co * sw.com[0] - so * sw.com[1]
-    gy = so * sw.com[0] + co * sw.com[1]
-    R[1] -= mg
-    R[2] += -mg * gx
-    J[2, 2] += -mg * (-gy)
+    def place(self, bodies, vectors=5):
+        """Point and line bodies (4, K) for body poses (4, M, 3), the
+        point's offset from its body origin and its world position (2, K),
+        and the first `vectors` of anchor, n, t, pin, origin rotated into
+        the world (vectors, 2, K)."""
+        flat = bodies.reshape(4, -1)
+        pbody, lbody = flat[:, self.pi], flat[:, self.li]
+        offset = pbody[2] * self.p + pbody[3] * self.p_perp
+        turned = lbody[2] * self.v[:vectors] + lbody[3] * self.v_perp[:vectors]
+        return pbody, lbody, offset, pbody[:2] + offset, turned
 
-    # impedance spring on the hand
-    tar_p = target.position
-    R[3] = kx * (tar_p[0] - hx)
-    R[4] = ky * (tar_p[1] - hy)
-    R[5] = kth * wrap_angle(target.angle - thh - ph)
-    J[3, 3] = -kx
-    J[4, 4] = -ky
-    J[5, 5] = -kth
 
-    for i, c in enumerate(contacts):
-        fi = 6 + 2 * i
-        ri = 6 + 2 * i
-        fn, ft = z[fi], z[fi + 1]
+def _wrap(theta):
+    """wrap_angle on an array."""
+    t = np.fmod(theta, 2.0 * math.pi)
+    return np.where(t <= -math.pi, t + 2.0 * math.pi,
+                    np.where(t > math.pi, t - 2.0 * math.pi, t))
 
-        if c.ctype == _HAND_LINE:
-            ux, uy, dux, duy = obj_pt(c.p_obj)
-            mx = hx + c.t0 * tx
-            my = hy + c.t0 * ty
-            dmx, dmy = c.t0 * dtx, c.t0 * dty      # d m / d ph
-            Fx = fn * nx + ft * tx
-            Fy = fn * ny + ft * ty
-            dFx = fn * dnx + ft * dtx              # d F / d ph
-            dFy = fn * dny + ft * dty
-            # object balance
-            R[0] += Fx
-            R[1] += Fy
-            J[0, fi] += nx;  J[0, fi + 1] += tx
-            J[1, fi] += ny;  J[1, fi + 1] += ty
-            J[0, 5] += dFx
-            J[1, 5] += dFy
-            ax, ay = ux - ox, uy - oy
-            R[2] += ax * Fy - ay * Fx
-            J[2, 2] += dux * Fy - duy * Fx
-            J[2, 5] += ax * dFy - ay * dFx
-            J[2, fi] += ax * ny - ay * nx
-            J[2, fi + 1] += ax * ty - ay * tx
-            # hand balance (reaction)
-            R[3] -= Fx
-            R[4] -= Fy
-            J[3, fi] -= nx;  J[3, fi + 1] -= tx
-            J[4, fi] -= ny;  J[4, fi + 1] -= ty
-            J[3, 5] -= dFx
-            J[4, 5] -= dFy
-            bx, by = ux - hx, uy - hy
-            R[5] -= bx * Fy - by * Fx
-            J[5, 0] -= Fy;         J[5, 1] -= -Fx
-            J[5, 2] -= dux * Fy - duy * Fx
-            J[5, 3] -= -Fy;        J[5, 4] -= Fx
-            J[5, 5] -= bx * dFy - by * dFx
-            J[5, fi] -= bx * ny - by * nx
-            J[5, fi + 1] -= bx * ty - by * tx
-            if c.s == 0:
-                R[ri] = ux - mx
-                R[ri + 1] = uy - my
-                J[ri, 0] = 1.0;      J[ri, 2] = dux
-                J[ri, 3] = -1.0;     J[ri, 5] = -dmx
-                J[ri + 1, 1] = 1.0;  J[ri + 1, 2] = duy
-                J[ri + 1, 4] = -1.0; J[ri + 1, 5] = -dmy
-            else:
-                relx, rely = ux - hx, uy - hy
-                R[ri] = nx * relx + ny * rely
-                J[ri, 0] = nx;   J[ri, 1] = ny
-                J[ri, 2] = nx * dux + ny * duy
-                J[ri, 3] = -nx;  J[ri, 4] = -ny
-                J[ri, 5] = dnx * relx + dny * rely
-                R[ri + 1] = ft + c.s * c.mu * fn
-                J[ri + 1, fi] = c.s * c.mu
-                J[ri + 1, fi + 1] = 1.0
 
-        elif c.ctype == _TIP_FACE:
-            # force acts at the hand tip, directions from the object face
-            nfx = co * c.n_obj[0] - so * c.n_obj[1]
-            nfy = so * c.n_obj[0] + co * c.n_obj[1]
-            tfx = co * c.e_obj[0] - so * c.e_obj[1]
-            tfy = so * c.e_obj[0] + co * c.e_obj[1]
-            dnfx, dnfy = -nfy, nfx                 # d n_f / d po
-            dtfx, dtfy = -tfy, tfx
-            mx = hx + c.t0 * tx
-            my = hy + c.t0 * ty
-            dmx, dmy = c.t0 * dtx, c.t0 * dty
-            Fx = -fn * nfx + ft * tfx
-            Fy = -fn * nfy + ft * tfy
-            dFx = -fn * dnfx + ft * dtfx           # d F / d po
-            dFy = -fn * dnfy + ft * dtfy
-            R[0] += Fx
-            R[1] += Fy
-            J[0, 2] += dFx
-            J[1, 2] += dFy
-            J[0, fi] += -nfx;  J[0, fi + 1] += tfx
-            J[1, fi] += -nfy;  J[1, fi + 1] += tfy
-            ax, ay = mx - ox, my - oy
-            R[2] += ax * Fy - ay * Fx
-            # d a / d z: ddo = -I, ddh = I, dph = dm
-            J[2, 0] += -Fy;        J[2, 1] += Fx
-            J[2, 3] += Fy;         J[2, 4] += -Fx
-            J[2, 5] += dmx * Fy - dmy * Fx
-            J[2, 2] += ax * dFy - ay * dFx
-            J[2, fi] += ax * (-nfy) - ay * (-nfx)
-            J[2, fi + 1] += ax * tfy - ay * tfx
-            R[3] -= Fx
-            R[4] -= Fy
-            J[3, 2] -= dFx
-            J[4, 2] -= dFy
-            J[3, fi] -= -nfx;  J[3, fi + 1] -= tfx
-            J[4, fi] -= -nfy;  J[4, fi + 1] -= tfy
-            bx, by = c.t0 * tx, c.t0 * ty
-            R[5] -= bx * Fy - by * Fx
-            J[5, 5] -= dmx * Fy - dmy * Fx
-            J[5, 2] -= bx * dFy - by * dFx
-            J[5, fi] -= bx * (-nfy) - by * (-nfx)
-            J[5, fi + 1] -= bx * tfy - by * tfx
-            if c.s == 0:
-                ux, uy, dux, duy = obj_pt(c.p_obj)
-                R[ri] = ux - mx
-                R[ri + 1] = uy - my
-                J[ri, 0] = 1.0;      J[ri, 2] = dux
-                J[ri, 3] = -1.0;     J[ri, 5] = -dmx
-                J[ri + 1, 1] = 1.0;  J[ri + 1, 2] = duy
-                J[ri + 1, 4] = -1.0; J[ri + 1, 5] = -dmy
-            else:
-                uax, uay, duax, duay = obj_pt(c.a_obj)
-                relx, rely = mx - uax, my - uay
-                R[ri] = nfx * relx + nfy * rely
-                J[ri, 0] = -nfx;  J[ri, 1] = -nfy
-                J[ri, 2] = dnfx * relx + dnfy * rely + nfx * (-duax) + nfy * (-duay)
-                J[ri, 3] = nfx;   J[ri, 4] = nfy
-                J[ri, 5] = nfx * dmx + nfy * dmy
-                R[ri + 1] = ft + c.s * c.mu * fn
-                J[ri + 1, fi] = c.s * c.mu
-                J[ri + 1, fi + 1] = 1.0
+class _Reference:
+    """The data of one step that every hypothesis shares."""
 
-        else:  # environment vertex
-            ux, uy, dux, duy = obj_pt(c.p_obj)
-            nfx, nfy = c.n_fix
-            tfx, tfy = c.t_fix
-            Fx = fn * nfx + ft * tfx
-            Fy = fn * nfy + ft * tfy
-            R[0] += Fx
-            R[1] += Fy
-            J[0, fi] += nfx;  J[0, fi + 1] += tfx
-            J[1, fi] += nfy;  J[1, fi + 1] += tfy
-            ax, ay = ux - ox, uy - oy
-            R[2] += ax * Fy - ay * Fx
-            J[2, 2] += dux * Fy - duy * Fx
-            J[2, fi] += ax * nfy - ay * nfx
-            J[2, fi + 1] += ax * tfy - ay * tfx
-            if c.s == 0:
-                R[ri] = nfx * ux + nfy * uy - c.level
-                J[ri, 0] = nfx;  J[ri, 1] = nfy
-                J[ri, 2] = nfx * dux + nfy * duy
-                R[ri + 1] = tfx * ux + tfy * uy - c.pin_t
-                J[ri + 1, 0] = tfx;  J[ri + 1, 1] = tfy
-                J[ri + 1, 2] = tfx * dux + tfy * duy
-            else:
-                R[ri] = nfx * ux + nfy * uy - c.level
-                J[ri, 0] = nfx;  J[ri, 1] = nfy
-                J[ri, 2] = nfx * dux + nfy * duy
-                R[ri + 1] = ft + c.s * c.mu * fn
-                J[ri + 1, fi] = c.s * c.mu
-                J[ri + 1, fi + 1] = 1.0
+    def __init__(self, sw: SimWorld, target: PlanarPose):
+        self.position = np.stack([sw.object_pose.position,
+                                  sw.hand_pose.position])
+        self.angle = np.array([sw.object_pose.angle, sw.hand_pose.angle])
+        self.target, self.stiffness = target.as_vector(), sw.stiffness
+        self.weight, self.com = sw.mass * sw.world.gravity, sw.com
 
+    def bodies(self, z, wrap=False):
+        """x, y, cos, sin (4, M, 3) of object, hand and world at iterates z."""
+        pose = z[:, :6].reshape(len(z), 2, 3)
+        angle = self.angle + pose[:, :, 2]
+        if wrap:
+            angle = _wrap(angle)
+        out = np.empty((4, len(z), 3))
+        out[:2, :, :2] = (self.position + pose[:, :, :2]).transpose(2, 0, 1)
+        np.cos(angle, out=out[2, :, :2])
+        np.sin(angle, out=out[3, :, :2])
+        out[:, :, _WORLD] = _WORLD_POSE
+        return out
+
+
+def _system(z, ref, b):
+    """Stacked residuals R (M, n) and Jacobians J (M, n, n) at iterates z.
+
+    Rows: object balance (3), hand balance (3), then two per contact slot.
+    Columns: object and hand pose deltas, then (f_n, f_t) per slot.  Empty
+    slots have zero residual rows.  Each balance row adds its contacts in
+    slot order, like the scalar sum it stands for.
+    """
+    M, n = z.shape
+    C = (n - 6) // 2
+    K = M * C
+    bodies = ref.bodies(z)
+    pbody, lbody, offset, point, turned = b.place(bodies, vectors=3)
+    nrm, tan = turned[1], turned[2]
+    gap = point - (lbody[:2] + turned[0])
+    fn, ft = z[:, 6::2].ravel(), z[:, 7::2].ravel()
+    vecs = np.empty((3, 2, K))                 # force on the point body, n, t
+    vecs[0] = fn * nrm + ft * tan
+    vecs[1:] = turned[1:3]
+    force = vecs[0]
+
+    # lever from the object and the hand origin to the point; about the hand,
+    # a hand point's lever is its own offset, equal in exact arithmetic and
+    # rounded as the trajectories in tests/data/resolver_regression.json
+    lever = point - bodies[:2, :, :2].transpose(2, 0, 1)[:, :, b.member]
+    np.copyto(lever[1], offset, where=b.hand_point)
+    cross = lever[:, None, 0] * vecs[:, 1] - lever[:, None, 1] * vecs[:, 0]
+    lever_force = lever[:, 0] * force[0] + lever[:, 1] * force[1]
+
+    co, so = bodies[2, :, _OBJ], bodies[3, :, _OBJ]
+    mg, (kx, ky, kth) = ref.weight, ref.stiffness
+    balance = np.empty((6, M))
+    balance[:2] = ((0.0,), (-mg,))
+    balance[2] = -mg * (co * ref.com[0] - so * ref.com[1])
+    balance[3:5] = ref.stiffness[:2, None] \
+        * (ref.target[:2, None] - bodies[:2, :, _HAND])
+    balance[5] = kth * _wrap(ref.target[2] - ref.angle[1] - z[:, 5])
+    wrench = np.empty((2, 3, K))
+    wrench[:, :2] = force
+    wrench[:, 2] = cross[:, 0]
+    wrench *= b.sign[:, None]
+    rows = np.empty((2, K))
+    rows[0] = nrm[0] * gap[0] + nrm[1] * gap[1]
+    rows[1] = ft + b.s_mu * fn
+    np.copyto(rows, b.basis[:, 0] * gap[0] + b.basis[:, 1] * gap[1],
+              where=b.stick)
+
+    # angle columns: rotating the point's offset and the anchor
+    th_point = (pbody[2] * b.p_perp - pbody[3] * b.p)[:, None] * b.on_point
+    th_gap = th_point - (lbody[2] * b.v_perp[0]
+                         - lbody[3] * b.v[0])[:, None] * b.on_line
+    d_gap = b.d_gap.copy()
+    d_gap[:, 2::3] = th_gap
+    d_lever = b.d_lever.copy()
+    d_lever[:, :, 2::3] = th_point
+    perp_gap = nrm[0] * gap[1] - nrm[1] * gap[0]
+    d_rows = b.stick_rows.copy()
+    d_rows[:, 2::3] = b.basis[:, 0, None] * th_gap[0] \
+        + b.basis[:, 1, None] * th_gap[1]
+    np.copyto(d_rows[0], perp_gap * b.d_angle + nrm[0] * d_gap[0]
+              + nrm[1] * d_gap[1], where=b.sliding)
+    d_wrench = np.empty((2, 3, 6, K))
+    d_wrench[:, :2] = np.stack([-force[1], force[0]])[:, None] * b.d_angle
+    d_wrench[:, 2] = (d_lever[:, 0] * force[1] - d_lever[:, 1] * force[0]
+                      + lever_force[:, None] * b.d_angle)
+    d_wrench *= b.sign[:, None, None]
+    d_force = np.empty((2, 3, 2, K))
+    d_force[:, :2, 0] = nrm
+    d_force[:, :2, 1] = tan
+    d_force[:, 2] = cross[:, 1:]
+    d_force *= b.sign[:, None, None]
+
+    J_pose = np.zeros((6, 6, M))
+    J_pose[2, 2] = mg * (so * ref.com[0] + co * ref.com[1])
+    J_pose[3, 3], J_pose[4, 4], J_pose[5, 5] = -kx, -ky, -kth
+    wrench, d_wrench = wrench.reshape(6, M, C), d_wrench.reshape(6, 6, M, C)
+    for c in range(C):
+        balance += wrench[..., c]
+        J_pose += d_wrench[..., c]
+
+    R = np.empty((M, n))
+    R[:, :6] = balance.T
+    R[:, 6:] = rows.reshape(2, M, C).transpose(1, 2, 0).reshape(M, 2 * C)
+    J = np.zeros((M, n, n))
+    J[:, :6, :6] = J_pose.transpose(2, 0, 1)
+    J[:, :6, 6:] = d_force.reshape(6, 2, M, C).transpose(2, 0, 3, 1) \
+        .reshape(M, 6, 2 * C)
+    J[:, 6:, :6] = d_rows.reshape(2, 6, M, C).transpose(2, 3, 0, 1) \
+        .reshape(M, 2 * C, 6)
+    J[:, b.fcol + 1, b.fcol] = b.s_mu.reshape(M, C)
+    J[:, b.fcol + 1, b.fcol + 1] = np.abs(b.s).reshape(M, C)
     return R, J
 
 
-def _rank_deficient(contacts) -> bool:
-    """True when the force split carries a wrench-neutral null space.
+def _steps(R, J, counts, min_norm):
+    """Newton steps dz with J dz = -R for a batch sorted as _Batch sorts it.
 
-    All contact points of one interface lie on a single line (the hand
-    segment, the ground, or a wall face), so two stick contacts on the same
-    interface make the tangential split indeterminate.
+    The LU members of each system size are solved in one stack.  The gufunc
+    behind np.linalg.solve marks an exactly singular member with NaN where
+    np.linalg.solve would raise for the whole stack; such members, steps
+    above 1e8 and the min_norm members take a gelsy step instead.
     """
-    seen = set()
-    for c in contacts:
-        if c.s == 0:
-            if c.iface in seen:
-                return True
-            seen.add(c.iface)
-    return False
+    dz = np.zeros_like(R)
+    lu = len(min_norm) - np.count_nonzero(min_norm)
+    gelsy = list(range(lu, len(counts)))
+    edges = [0, *(np.flatnonzero(np.diff(counts[:lu])) + 1).tolist(), lu]
+    for lo, hi in zip(edges[:-1], edges[1:]) if lu else ():
+        m = 6 + 2 * counts[lo]
+        x = _umath_linalg.solve1(J[lo:hi, :m, :m], -R[lo:hi, :m],
+                                 signature="dd->d")
+        dz[lo:hi, :m] = x
+        gelsy += (lo + np.flatnonzero(~(np.abs(x).max(axis=1) <= 1e8))).tolist()
+    for i in gelsy:
+        m = 6 + 2 * counts[i]
+        lwork = int(_GELSY_LWORK(m, m, 1, _EPS)[0])    # as lstsq sizes it
+        dz[i, :m] = _GELSY(J[i, :m, :m], -R[i, :m],
+                           np.zeros((m, 1), dtype=np.int32), _EPS, lwork,
+                           False, False)[1]
+    return dz
 
 
-def _newton(z, sw, target, contacts, tol=1e-10, max_iter=40, min_norm=False):
-    """Newton iteration on the stacked balance/constraint system.
+def _newton(ref, batch, tol=1e-10, max_iter=40):
+    """Newton iteration from zero on every member of a batch at once.
 
-    With min_norm the step comes from gelsy (the tangential force split
-    between two collinear stick points is wrench neutral, and a plain solve
-    would blow up along that null space); otherwise an LU solve with a
-    fallback to gelsy on singular or exploding steps.
+    Returns the iterates (N, n), the final max |R| (inf when diverged) and
+    the Jacobian evaluations per member.
     """
-    for _ in range(max_iter):
-        R, J = _residual_jacobian(z, sw, target, contacts)
-        res = float(np.abs(R).max())
-        if not math.isfinite(res):
-            return z, math.inf
-        if res <= tol:
-            return z, res
-        if min_norm:
-            dz = scipy.linalg.lstsq(J, -R, lapack_driver="gelsy",
-                                    check_finite=False)[0]
-        else:
-            try:
-                dz = np.linalg.solve(J, -R)
-            except np.linalg.LinAlgError:
-                dz = scipy.linalg.lstsq(J, -R, lapack_driver="gelsy",
-                                        check_finite=False)[0]
-            else:
-                big = float(np.abs(dz).max())
-                if not math.isfinite(big) or big > 1e8:
-                    dz = scipy.linalg.lstsq(J, -R, lapack_driver="gelsy",
-                                            check_finite=False)[0]
-        if not np.all(np.isfinite(dz)) or float(np.abs(dz[:6]).max()) > 0.5:
-            return z, math.inf
-        z = z + dz
-    R, _ = _residual_jacobian(z, sw, target, contacts)
-    res = float(np.abs(R).max())
-    return z, (res if math.isfinite(res) else math.inf)
+    N, n = len(batch.counts), 6 + 2 * batch.slots
+    z = np.zeros((N, n))
+    res = np.full(N, math.inf)
+    evaluations = np.zeros(N, dtype=int)
+    live, b = np.arange(N), batch
+    with np.errstate(all="ignore"):   # non-finite members are dropped below
+        for it in range(max_iter + 1):
+            R, J = _system(z[live], ref, b)
+            r = np.abs(R).max(axis=1)
+            keep = np.isfinite(r)
+            done = keep & (r <= tol) if it < max_iter else keep
+            res[live[done]] = r[done]
+            keep &= ~done
+            if keep.any():
+                sub = slice(None) if keep.all() else keep
+                dz = _steps(R[sub], J[sub], b.counts[sub], b.min_norm[sub])
+                good = np.isfinite(dz).all(axis=1) \
+                    & (np.abs(dz[:, :6]).max(axis=1) <= 0.5)
+                keep[keep] = good
+                z[live[keep]] += dz[good]
+            if not keep.all():
+                evaluations[live[~keep]] = it + 1
+                live, b = live[keep], b.take(keep)
+                if not live.size:
+                    break
+    return z, res, evaluations
 
 
 def _segment_face_crossing(sw: SimWorld) -> bool:
@@ -473,164 +478,177 @@ def _segment_face_crossing(sw: SimWorld) -> bool:
     return False
 
 
-def _check_trial(sw, target, hyp, contacts, z, res, cfg):
-    """Feasibility screening of a converged hypothesis solve."""
-    if res > 1e-9:
-        return False, "no_converge", None
+def _screen(ref, batch, z, res):
+    """The array checks in their order: convergence, normal force signs,
+    then contact by contact the line's extent and the slip direction.
+    Returns the first failing reason per member ("" when all pass) and the
+    end geometry of those that pass: world points (C, 2), n and t (C, 2, 2)
+    and slips (C,) per contact slot."""
+    reasons = np.where(res > 1e-9, "no_converge", "").astype(object)
+    conv = np.flatnonzero(res <= 1e-9)
+    b, zc = batch.take(conv), z[conv]
+    M, C = len(conv), b.slots
+    _, lbody, _, point, turned = b.place(ref.bodies(zc, wrap=True))
+    tan = turned[2]
 
-    do = z[0:2]
-    po = z[2]
-    dh = z[3:5]
-    ph = z[5]
-    obj_pose = PlanarPose(sw.object_pose.position + do, sw.object_pose.angle + po)
-    hand_pose = PlanarPose(sw.hand_pose.position + dh, sw.hand_pose.angle + ph)
-    end = sw.with_poses(obj_pose, hand_pose)
+    def along(start):
+        d = point - (lbody[:2] + start)
+        return tan[0] * d[0] + tan[1] * d[1]
 
-    forces = [(z[6 + 2 * i], z[7 + 2 * i]) for i in range(len(contacts))]
-    for fn, ft in forces:
-        if fn < -1e-9:
-            return False, "negative_normal", None
+    slips, extent = along(turned[3]), along(turned[4])
+    off = (extent < b.lo - 1e-9) | (extent > b.hi + 1e-9)
+    bad = (off | (slips * b.s < -1e-9)).reshape(M, C)
+    first = np.arange(M) * C + bad.argmax(axis=1)
+    late = np.where(~off[first], "slip_direction",
+                    np.where(b.lb[first] == _HAND, "off_segment", "off_face"))
+    early = np.where((zc[:, 6::2] < -1e-9).any(axis=1), "negative_normal",
+                     np.where(bad.any(axis=1), late, ""))
+    reasons[conv] = early
+    point = point.reshape(2, M, C).transpose(1, 2, 0)
+    directions = turned[1:3].reshape(2, 2, M, C).transpose(2, 3, 0, 1)
+    slips = slips.reshape(M, C)
+    return reasons, {int(i): (point[k], directions[k], slips[k])
+                     for k, i in enumerate(conv) if not early[k]}
 
-    # slips, extents, per-interface aggregation
-    t_hat = end.hand_tangent()
-    n_hat = end.hand_normal()
-    center = end.hand_pose.position
-    Rm = end.object_pose.rotation
-    groups = {}
-    totals = {}
-    slips = []
-    for i, c in enumerate(contacts):
-        fn, ft = forces[i]
-        tot = totals.setdefault(c.iface, [0.0, 0.0])
-        tot[0] += fn
-        tot[1] += ft
-        if c.ctype == _HAND_LINE:
-            u = end.object_pose.transform(c.p_obj)
-            mpt = center + c.t0 * t_hat
-            slip = float(t_hat @ (u - mpt))
-            tang = float(t_hat @ (u - center))
-            if abs(tang) > sw.hand.half_length + 1e-9:
-                return False, "off_segment", None
-        elif c.ctype == _TIP_FACE:
-            mpt = center + c.t0 * t_hat
-            a_w = end.object_pose.transform(c.a_obj)
-            e_w = Rm @ c.e_obj
-            s_end = float(e_w @ (mpt - a_w))
-            if not (-1e-9 <= s_end <= c.face_len + 1e-9):
-                return False, "off_face", None
-            slip = -(s_end - c.s_start)
-        else:
-            u = end.object_pose.transform(c.p_obj)
-            slip = float(c.t_fix @ u) - c.pin_t
-        slips.append(slip)
-        if c.s != 0 and slip * c.s < -1e-9:
-            return False, "slip_direction", None
-        if c.s == 0:
-            groups.setdefault(c.iface, []).append(i)
 
+def _check_trial(sw, hyp, rows, z, cfg):
+    """The remaining feasibility checks of a member that passed _screen.
+
+    Returns ("", (forces, end state)) when it passes, with the tangential
+    force of each stick group re-split in proportion to the normal forces,
+    else (reason, None).
+    """
     # the bound applies to what each interface transmits as a whole: a flush
     # patch is two anchor points sharing one physical contact
+    forces = [[f, t] for f, t in zip(z[6::2].tolist(), z[7::2].tolist())]
+    totals, groups = {}, {}
+    for i, (row, (iface, _)) in enumerate(rows):
+        tot = totals.setdefault(iface, [0.0, 0.0])
+        tot[0] += forces[i][0]
+        tot[1] += forces[i][1]
+        if row[_S] == 0:
+            groups.setdefault(iface, []).append(i)
     for fn_sum, ft_sum in totals.values():
         if max(abs(fn_sum), abs(ft_sum)) > cfg.force_bound:
-            return False, "force_bound", None
+            return "force_bound", None
+    sums = {iface: (sum(forces[i][0] for i in idxs),
+                    sum(forces[i][1] for i in idxs))
+            for iface, idxs in groups.items()}
+    for iface, (fn_sum, ft_sum) in sums.items():
+        if abs(ft_sum) > rows[groups[iface][0]][0][_MU] * fn_sum + 1e-9:
+            return "cone", None
 
-    for iface, idxs in groups.items():
-        fn_sum = sum(forces[i][0] for i in idxs)
-        ft_sum = sum(forces[i][1] for i in idxs)
-        mu = contacts[idxs[0]].mu
-        if abs(ft_sum) > mu * fn_sum + 1e-9:
-            return False, "cone", None
-
+    end = sw.with_poses(
+        PlanarPose(sw.object_pose.position + z[0:2],
+                   sw.object_pose.angle + z[2]),
+        PlanarPose(sw.hand_pose.position + z[3:5], sw.hand_pose.angle + z[5]))
     # flush patch must keep positive overlap
     hc = hyp.hand_contact
     if hc is not None and hc.kind == "flush":
-        a, b = sw.polygon.face_endpoints(hc.face)
-        ta = float(t_hat @ (end.object_pose.transform(a) - center))
-        tb = float(t_hat @ (end.object_pose.transform(b) - center))
+        t_hat, center = end.hand_tangent(), end.hand_pose.position
+        ta, tb = (float(t_hat @ (end.object_pose.transform(v) - center))
+                  for v in sw.polygon.face_endpoints(hc.face))
         lo, hi = min(ta, tb), max(ta, tb)
         if min(hi, sw.hand.half_length) - max(lo, -sw.hand.half_length) <= 1e-9:
-            return False, "patch_gone", None
+            return "patch_gone", None
 
     if end.penetration_depth() < -1e-9:
-        return False, "penetration", None
+        return "penetration", None
+    Rm = end.object_pose.rotation
     for tip in end.hand_tips():
         tip_obj = Rm.T @ (tip - end.object_pose.position)
         if np.all(sw.polygon.all_face_residuals(tip_obj) < -1e-9):
-            return False, "tip_inside", None
+            return "tip_inside", None
     if _segment_face_crossing(end):
-        return False, "segment_crossing", None
+        return "segment_crossing", None
 
     # proportional tangential re-split inside stick groups (wrench neutral)
-    report = [list(f) for f in forces]
     for iface, idxs in groups.items():
-        if len(idxs) < 2:
-            continue
-        fn_sum = sum(forces[i][0] for i in idxs)
-        ft_sum = sum(forces[i][1] for i in idxs)
-        if fn_sum > 1e-12:
+        fn_sum, ft_sum = sums[iface]
+        if len(idxs) > 1 and fn_sum > 1e-12:
             for i in idxs:
-                report[i][1] = ft_sum * forces[i][0] / fn_sum
-
-    dissipation = float(sum(
-        slips[i] ** 2 for i, c in enumerate(contacts) if c.s != 0))
-
-    sol = {
-        "object_pose": obj_pose,
-        "hand_pose": hand_pose,
-        "forces": report,
-        "slips": slips,
-        "end": end,
-        "residual": res,
-    }
-    return True, "", sol | {"dissipation": dissipation}
+                forces[i][1] = ft_sum * forces[i][0] / fn_sum
+    return "", (forces, end)
 
 
-def _finish(sw, hyp, contacts, sol, trials) -> ModeSolution:
-    end = sol["end"]
-    t_hat = end.hand_tangent()
-    n_hat = end.hand_normal()
+def _solve_pass(sw, target, hyps, cfg, start):
+    """Solve and screen one enumeration pass; trials indexed from start.
+
+    Hypotheses are sorted by (min_norm, contact count), so that each system
+    size is one run and padding stays small, and batched in blocks of at
+    most _SLOTS contact slots, which keeps the stacked arrays to a few MB
+    when a wall brings hundreds of hypotheses.
+    """
+    if not hyps:
+        return []
+    build, ref = _ContactRows(sw), _Reference(sw, target)
+    rows = [build(h) for h in hyps]
+    counts = [len(r) for r in rows]
+    # two stick points on one interface line leave the tangential force split
+    # wrench neutral, a null space a plain solve would blow up on
+    min_norm = np.array([len(st) != len(set(st)) for st in (
+        [iface for _, (iface, label) in r if label == "stick"] for r in rows)])
+    blocks, width = [[]], 1
+    for i in np.lexsort((counts, min_norm)).tolist():
+        width = max(width, counts[i])
+        if (len(blocks[-1]) + 1) * width > _SLOTS and blocks[-1]:
+            blocks.append([])
+            width = max(1, counts[i])
+        blocks[-1].append(i)
+    trials = [None] * len(hyps)
+    for block in blocks:
+        batch = _Batch([rows[i] for i in block], min_norm[block])
+        z, res, evaluations = _newton(ref, batch)
+        reasons, geometry = _screen(ref, batch, z, res)
+        for j, i in enumerate(block):
+            k, reason, sol = len(rows[i]), reasons[j], None
+            if not reason:
+                reason, passed = _check_trial(sw, hyps[i], rows[i],
+                                              z[j, :6 + 2 * k], cfg)
+            if not reason:
+                slips = geometry[j][2][:k].tolist()
+                sol = {"rows": rows[i], "passed": passed,
+                       "geometry": geometry[j], "slips": slips,
+                       "residual": float(res[j]),
+                       "dissipation": float(sum(
+                           sl ** 2 for sl, (row, _) in zip(slips, rows[i])
+                           if row[_S] != 0))}
+            trials[i] = _Trial(start + i, hyps[i], reason,
+                               int(evaluations[j]), sol)
+    return trials
+
+
+def _finish(sw, chosen, trials) -> ModeSolution:
+    sol = chosen.solution
+    (forces, end), (points, directions, _) = sol["passed"], sol["geometry"]
     center = end.hand_pose.position
-    Rm = end.object_pose.rotation
-
-    records = []
-    hand_F = np.zeros(2)
-    hand_tau = 0.0
-    env_F = np.zeros(2)
-    env_tau = 0.0
-    for i, c in enumerate(contacts):
-        fn, ft = sol["forces"][i]
-        if c.ctype == _HAND_LINE:
-            point = end.object_pose.transform(c.p_obj)
-            F = fn * n_hat + ft * t_hat
-        elif c.ctype == _TIP_FACE:
-            point = center + c.t0 * t_hat
-            n_f = Rm @ c.n_obj
-            t_f = Rm @ c.e_obj
-            F = -fn * n_f + ft * t_f
-        else:
-            point = end.object_pose.transform(c.p_obj)
-            F = fn * c.n_fix + ft * c.t_fix
+    records, hand_F, env_F, hand_tau, env_tau = [], np.zeros(2), \
+        np.zeros(2), 0.0, 0.0
+    for i, (row, (iface, label)) in enumerate(sol["rows"]):
+        (fn, ft), point, (nrm, tan) = forces[i], points[i], directions[i]
+        F = fn * nrm + ft * tan         # on the point's body
+        if row[_LB] == _OBJ:
+            F = -F
         records.append(ContactForce(
-            iface=c.iface, label=c.mode, point=tuple(point), force=tuple(F),
-            f_normal=float(fn), f_tangent=float(ft), slip=float(sol["slips"][i])))
-        if c.iface == "hand":
+            iface=iface, label=label, point=tuple(point), force=tuple(F),
+            f_normal=float(fn), f_tangent=float(ft),
+            slip=float(sol["slips"][i])))
+        if iface == "hand":
             hand_F += F
             hand_tau += cross2(point - center, F)
         else:
             env_F += F
             env_tau += cross2(point - center, F)
-
     return ModeSolution(
-        hypothesis=hyp,
-        object_pose=sol["object_pose"],
-        hand_pose=sol["hand_pose"],
-        contacts=tuple(records),
+        hypothesis=chosen.hyp, object_pose=end.object_pose,
+        hand_pose=end.hand_pose, contacts=tuple(records),
         hand_wrench=Wrench2(hand_F, hand_tau, center),
         env_wrench=Wrench2(env_F, env_tau, center),
-        dissipation=sol["dissipation"],
-        residual_norm=sol["residual"],
-        trials=trials,
-    )
+        dissipation=sol["dissipation"], residual_norm=sol["residual"],
+        trials=len(trials),
+        newton_iterations=sum(t.evaluations for t in trials),
+        rejections=dict(sorted(Counter(t.reason for t in trials
+                                       if t.reason).items())))
 
 
 def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
@@ -640,43 +658,25 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
     expandable = hypotheses is None
     if hypotheses is None:
         hypotheses = enumerate_modes(sw, cfg.activation_band)
+    trials = _solve_pass(sw, target, list(hypotheses), cfg, 0)
+    seen = set(hypotheses)
 
-    trials = []
+    def feasible():
+        return [t for t in trials if not t.reason]
 
-    def run_trial(idx, hyp):
-        contacts = _build_contacts(sw, hyp)
-        z0 = np.zeros(6 + 2 * len(contacts))
-        z, res = _newton(z0, sw, target, contacts,
-                         min_norm=_rank_deficient(contacts))
-        ok, reason, sol = _check_trial(sw, target, hyp, contacts, z, res, cfg)
-        tr = _Trial(idx, hyp, ok, reason)
-        if ok:
-            tr.dissipation = sol["dissipation"]
-            tr.stick_count = hyp.stick_count()
-            tr.solution = sol
-            tr.contacts = contacts
-        trials.append(tr)
+    def widen(band):
+        fresh = [h for h in enumerate_modes(sw, band, suppress_overlaps=False)
+                 if h not in seen]
+        seen.update(fresh)
+        trials.extend(_solve_pass(sw, target, fresh, cfg, len(trials)))
 
-    for idx, hyp in enumerate(hypotheses):
-        run_trial(idx, hyp)
-
-    feasible = [t for t in trials if t.feasible]
-    if not feasible and expandable:
+    if not feasible() and expandable:
         # a flush candidate may have suppressed the very point-slide label the
         # command needs (e.g. the hand rotating off a face it started flush
         # with), so retry with the full label set before giving up
-        seen = {repr(h.to_json()) for h in hypotheses}
-        count = len(hypotheses)
-        extra = [h for h in enumerate_modes(sw, cfg.activation_band,
-                                            suppress_overlaps=False)
-                 if repr(h.to_json()) not in seen]
-        for hyp in extra:
-            run_trial(count, hyp)
-            count += 1
-        feasible = [t for t in trials if t.feasible]
-        seen.update(repr(h.to_json()) for h in extra)
+        widen(cfg.activation_band)
 
-    if not feasible and expandable:
+    if not feasible() and expandable:
         # the proximity band only sees contacts that are already close, but a
         # single command may sweep across one (drag ending against a wall, a
         # plunge onto the object): widen the band to the commanded reach so
@@ -689,16 +689,10 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
             verts - verts.mean(axis=0), axis=1)))
         reach = dp + dth * (sw.hand.half_length + 2.0 * radius)
         if reach > 0.0:
-            wide = [h for h in enumerate_modes(
-                        sw, cfg.activation_band + reach,
-                        suppress_overlaps=False)
-                    if repr(h.to_json()) not in seen]
-            for hyp in wide:
-                run_trial(count, hyp)
-                count += 1
-            feasible = [t for t in trials if t.feasible]
+            widen(cfg.activation_band + reach)
 
-    if not feasible:
+    ok = feasible()
+    if not ok:
         diag = [{"mode": t.hyp.to_json(), "reason": t.reason} for t in trials]
         if any(t.reason == "force_bound" for t in trials):
             raise JammedConfiguration(
@@ -708,8 +702,7 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
             f"no feasible contact mode among {len(trials)} hypotheses",
             diagnostics=diag)
 
-    best_d = min(t.dissipation for t in feasible)
-    short = [t for t in feasible if t.dissipation <= best_d + 1e-13]
-    short.sort(key=lambda t: (-t.stick_count, t.index))
-    chosen = short[0]
-    return _finish(sw, chosen.hyp, chosen.contacts, chosen.solution, len(trials))
+    best_d = min(t.solution["dissipation"] for t in ok)
+    short = [t for t in ok if t.solution["dissipation"] <= best_d + 1e-13]
+    short.sort(key=lambda t: (-t.hyp.stick_count(), t.index))
+    return _finish(sw, short[0], trials)

@@ -5,19 +5,24 @@ rigs (weight splits, Coulomb thresholds, spring balances), not values copied
 back from the solver.
 """
 
+import dataclasses
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ccfg.sim.engine as engine
 from ccfg.config import NoiseConfig, ZERO_NOISE
 from ccfg.core import (HandModel, PlanarPose, PolygonModel, Wall, WorldModel,
                        cross2, rotation)
-from ccfg.errors import JammedConfiguration, NoFeasibleMode
+from ccfg.errors import InvariantViolation, JammedConfiguration, NoFeasibleMode
 from ccfg.sim import (Observation, SimWorld, enumerate_modes, resolve_mode,
                       step, synthesize_measurements)
-from ccfg.sim.resolve import _build_contacts, _residual_jacobian
+from ccfg.sim.resolve import (_HAND, _OBJ, _WORLD, _Batch, _ContactRows,
+                              _Reference, _system)
 
 BOX = PolygonModel([[-0.06, -0.04], [0.06, -0.04], [0.06, 0.04], [-0.06, 0.04]])
 MASS = 0.5
@@ -43,6 +48,46 @@ def resting_world():
 def flush_world(hand_y=0.0800):
     # hand lying on the top face (face y = 0.08), covering x in [-0.05, 0.05]
     return make_world(PlanarPose([0.0, 0.04], 0.0), PlanarPose([0.0, hand_y], 0.0))
+
+
+# Per-step resolver outputs of test_corner_handoff_during_long_drag and
+# test_step_sequence_deterministic, recorded with the per-hypothesis Newton
+# solver that the batched one replaced: chosen mode, trial count, rejection
+# histogram, and object and hand poses (x, y, angle) after the step.
+RECORDED = json.loads((Path(__file__).parent / "data"
+                       / "resolver_regression.json").read_text())
+
+
+def tap_solutions(monkeypatch):
+    """Collect the ModeSolution of every step() call."""
+    sols = []
+
+    def tapped(*args, **kwargs):
+        sols.append(resolve_mode(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(engine, "resolve_mode", tapped)
+    return sols
+
+
+def assert_matches_recording(sols, worlds, recorded):
+    """Same modes, trial counts and rejection histograms as recorded, and
+    poses (and flush anchors) within 1e-12."""
+    assert len(sols) == len(worlds) == len(recorded)
+    for sol, sw, rec in zip(sols, worlds, recorded):
+        mode, want = sol.hypothesis.to_json(), dict(rec["mode"])
+        got_contact, want_contact = dict(mode.pop("hand_contact") or {}), \
+            dict(want.pop("hand_contact") or {})
+        np.testing.assert_allclose(got_contact.pop("anchors", []),
+                                   want_contact.pop("anchors", []),
+                                   rtol=0, atol=1e-12)
+        assert (mode, got_contact) == (want, want_contact)
+        assert sol.trials == rec["trials"]
+        assert sol.rejections == rec["rejections"]
+        np.testing.assert_allclose(sw.object_pose.as_vector(),
+                                   rec["object_pose"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sw.hand_pose.as_vector(),
+                                   rec["hand_pose"], rtol=0, atol=1e-12)
 
 
 def net_wrench_residual(sw, sol):
@@ -219,24 +264,48 @@ def test_pivot_corner_stays_pinned():
     assert angles[2] > th - 0.06
 
 
-def test_corner_handoff_during_long_drag():
+def test_corner_handoff_during_long_drag(monkeypatch):
     # dragging the hand along the top face and off its right corner walks
     # through three support regimes and then releases; the lateral hand lag
     # equals the Coulomb offset mu_h * f_press / k the whole way through
+    sols = tap_solutions(monkeypatch)
     sw = flush_world(0.0800)
     gen = np.random.default_rng(4)
-    kinds = []
+    kinds, worlds, firsts = [], [], []
     for k in range(1, 241):
         tgt = PlanarPose([0.0005 * k, 0.0785], 0.0)
+        before = sw
         sw, _ = step(sw, tgt, rng=gen)
+        worlds.append(sw)
         hc = sw.contact_label["hand_contact"] or {}
         kind = hc.get("kind")
         if not kinds or kinds[-1] != kind:
             kinds.append(kind)
+            firsts.append((before, tgt, sols[-1]))
     assert kinds == ["flush", "pair", "vertex", None]
     # object never recruited: ground friction exceeds the hand's drag
     assert abs(sw.object_pose.position[0]) < 1e-9
     assert sw.hand_pose.position[0] == pytest.approx(0.0005 * 240, abs=1e-9)
+    assert_matches_recording(sols, worlds,
+                             RECORDED["corner_handoff_during_long_drag"])
+
+    # the batch accounts for every hypothesis: solved one at a time, each is
+    # feasible or rejected for the reason the batch counted
+    for sol in sols:
+        assert 0 < sum(sol.rejections.values()) < sol.trials
+        assert sol.newton_iterations >= sol.trials
+    for before, tgt, sol in firsts[:3]:
+        hyps = enumerate_modes(before)
+        assert len(hyps) == sol.trials
+        feasible, rejected = 0, Counter()
+        for h in hyps:
+            try:
+                resolve_mode(before, tgt, hypotheses=[h])
+                feasible += 1
+            except (NoFeasibleMode, JammedConfiguration) as exc:
+                rejected[exc.diagnostics[0]["reason"]] += 1
+        assert rejected == sol.rejections
+        assert sum(sol.rejections.values()) + feasible == sol.trials
 
 
 def test_short_face_slide_uses_corner_pair():
@@ -292,37 +361,46 @@ def test_crush_against_wall_jams():
 # ------------------------------------------------------------ newton system
 
 def test_contact_jacobian_matches_finite_differences():
-    sw = flush_world(0.0805)
-    tgt = PlanarPose([0.002, 0.079], 0.01)
-    hyps = enumerate_modes(sw)
-    picked = {}
-    for h in hyps:
-        ground = tuple(lab for _, lab in h.ground)
-        key = (h.hand_mode, ground)
-        if h.hand_mode in ("stick_flush", "slide_pos_flush", "stick_point",
-                           "no_contact") and key not in picked:
-            picked[key] = h
+    # one batch mixing every kind of contact row: object points on the hand
+    # line and hand tips on an object face (stick and slide), and object
+    # vertices on the ground and on a wall (stick and slide)
+    w = WorldModel(ground_height=0.0, walls=(Wall(0.0605, -1),))
+    sw = make_world(PlanarPose([0.0, 0.04], 0.0),
+                    PlanarPose([0.03, 0.0805], 0.0), world=w)
+    tgt = PlanarPose([0.032, 0.079], 0.01)
+    build = _ContactRows(sw)
+    picked, kinds = [], set()
+    for h in enumerate_modes(sw, suppress_overlaps=False):
+        new = {(row[0], row[1], iface[:4], label == "stick")
+               for row, (iface, label) in build(h)} - kinds
+        if new:
+            picked.append(h)
+            kinds |= new
+    want = {(_OBJ, _HAND, "hand"), (_HAND, _OBJ, "hand"),
+            (_OBJ, _WORLD, "grou"), (_OBJ, _WORLD, "wall")}
+    assert {(pb, lb, where, stick) for pb, lb, where in want
+            for stick in (True, False)} <= kinds
+
+    batch = _Batch([build(h) for h in picked], np.zeros(len(picked), bool))
+    ref = _Reference(sw, tgt)
     rng = np.random.default_rng(11)
-    checked = 0
-    for h in list(picked.values())[:12]:
-        contacts = _build_contacts(sw, h)
-        if not contacts:
-            continue
-        n = 6 + 2 * len(contacts)
-        z = np.concatenate([rng.normal(0.0, 1e-3, 6), rng.normal(0.0, 1.0, n - 6)])
-        _, J = _residual_jacobian(z, sw, tgt, contacts)
-        J_fd = np.empty_like(J)
-        h_step = 1e-6
-        for k in range(n):
-            dz = np.zeros(n)
-            dz[k] = h_step
-            rp, _ = _residual_jacobian(z + dz, sw, tgt, contacts)
-            rm, _ = _residual_jacobian(z - dz, sw, tgt, contacts)
-            J_fd[:, k] = (rp - rm) / (2 * h_step)
-        scale = 1.0 + np.abs(J)
-        assert np.max(np.abs(J - J_fd) / scale) < 1e-6
-        checked += 1
-    assert checked >= 4
+    M, n = len(picked), 6 + 2 * batch.slots
+    z = np.concatenate([rng.normal(0.0, 1e-3, (M, 6)),
+                        rng.normal(0.0, 1.0, (M, n - 6))], axis=1)
+    _, J = _system(z, ref, batch)
+    J_fd = np.empty_like(J)
+    h_step = 1e-6
+    for k in range(n):
+        dz = np.zeros(n)
+        dz[k] = h_step
+        rp, _ = _system(z + dz, ref, batch)
+        rm, _ = _system(z - dz, ref, batch)
+        J_fd[:, :, k] = (rp - rm) / (2 * h_step)
+    for i, count in enumerate(batch.counts):
+        m = 6 + 2 * count
+        scale = 1.0 + np.abs(J[i, :m, :m])
+        assert np.max(np.abs(J[i, :m, :m] - J_fd[i, :m, :m]) / scale) < 1e-6
+    assert M >= 8
 
 
 # ------------------------------------------------------------- measurements
@@ -398,23 +476,66 @@ def test_step_advances_and_labels():
                       - nw.object_pose.position)) < 1e-12
 
 
-def test_step_sequence_deterministic():
+def test_step_sequence_deterministic(monkeypatch):
+    sols = tap_solutions(monkeypatch)
+
     def run():
         sw = flush_world(0.0805)
         gen = np.random.default_rng(7)
         noise = NoiseConfig()
-        out = []
+        out, worlds = [], []
         for k in range(12):
             tgt = PlanarPose([0.001 * np.sin(0.3 * k), 0.0795], 0.0)
             sw, fr = step(sw, tgt, rng=gen, noise=noise, vision_period=5)
+            worlds.append(sw)
             out.append((fr.wrench_meas.force.tolist(),
                         fr.hand_pose_meas.position.tolist(),
                         None if fr.vision_vertices is None
                         else fr.vision_vertices.tolist()))
-        return out
+        return out, worlds
 
-    a, b = run(), run()
+    (a, worlds), (b, _) = run(), run()
     assert a == b
+    assert_matches_recording(sols[:12], worlds,
+                             RECORDED["step_sequence_deterministic"])
+
+
+def test_step_raises_typed_invariant_violations(monkeypatch):
+    # a resolver answer that breaks one invariant at a time: step() refuses
+    # each with the invariant named and every residual attached, whether or
+    # not Python runs with assertions
+    sw = flush_world(0.0800)
+    tgt = PlanarPose([0.001, 0.079], 0.0)
+    good = resolve_mode(sw, tgt)
+    assert good.hypothesis.hand_mode == "slide_neg_flush"
+    i = next(j for j, c in enumerate(good.contacts) if c.iface == "hand")
+    hand = good.contacts[i]
+
+    def with_hand(**changes):
+        contacts = list(good.contacts)
+        contacts[i] = dataclasses.replace(hand, **changes)
+        return dataclasses.replace(good, contacts=tuple(contacts))
+
+    sunk = PlanarPose(good.object_pose.position + np.array([0.0, -1e-3]),
+                      good.object_pose.angle)
+    broken = {
+        "balance": dataclasses.replace(good, residual_norm=1e-3),
+        "cone": with_hand(f_tangent=2.0 * sw.mu_hand * hand.f_normal),
+        "complementarity": with_hand(f_tangent=0.0),
+        "penetration": dataclasses.replace(good, object_pose=sunk),
+    }
+    for invariant, sol in broken.items():
+        monkeypatch.setattr(engine, "resolve_mode", lambda *a, sol=sol, **k: sol)
+        with pytest.raises(InvariantViolation) as exc:
+            step(sw, tgt, rng=0)
+        assert exc.value.invariant == invariant
+        res = exc.value.residuals
+        assert set(res) == set(broken)
+        assert res["balance"] > 1e-6 if invariant == "balance" \
+            else res["balance"] <= 1e-6
+    assert res["penetration"] == pytest.approx(-1e-3, rel=1e-6)
+    monkeypatch.setattr(engine, "resolve_mode", lambda *a, **k: good)
+    step(sw, tgt, rng=0)
 
 
 # ------------------------------------------------------------ property tests

@@ -70,7 +70,6 @@ class SolverOptions:
     lambda_down: float = 10.0
     cost_tol: float = 1e-10    # relative cost decrease
     step_tol: float = 1e-12    # step infinity-norm
-    divergence_factor: float = 1e3
     dense_limit: int = 200     # below this many scalar variables use dense solve
 
     @staticmethod

@@ -6,17 +6,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DegenerateForce
-from .pose import cross2
+from .pose import _frozen_vec2, cross2
 
 # Below this normal-force magnitude (N) a contact patch has no well-defined
 # center of pressure.
 COP_FORCE_EPS = 1e-9
-
-
-def _frozen_vec2(v) -> np.ndarray:
-    out = np.array([float(v[0]), float(v[1])])
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,10 +17,6 @@ class TooFewPoints(CcfgError):
     """Not enough points to run the noisy-hull heuristic."""
 
 
-class DegenerateVisionPolygon(CcfgError):
-    """Vision vertices are collinear or too few to define a polygon."""
-
-
 class NoFeasibleMode(CcfgError):
     """No enumerated contact-mode hypothesis passed the feasibility checks."""
 
@@ -71,27 +67,3 @@ class UnknownVariable(CcfgError):
 
 class SingularNormalEquations(CcfgError):
     """Normal equations were rank deficient even after damping."""
-
-
-class SolverDiverged(CcfgError):
-    """Factor-graph solve increased cost beyond the divergence guard."""
-
-
-class FrameOutOfWindow(CcfgError):
-    """Requested frame is no longer (or not yet) in the active window."""
-
-
-class StaleEstimate(CcfgError):
-    """Controller received an estimator snapshot that is too old or degenerate."""
-
-
-class ConesNotReady(CcfgError):
-    """Controller requires wrench-cone estimates that are not ready yet."""
-
-
-class MalformedLog(CcfgError):
-    """A trajectory log file is empty or fails schema validation."""
-
-
-class ScenarioError(CcfgError):
-    """Scenario file failed validation."""

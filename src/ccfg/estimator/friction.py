@@ -203,12 +203,13 @@ def _thin_rays(rays: np.ndarray, angles: np.ndarray) -> np.ndarray:
         return rays[:1]
     bins = np.minimum((MAX_HULL_RAYS * (angles - lo) / (hi - lo)).astype(int),
                       MAX_HULL_RAYS - 1)
-    keep = []
-    for b in np.unique(bins):
-        members = np.nonzero(bins == b)[0]
-        keep.append(members[np.argmin(angles[members])])
-        keep.append(members[np.argmax(angles[members])])
-    return rays[sorted(set(keep))]
+    # Stable sorts by bin, then angle up (down): each bin's first entry is
+    # its least (greatest) angle, at the lowest index among ties.
+    up = np.lexsort((angles, bins))
+    down = np.lexsort((-angles, bins))
+    sorted_bins = bins[up]
+    first = np.flatnonzero(np.r_[True, sorted_bins[1:] != sorted_bins[:-1]])
+    return rays[np.union1d(up[first], down[first])]
 
 
 def _extreme_rays(rays: np.ndarray, angles: np.ndarray):

@@ -91,6 +91,20 @@ class SolveReport:
         return out
 
 
+@dataclass
+class _Evaluation:
+    """Residuals of the active factors at one point, as the solver uses
+    them: raw (for factor_norms), divided by sigma, and the total cost."""
+
+    raw: list
+    weighted: list
+    cost: float
+
+    def norms(self, factors) -> tuple:
+        return tuple((f.kind, float(np.linalg.norm(r)))
+                     for f, r in zip(factors, self.raw))
+
+
 def jacobian_check(factor: Factor, values: Sequence[np.ndarray],
                    h: float = 1e-6) -> float:
     """Max relative error between analytic and central-difference Jacobians."""
@@ -196,40 +210,63 @@ class FactorGraph:
         return [f for f in self.factors
                 if any(not self.variables[vid].fixed for vid in f.var_ids)]
 
-    def _cost(self, factors) -> float:
-        total = 0.0
+    def _evaluate(self, factors) -> _Evaluation:
+        """Every factor's residual at the current values, one call each."""
+        raw, weighted, cost = [], [], 0.0
         for f in factors:
-            r = f.residual(*self._values_of(f)) / f.sigma
-            total += float(r @ r)
-        return total
+            r = f.residual(*self._values_of(f))
+            if f.sigma.size not in (1, r.size):
+                raise ValueError(f"factor {f.kind!r} sigma length {f.sigma.size} "
+                                 f"!= residual length {r.size}")
+            w = r / f.sigma
+            cost += float(w @ w)
+            raw.append(r)
+            weighted.append(w)
+        return _Evaluation(raw, weighted, cost)
 
-    def _assemble(self, factors, offsets, n_cols, n_rows):
-        """Weighted residual vector and Jacobian at the current values."""
-        r = np.empty(n_rows)
-        rows, cols, data = [], [], []
+    def _assemble(self, factors, offsets, n_cols, weighted):
+        """Weighted residual vector and Jacobian at the current values.
+
+        The COO entries run factor by factor, block by block, row-major
+        within a block, so duplicate entries sum in a fixed order.
+        """
+        r = np.concatenate(weighted)
+        blocks, row0s, col0s, dims, sigmas, repeats = [], [], [], [], [], []
         row0 = 0
-        for f in factors:
-            values = self._values_of(f)
-            res = f.residual(*values)
+        for f, res in zip(factors, weighted):
             k = res.size
-            r[row0:row0 + k] = res / f.sigma
-            blocks = f.jacobian(*values)
-            if len(blocks) != len(f.var_ids):
+            jac = f.jacobian(*self._values_of(f))
+            if len(jac) != len(f.var_ids):
                 raise ValueError(f"factor {f.kind!r} returned "
-                                 f"{len(blocks)} jacobian blocks")
-            for vid, block in zip(f.var_ids, blocks):
+                                 f"{len(jac)} jacobian blocks")
+            for vid, block in zip(f.var_ids, jac):
                 if vid not in offsets:
                     continue  # fixed variable: treated as a constant
-                c0 = offsets[vid]
-                block = block / f.sigma[:, None]
-                for i in range(block.shape[0]):
-                    for j in range(block.shape[1]):
-                        rows.append(row0 + i)
-                        cols.append(c0 + j)
-                        data.append(block[i, j])
+                dim = self.variables[vid].dim
+                if block.shape != (k, dim):
+                    raise ValueError(f"factor {f.kind!r} jacobian block "
+                                     f"{block.shape} for {vid!r}, expected "
+                                     f"{(k, dim)}")
+                blocks.append(block.ravel())
+                row0s.append(row0)
+                col0s.append(offsets[vid])
+                dims.append(dim)
+            sigmas.append(f.sigma)
+            repeats += [k] if f.sigma.size == 1 else [1] * k
             row0 += k
+        # entry e of block b sits at row row0 + e // dim, col col0 + e % dim
+        dims = np.array(dims)
+        sizes = np.array([len(b) for b in blocks])
+        block_of = np.repeat(np.arange(len(blocks)), sizes)
+        local = np.arange(len(block_of)) - np.repeat(np.cumsum(sizes) - sizes,
+                                                     sizes)
+        dim_of = dims[block_of]
+        rows = np.array(row0s)[block_of] + local // dim_of
+        cols = np.array(col0s)[block_of] + local % dim_of
+        row_sigma = np.repeat(np.concatenate(sigmas), repeats)
+        data = np.concatenate(blocks) / row_sigma[rows]
         J = scipy.sparse.coo_matrix((data, (rows, cols)),
-                                    shape=(n_rows, n_cols)).tocsr()
+                                    shape=(len(r), n_cols)).tocsr()
         return r, J
 
     def solve(self, options: Optional[SolverOptions] = None) -> SolveReport:
@@ -240,20 +277,14 @@ class FactorGraph:
         for v in free:
             offsets[v.id] = n_cols
             n_cols += v.dim
-        n_rows = 0
-        for f in factors:
-            k = f.residual(*self._values_of(f)).size
-            if f.sigma.size not in (1, k):
-                raise ValueError(f"factor {f.kind!r} sigma length {f.sigma.size} "
-                                 f"!= residual length {k}")
-            n_rows += k
-
-        initial_cost = self._cost(factors)
+        current = self._evaluate(factors)
+        n_rows = sum(r.size for r in current.raw)
+        initial_cost = current.cost
         if not math.isfinite(initial_cost):
             raise SingularNormalEquations("non-finite residuals at initial point")
         report = SolveReport(0, initial_cost, initial_cost, True)
         if n_cols == 0 or n_rows == 0:
-            report.factor_norms = self._factor_norms(factors)
+            report.factor_norms = current.norms(factors)
             return report
 
         lam = opts.lambda0
@@ -264,7 +295,8 @@ class FactorGraph:
         iterations = 0
         for _ in range(opts.max_iter):
             iterations += 1
-            r, J = self._assemble(factors, offsets, n_cols, n_rows)
+            r, J = self._assemble(factors, offsets, n_cols,
+                                  current.weighted)
             H = (J.T @ J).toarray() if n_cols <= opts.dense_limit else J.T @ J
             g = J.T @ r
             diag = H.diagonal() if scipy.sparse.issparse(H) else np.diag(H).copy()
@@ -290,9 +322,11 @@ class FactorGraph:
                 for v in free:
                     c0 = offsets[v.id]
                     v.value = v.value + step[c0:c0 + v.dim]
-                new_cost = self._cost(factors)
+                trial_eval = self._evaluate(factors)
+                new_cost = trial_eval.cost
                 if math.isfinite(new_cost) and new_cost <= cost:
                     accepted = True
+                    current = trial_eval
                     break
                 for v, old in before:
                     v.value = old
@@ -316,7 +350,7 @@ class FactorGraph:
         report.converged = converged
         report.singular = singular
         report.condition = condition
-        report.factor_norms = self._factor_norms(factors)
+        report.factor_norms = current.norms(factors)
         return report
 
     @staticmethod
@@ -336,13 +370,6 @@ class FactorGraph:
         if not np.all(np.isfinite(step)):
             return None
         return step
-
-    def _factor_norms(self, factors) -> tuple:
-        out = []
-        for f in factors:
-            r = f.residual(*self._values_of(f))
-            out.append((f.kind, float(np.linalg.norm(r))))
-        return tuple(out)
 
     # -- debugging ---------------------------------------------------------
 

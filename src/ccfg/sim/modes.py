@@ -35,7 +35,9 @@ when the whole face fits under the hand.  Pairs carry slide labels only;
 their stick variant is the ordinary flush stick.
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -305,9 +307,24 @@ def enumerate_modes(sw: SimWorld, band: float = 1e-3,
                     hand_label=hand_lab, hand_contact=hand_geom,
                     ground=tuple(g), walls=walls))
 
-    hyps.sort(key=lambda h: (h.active_count() > 0, h.active_count(),
-                             h.to_json().__repr__()))
+    hyps.sort(key=_sort_key)
     return hyps
+
+
+def _sort_key(h: ContactModeHypothesis) -> tuple:
+    anchors = () if h.hand_contact is None else h.hand_contact.anchors
+    # 0.0 == -0.0, yet they print apart: the anchor signs keep such
+    # hypotheses apart in the cache.
+    return _cached_sort_key(
+        h, tuple(math.copysign(1.0, c) for a in anchors for c in a))
+
+
+@functools.lru_cache(maxsize=1024)
+def _cached_sort_key(h: ContactModeHypothesis, _signs: tuple) -> tuple:
+    """All-separate first, then by active contact count, then by the repr
+    of to_json(); the same hypotheses come back step after step."""
+    n = h.active_count()
+    return n > 0, n, h.to_json().__repr__()
 
 
 def _jointly_consistent(ground, walls) -> bool:

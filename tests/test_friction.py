@@ -13,6 +13,7 @@ from ccfg.errors import NotReady
 from ccfg.estimator import (ConeConstraint, WrenchConeEstimate,
                             check_violation, ingest, new_cone_estimate,
                             violation_threshold)
+from ccfg.estimator.friction import MAX_HULL_RAYS, _thin_rays
 
 SCALE = 0.05  # m, hand half-length used as the torque normalizer
 
@@ -176,3 +177,29 @@ def test_fit_properties_random_streams(seed, n, mu):
     for c in est.constraints:
         assert np.linalg.norm(c.normal) == pytest.approx(1.0)
     assert est.ready == (n >= FrictionEstConfig().min_samples)
+
+
+def thin_rays_reference(rays, angles):
+    """Bin-by-bin loop: each bin keeps its argmin and argmax angle."""
+    lo, hi = float(angles.min()), float(angles.max())
+    bins = np.minimum((MAX_HULL_RAYS * (angles - lo) / (hi - lo)).astype(int),
+                      MAX_HULL_RAYS - 1)
+    keep = set()
+    for b in np.unique(bins):
+        members = np.nonzero(bins == b)[0]
+        keep.add(members[np.argmin(angles[members])])
+        keep.add(members[np.argmax(angles[members])])
+    return rays[sorted(keep)]
+
+
+def test_thin_rays_matches_bin_loop_with_ties():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(MAX_HULL_RAYS + 1, 2000))
+        angles = rng.uniform(-0.4, 0.4, n)
+        if trial % 2:
+            # few distinct angles: every bin holds ties at both extremes
+            angles = np.round(angles * 40) / 40
+        rays = np.c_[np.cos(angles), np.sin(angles), np.arange(n)]
+        assert np.array_equal(_thin_rays(rays, angles),
+                              thin_rays_reference(rays, angles))

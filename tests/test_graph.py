@@ -240,3 +240,53 @@ def test_dump_is_json_friendly():
     g.add_variable("x", 1.0)
     g.add_factor(linear_factor(("x",), [np.eye(1)], [2.0], 1.0))
     json.dumps(g.dump())
+
+
+def test_solve_evaluates_each_factor_once_per_point():
+    # Rosenbrock's valley plus a coupling factor: the undamped Gauss-Newton
+    # step overshoots and is rejected at least once on the way down.
+    residual_points, jacobian_points = [], []
+
+    def rosenbrock(p):
+        residual_points.append(("rosenbrock", p.tobytes()))
+        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+
+    def rosenbrock_jac(p):
+        jacobian_points.append("rosenbrock")
+        return [np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])]
+
+    def coupling(p, q):
+        residual_points.append(("coupling", p.tobytes() + q.tobytes()))
+        return np.array([np.sin(p[0] - q[0]), p[1] * q[0] - 0.5])
+
+    def coupling_jac(p, q):
+        jacobian_points.append("coupling")
+        return [np.array([[np.cos(p[0] - q[0]), 0.0], [0.0, q[0]]]),
+                np.array([[-np.cos(p[0] - q[0])], [p[1]]])]
+
+    g = FactorGraph()
+    g.add_variable("p", [-1.2, 1.0])
+    g.add_variable("q", [2.0])
+    g.add_factor(Factor(("p",), rosenbrock, rosenbrock_jac, [0.1, 1.0],
+                        kind="rosenbrock"))
+    g.add_factor(Factor(("p", "q"), coupling, coupling_jac, 0.5,
+                        kind="coupling"))
+    report = g.solve()
+
+    # Recorded from the solver that re-evaluated every residual for the row
+    # count, the cost, the assembly and the factor norms.
+    assert report.iterations == 11
+    assert report.converged and not report.singular
+    assert g.get("p").tolist() == [-0.3314290651970529, 0.11005860114616604]
+    assert g.get("q").tolist() == [2.8309085005545245]
+    assert report.final_cost == 1.9169095533327853
+    assert report.factor_norms == (("rosenbrock", 1.3314307749854999),
+                                   ("coupling", 0.18957248282793296))
+
+    assert len(set(residual_points)) == len(residual_points)
+    for kind in ("rosenbrock", "coupling"):
+        assert jacobian_points.count(kind) == report.iterations
+        # the initial point plus one point per trial step; more trials
+        # than iterations means some undamped step was rejected
+        points = sum(1 for k, _ in residual_points if k == kind)
+        assert points > report.iterations + 1

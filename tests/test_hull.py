@@ -1,5 +1,8 @@
 """Exact and noise-robust convex hulls."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,25 @@ from hypothesis import given, settings, strategies as st
 from ccfg.core import convex_hull, noisy_convex_hull
 from ccfg.core.pose import cross2
 from ccfg.errors import TooFewPoints
+
+
+REGRESSION = Path(__file__).parent / "data" / "noisy_hull_regression.json"
+
+
+def regression_input(case):
+    """Seeded input of one recorded regression case.
+
+    "rays": the shape the friction estimator fits, n - 1 unit force rays on
+    an arc of +-half_angle with angular noise, plus the origin. "square":
+    n points uniform on the unit square plus Gaussian noise.
+    """
+    rng = np.random.default_rng(case["seed"])
+    n = case["n"]
+    if case["kind"] == "rays":
+        a = (rng.uniform(-case["half_angle"], case["half_angle"], n - 1)
+             + rng.normal(0.0, case["noise"], n - 1))
+        return np.vstack([np.c_[np.cos(a), np.sin(a)], [[0.0, 0.0]]])
+    return rng.uniform(0, 1, (n, 2)) + rng.normal(0.0, case["noise"], (n, 2))
 
 
 def shoelace_area(verts):
@@ -124,3 +146,15 @@ def test_noisy_hull_monotone_under_interior_points(seed, n_extra):
     extra = weights @ exact
     augmented = noisy_convex_hull(np.vstack([pts, extra]))
     assert np.array_equal(base, augmented)
+
+
+def test_noisy_hull_matches_recorded_outputs():
+    # Outputs recorded from the peel that re-tested every edge of every
+    # candidate ring; the incremental peel must reproduce them bit for bit.
+    cases = json.loads(REGRESSION.read_text())["cases"]
+    assert len(cases) == 40
+    for case in cases:
+        hull = noisy_convex_hull(regression_input(case))
+        want = np.array(case["hull"])
+        assert hull.shape == want.shape, case["seed"]
+        assert np.array_equal(hull, want), case["seed"]

@@ -1,19 +1,11 @@
-"""Tunable defaults for the simulator, estimators, classifier, and controller.
+"""Tunable defaults for the simulator, the factor-graph solver, the wrench-cone
+estimator and the contact classifier.
 
-Every constant that shapes runtime behavior lives here so scenario files can
-override them in one place and tests can pin them explicitly.
+Every constant that shapes runtime behavior lives here, one home per setting,
+so tests can pin them explicitly.
 """
 
-import math
-from dataclasses import dataclass, field, fields, replace
-
-
-def _apply_overrides(cls, d: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return cls(**d)
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -26,10 +18,6 @@ class NoiseConfig:
     sigma_hand_angle: float = 1e-4  # rad
     sigma_vision: float = 5e-3      # m, per vertex coordinate
     vision_period: int = 10         # steps between vision frames
-
-    @staticmethod
-    def from_json(d: dict) -> "NoiseConfig":
-        return _apply_overrides(NoiseConfig, d)
 
     def scaled(self, factor: float) -> "NoiseConfig":
         return replace(self,
@@ -57,10 +45,6 @@ class SimConfig:
     balance_tol: float = 1e-6        # N / N*m residual allowed in statics
     comp_tol: float = 1e-8           # complementarity tolerance
 
-    @staticmethod
-    def from_json(d: dict) -> "SimConfig":
-        return _apply_overrides(SimConfig, d)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -70,46 +54,11 @@ class SolverOptions:
     lambda_down: float = 10.0
     cost_tol: float = 1e-10    # relative cost decrease
     step_tol: float = 1e-12    # step infinity-norm
-    dense_limit: int = 200     # below this many scalar variables use dense solve
-
-    @staticmethod
-    def from_json(d: dict) -> "SolverOptions":
-        return _apply_overrides(SolverOptions, d)
-
-
-@dataclass(frozen=True)
-class EstimatorWeights:
-    """Residual standard deviations used to weight each factor family."""
-
-    contact: float = 1e-4          # m
-    sticking: float = 1e-4         # m
-    torque_balance: float = 1e-3   # N*m
-    cop: float = 1e-3              # m
-    vision: float = 5e-3           # m
-    geometric: float = 1e-6        # m
-    reg_position: float = 1e-2     # m per step
-    reg_angle: float = 1e-2        # rad per step
-    gravity_prior: float = 50.0    # N*m, weak zero prior on (alpha, beta)
-
-    @staticmethod
-    def from_json(d: dict) -> "EstimatorWeights":
-        return _apply_overrides(EstimatorWeights, d)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    weights: EstimatorWeights = field(default_factory=EstimatorWeights)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     horizon: int = 50              # active time-indexed frames in the window
-    warmup_vision_frames: int = 3  # vision frames pooled before warm start
-
-    @staticmethod
-    def from_json(d: dict) -> "EstimatorConfig":
-        d = dict(d)
-        weights = EstimatorWeights.from_json(d.pop("weights", {}))
-        solver = SolverOptions.from_json(d.pop("solver", {}))
-        base = _apply_overrides(EstimatorConfig, d)
-        return replace(base, weights=weights, solver=solver)
 
 
 @dataclass(frozen=True)
@@ -126,39 +75,12 @@ class ClassifierConfig:
     cop_sigma: float = 2e-3          # m; expected COP measurement scatter
     slip_boundary_band: float = 0.3  # N; cone-boundary proximity for slip labels
 
-    @staticmethod
-    def from_json(d: dict) -> "ClassifierConfig":
-        return _apply_overrides(ClassifierConfig, d)
-
 
 @dataclass(frozen=True)
 class FrictionEstConfig:
     buffer_size: int = 2000
     min_samples: int = 20
-    max_constraints: int = 8
     # Wall test fires above b_j + factor * sigma_F, where sigma_F is the
     # estimate's noise_sigma: the robust successive-difference noise scale of
     # the buffered ground-phase wrenches (friction.violation_threshold).
     violation_sigma_factor: float = 3.0
-
-    @staticmethod
-    def from_json(d: dict) -> "FrictionEstConfig":
-        return _apply_overrides(FrictionEstConfig, d)
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    alpha_0: float = 1e-2                    # regularization weight on ||dx_tar||^2
-    alpha_dir: float = 1.0                   # weight per admissible-direction cost
-    beta: float = 0.3                        # setpoint-error gain per step
-    gamma: float = 1.0                       # predicted-wrench scaling per row
-    epsilon_margin: float = 0.2              # N*m torque-cone safety margin
-    slack_penalty_factor: float = 1e6        # times alpha_0
-    max_step_pos: float = 2e-3               # m per control step
-    max_step_angle: float = math.radians(0.5)
-    min_icr_separation: float = 5e-3         # m between pivot contacts
-    stale_frames: int = 5
-
-    @staticmethod
-    def from_json(d: dict) -> "ControllerConfig":
-        return _apply_overrides(ControllerConfig, d)

@@ -3,7 +3,7 @@
 from .hull import convex_hull, noisy_convex_hull
 from .mechanics import (FrictionResidual, TorqueConeResult,
                         friction_complementarity_residual, torque_cone_check)
-from .polygon import PolygonModel
+from .polygon import PolygonModel, face_normals
 from .pose import (PlanarPose, cross2, hand_normal, hand_tangent, rotate,
                    rotation, wrap_angle)
 from .world import (GRAVITY_ACCEL, GravityParams, HandModel, Wall, WorldModel,
@@ -25,6 +25,7 @@ __all__ = [
     "center_of_pressure",
     "convex_hull",
     "cross2",
+    "face_normals",
     "friction_complementarity_residual",
     "gravity_torque",
     "hand_normal",

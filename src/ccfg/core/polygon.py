@@ -10,6 +10,15 @@ from .pose import CROSS_REL_TOL, cross2, extent
 FACE_EQ_TOL = 1e-9
 
 
+def face_normals(vertices) -> np.ndarray:
+    """Outward unit normals of a CCW polygon, one row per face i running
+    from vertices[i] to vertices[i+1]: each edge direction rotated -90 deg."""
+    verts = np.asarray(vertices, dtype=float)
+    edges = np.roll(verts, -1, axis=0) - verts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    return np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class PolygonModel:
     """Convex polygon in the object frame.
@@ -46,8 +55,7 @@ class PolygonModel:
         area2 = sum(cross2(verts[i], verts[(i + 1) % n]) for i in range(n))
         if area2 <= 0:
             raise ValueError("polygon vertices must wind counterclockwise")
-        # Outward normal of a CCW face is the edge direction rotated -90 deg.
-        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
+        normals = face_normals(verts)
         angles = np.arctan2(normals[:, 1], normals[:, 0])
         offs = np.einsum("ij,ij->i", normals, verts)
         for arr in (verts, angles, offs):
@@ -69,13 +77,6 @@ class PolygonModel:
     def all_face_residuals(self, point) -> np.ndarray:
         """Signed distance of one point to every face line, outward positive."""
         return (self.normals @ np.asarray(point, dtype=float)) - self.offsets
-
-    def vertex(self, i: int) -> np.ndarray:
-        return self.vertices[i % self.n_vertices]
-
-    def face_normal(self, i: int) -> np.ndarray:
-        phi = self.normal_angles[i % self.n_vertices]
-        return np.array([math.cos(phi), math.sin(phi)])
 
     def face_endpoints(self, i: int):
         n = self.n_vertices
@@ -104,11 +105,6 @@ class PolygonModel:
         verts = self.vertices
         nxt = np.roll(verts, -1, axis=0)
         return float((verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]).sum() / 2.0)
-
-    def diameter(self) -> float:
-        verts = self.vertices
-        d2 = ((verts[:, None, :] - verts[None, :, :]) ** 2).sum(axis=2)
-        return float(np.sqrt(d2.max()))
 
     def to_json(self) -> dict:
         return {"vertices_m": [[float(x), float(y)] for x, y in self.vertices]}

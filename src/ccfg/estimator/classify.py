@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..config import ClassifierConfig, FrictionEstConfig
-from ..core import (PlanarPose, Wrench2, center_of_pressure, cross2,
+from ..core import (PlanarPose, Wrench2, center_of_pressure, face_normals,
                     hand_normal, hand_tangent)
 from ..errors import DegenerateForce, InsufficientHistory
 from .friction import (WrenchConeEstimate, check_violation,
@@ -116,13 +116,6 @@ class EstimateView:
 
 # -- hand geometry -------------------------------------------------------------
 
-def _face_normals(vertices: np.ndarray) -> np.ndarray:
-    nxt = np.roll(vertices, -1, axis=0)
-    edges = nxt - vertices
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    return np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
-
-
 def _hand_cop_offset(w_meas: Wrench2, hand_pose: PlanarPose,
                      half_length: float) -> float:
     t_hat = hand_tangent(hand_pose.angle)
@@ -188,7 +181,7 @@ def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView,
     if float(np.hypot(*w_meas.force)) < cfg.force_threshold:
         return None
 
-    normals = _face_normals(view.vertices)
+    normals = face_normals(view.vertices)
     n_hat = hand_normal(hand_pose.angle)
     flush_face = int(np.argmin(normals @ n_hat))
     flush_ok = float(normals[flush_face] @ n_hat) < -math.cos(0.1)
@@ -234,16 +227,15 @@ def _nearest_vertex_to_line(hand_pose: PlanarPose, view: EstimateView) -> int:
 # -- ground geometry -----------------------------------------------------------
 
 def classify_ground(view: EstimateView, w_meas: Wrench2,
-                    gravity_params=None,
                     config: Optional[ClassifierConfig] = None):
     """Ground-side geometry from the estimated polygon and a weightless COP.
 
     One vertex strictly lowest keeps the object on a point. A level bottom
-    edge is flush only while the weightless center of pressure, computed from
-    the hand wrench alone, stays interior to the edge by a margin; otherwise
-    the contact is the edge vertex nearest that COP. gravity_params is
-    accepted for contract symmetry with the other classifiers; the bottom-edge
-    test deliberately ignores gravity.
+    edge is flush only while the weightless center of pressure stays
+    interior to the edge by a margin; otherwise the contact is the edge
+    vertex nearest that COP. The weightless COP is where the ground reaction
+    would act if it balanced the hand wrench alone: the object's weight is
+    left out, so a sideways push can move it off a face that is flush.
     """
     cfg = config or ClassifierConfig()
     verts = view.vertices

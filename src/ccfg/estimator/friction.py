@@ -149,7 +149,7 @@ def ingest(est: WrenchConeEstimate, w_meas: Wrench2, context: str,
     if count < cfg.min_samples:
         cons, sigma = (), 0.0
     else:
-        cons, sigma = _fit_cone(buf, cfg), _noise_sigma(buf)
+        cons, sigma = _fit_cone(buf), _noise_sigma(buf)
     return replace(est, context=context, samples=buf, sample_count=count,
                    constraints=cons, noise_sigma=sigma)
 
@@ -235,7 +235,7 @@ def _extreme_rays(rays: np.ndarray, angles: np.ndarray):
     return rays[int(np.argmin(angles))], rays[int(np.argmax(angles))]
 
 
-def _fit_cone(buf: np.ndarray, cfg: FrictionEstConfig) -> tuple:
+def _fit_cone(buf: np.ndarray) -> tuple:
     F = buf[:, :2]
     mags = np.hypot(F[:, 0], F[:, 1])
     keep = mags > RAY_FORCE_EPS
@@ -265,6 +265,4 @@ def _fit_cone(buf: np.ndarray, cfg: FrictionEstConfig) -> tuple:
     for n in (np.array([-t_hi * mean_dir[0], -t_hi * mean_dir[1], 1.0]),
               np.array([t_lo * mean_dir[0], t_lo * mean_dir[1], -1.0])):
         cons.append(ConeConstraint(n / np.linalg.norm(n)))
-
-    assert len(cons) <= cfg.max_constraints
     return tuple(cons)

@@ -7,13 +7,10 @@ inside factors) rather than marginalizing them out.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ..config import SolverOptions
 from ..errors import DuplicateId, SingularNormalEquations, UnknownVariable
@@ -32,10 +29,6 @@ class Variable:
     @property
     def dim(self) -> int:
         return len(self.value)
-
-    @property
-    def is_static(self) -> bool:
-        return self.time_index is None
 
 
 @dataclass(frozen=True)
@@ -133,8 +126,7 @@ class FactorGraph:
     One graph per estimation thread; methods are not thread-safe.
     """
 
-    def __init__(self, options: SolverOptions = SolverOptions()):
-        self.options = options
+    def __init__(self):
         self.variables: dict = {}
         self.factors: list = []
 
@@ -155,29 +147,8 @@ class FactorGraph:
         self.factors.append(factor)
         return factor
 
-    def has_variable(self, var_id: str) -> bool:
-        return var_id in self.variables
-
     def get(self, var_id: str) -> np.ndarray:
         return self.variables[var_id].value.copy()
-
-    def set_value(self, var_id: str, value):
-        var = self.variables[var_id]
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-        if arr.shape != var.value.shape:
-            raise ValueError(f"dimension mismatch for {var_id!r}")
-        var.value = arr.copy()
-
-    def fix_variable(self, var_id: str):
-        self.variables[var_id].fixed = True
-
-    def snapshot(self) -> dict:
-        return {vid: v.value.copy() for vid, v in self.variables.items()}
-
-    def restore(self, snap: dict):
-        for vid, value in snap.items():
-            if vid in self.variables:
-                self.variables[vid].value = value.copy()
 
     # -- windowing ---------------------------------------------------------
 
@@ -225,13 +196,12 @@ class FactorGraph:
         return _Evaluation(raw, weighted, cost)
 
     def _assemble(self, factors, offsets, n_cols, weighted):
-        """Weighted residual vector and Jacobian at the current values.
+        """Weighted residual vector and dense Jacobian at the current values.
 
-        The COO entries run factor by factor, block by block, row-major
-        within a block, so duplicate entries sum in a fixed order.
+        Blocks of one variable add into J in factor order.
         """
         r = np.concatenate(weighted)
-        blocks, row0s, col0s, dims, sigmas, repeats = [], [], [], [], [], []
+        J = np.zeros((r.size, n_cols))
         row0 = 0
         for f, res in zip(factors, weighted):
             k = res.size
@@ -239,6 +209,7 @@ class FactorGraph:
             if len(jac) != len(f.var_ids):
                 raise ValueError(f"factor {f.kind!r} returned "
                                  f"{len(jac)} jacobian blocks")
+            sigma = f.sigma[:, None]
             for vid, block in zip(f.var_ids, jac):
                 if vid not in offsets:
                     continue  # fixed variable: treated as a constant
@@ -247,30 +218,13 @@ class FactorGraph:
                     raise ValueError(f"factor {f.kind!r} jacobian block "
                                      f"{block.shape} for {vid!r}, expected "
                                      f"{(k, dim)}")
-                blocks.append(block.ravel())
-                row0s.append(row0)
-                col0s.append(offsets[vid])
-                dims.append(dim)
-            sigmas.append(f.sigma)
-            repeats += [k] if f.sigma.size == 1 else [1] * k
+                c0 = offsets[vid]
+                J[row0:row0 + k, c0:c0 + dim] += block / sigma
             row0 += k
-        # entry e of block b sits at row row0 + e // dim, col col0 + e % dim
-        dims = np.array(dims)
-        sizes = np.array([len(b) for b in blocks])
-        block_of = np.repeat(np.arange(len(blocks)), sizes)
-        local = np.arange(len(block_of)) - np.repeat(np.cumsum(sizes) - sizes,
-                                                     sizes)
-        dim_of = dims[block_of]
-        rows = np.array(row0s)[block_of] + local // dim_of
-        cols = np.array(col0s)[block_of] + local % dim_of
-        row_sigma = np.repeat(np.concatenate(sigmas), repeats)
-        data = np.concatenate(blocks) / row_sigma[rows]
-        J = scipy.sparse.coo_matrix((data, (rows, cols)),
-                                    shape=(len(r), n_cols)).tocsr()
         return r, J
 
     def solve(self, options: Optional[SolverOptions] = None) -> SolveReport:
-        opts = options or self.options
+        opts = options or SolverOptions()
         factors = self._active_factors()
         free = [v for v in self.variables.values() if not v.fixed]
         offsets, n_cols = {}, 0
@@ -297,15 +251,14 @@ class FactorGraph:
             iterations += 1
             r, J = self._assemble(factors, offsets, n_cols,
                                   current.weighted)
-            H = (J.T @ J).toarray() if n_cols <= opts.dense_limit else J.T @ J
+            H = J.T @ J
             g = J.T @ r
-            diag = H.diagonal() if scipy.sparse.issparse(H) else np.diag(H).copy()
+            diag = np.diag(H).copy()
             if np.any(diag < _DIAG_FLOOR):
                 singular = True
             damp_base = np.maximum(diag, _DIAG_FLOOR)
-            if not scipy.sparse.issparse(H):
-                dmax, dmin = float(damp_base.max()), float(damp_base.min())
-                condition = dmax / dmin if dmin > 0 else math.inf
+            dmax, dmin = float(damp_base.max()), float(damp_base.min())
+            condition = dmax / dmin if dmin > 0 else math.inf
             accepted = False
             new_cost = cost
             step = None
@@ -356,15 +309,9 @@ class FactorGraph:
     @staticmethod
     def _try_step(H, g, lam, damp_base):
         """Solve the (possibly damped) normal equations; None on failure."""
+        Hd = H + np.diag(lam * damp_base) if lam > 0 else H
         try:
-            if scipy.sparse.issparse(H):
-                Hd = H + scipy.sparse.diags(lam * damp_base) if lam > 0 else H
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    step = scipy.sparse.linalg.spsolve(Hd.tocsc(), -g)
-            else:
-                Hd = H + np.diag(lam * damp_base) if lam > 0 else H
-                step = np.linalg.solve(Hd, -g)
+            step = np.linalg.solve(Hd, -g)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):

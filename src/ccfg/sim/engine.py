@@ -4,28 +4,30 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import NoiseConfig, SimConfig
+from ..config import ZERO_NOISE, NoiseConfig, SimConfig
 from ..core import PlanarPose
 from ..core.mechanics import friction_complementarity_residual
 from ..errors import InvariantViolation
-from .measure import MeasurementFrame, synthesize_measurements
+from .measure import synthesize_measurements
 from .resolve import ModeSolution, resolve_mode
 from .world import SimWorld
 
 
-def step(sw: SimWorld, impedance_target: PlanarPose, dt: float = 0.01,
+def step(sw: SimWorld, impedance_target: PlanarPose,
          rng: Union[int, np.random.Generator, None] = None,
          noise: Optional[NoiseConfig] = None,
-         vision_period: int = 10,
          config: Optional[SimConfig] = None):
-    """Advance the plant by one impedance command.
+    """Advance the plant by one impedance command of config.dt seconds.
 
-    Returns the new state and its measurement frame.  The returned state
-    satisfies static balance to 1e-6, friction complementarity to 1e-8 and
-    penetrates nothing deeper than 1e-9; a resolved step that does not
-    raises InvariantViolation.
+    Returns the new state and its measurement frame, which carries vision
+    every noise.vision_period steps (ZERO_NOISE when noise is None).  The
+    returned state satisfies static balance to 1e-6, friction
+    complementarity to 1e-8 and penetrates nothing deeper than 1e-9; a
+    resolved step that does not raises InvariantViolation.
     """
     cfg = config or SimConfig()
+    if noise is None:
+        noise = ZERO_NOISE
     depth = sw.penetration_depth()
     if depth < -1e-9:
         raise ValueError(f"current state penetrates by {-depth:g} m; "
@@ -38,14 +40,15 @@ def step(sw: SimWorld, impedance_target: PlanarPose, dt: float = 0.01,
         env_wrench=sol.env_wrench,
         contact_label=sol.hypothesis.to_json(),
     )
-    _check_invariants(sw, sol, new_world, cfg, dt)
+    _check_invariants(sw, sol, new_world, cfg)
 
-    frame = synthesize_measurements(new_world, rng, noise, vision_period, dt)
+    frame = synthesize_measurements(new_world, rng, noise,
+                                    noise.vision_period, cfg.dt)
     return new_world, frame
 
 
 def _check_invariants(sw: SimWorld, sol: ModeSolution, new_world: SimWorld,
-                      cfg: SimConfig, dt: float) -> None:
+                      cfg: SimConfig) -> None:
     """Raise InvariantViolation unless the resolved step balances, keeps
     every contact force in its friction cone, saturates friction where it
     slides and penetrates nothing."""
@@ -56,7 +59,7 @@ def _check_invariants(sw: SimWorld, sol: ModeSolution, new_world: SimWorld,
     cone = comp = 0.0
     for c in sol.contacts:
         r = friction_complementarity_residual(
-            c.f_normal, c.f_tangent, -c.slip / dt, mu=_mu_for(sw, c.iface))
+            c.f_normal, c.f_tangent, -c.slip / cfg.dt, mu=_mu_for(sw, c.iface))
         cone = max(cone, r.cone_violation)
         if r.cone_violation > 1e-6 + 1e-6 * abs(c.f_normal):
             failed.append(("cone", f"cone violated at {c.iface}: "

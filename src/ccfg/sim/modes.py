@@ -14,9 +14,13 @@ Two candidates at the same interface must share their tangential label when
 both are active: a rigid body cannot stick at one point of a line contact
 while sliding at another (the motion would have to be a rotation, which
 breaks the second point's normal constraint).  Joint activity is further
-limited to candidates adjacent along the interface tangent: the gap profile
-of a convex boundary over a line is convex, so two supports bracketing a
-third, higher candidate would drive that middle vertex through the surface.
+limited to candidates that share a face, (a - b) mod n in {1, n - 1}: two
+vertices resting on a line make it a supporting line of the convex polygon,
+which meets it in a single face.  Of the two boundary chains between any
+other pair, the one on the line's side would pass through the surface.
+Nearness along the tangent is no substitute: a vertex still inside the
+activation band can sit, in tangent order, between the two that bear the
+load.
 A vertex simultaneously on the ground and against a wall can only be active
 on both as stick-stick.
 
@@ -38,7 +42,7 @@ their stick variant is the ordinary flush stick.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -219,12 +223,13 @@ def _hand_candidates(sw: SimWorld, band: float):
     return vertex_cands, tip_cands, flush_cands, pair_cands
 
 
-def _pair_options(cands: list, tag) -> list:
+def _pair_options(cands: list, n: int, tag) -> list:
     """Label assignments for the candidates of one environment interface.
 
-    Candidates arrive sorted along the interface tangent.  Besides singles,
-    only tangent-adjacent pairs may be jointly active (see module docstring);
-    an active pair shares one tangential label.
+    Candidates arrive sorted along the interface tangent; n is the polygon's
+    vertex count.  Besides singles, only pairs that share a face may be
+    jointly active (see module docstring); an active pair shares one
+    tangential label.
     """
     if not cands:
         return [()]
@@ -237,9 +242,11 @@ def _pair_options(cands: list, tag) -> list:
     for v in cands:
         for lab in ACTIVE_LABELS:
             opts.append(assign((v,), lab))
-    for a, b in zip(cands, cands[1:]):
-        for lab in ACTIVE_LABELS:
-            opts.append(assign((a, b), lab))
+    for i, a in enumerate(cands):
+        for b in cands[i + 1:]:
+            if (a - b) % n in (1, n - 1):
+                for lab in ACTIVE_LABELS:
+                    opts.append(assign((a, b), lab))
     return opts
 
 
@@ -288,12 +295,14 @@ def enumerate_modes(sw: SimWorld, band: float = 1e-3,
     within one step need those labels back; the resolver re-enumerates with
     suppression off when every suppressed hypothesis is infeasible.
     """
-    ground_opts = _pair_options(_ground_candidates(sw, band),
+    n = sw.polygon.n_vertices
+    ground_opts = _pair_options(_ground_candidates(sw, band), n,
                                 lambda v, lab: (v, lab))
     wall_lists = []
     for k in range(len(sw.world.walls)):
         cands = _wall_candidates(sw, k, band)
-        wall_lists.append(_pair_options(cands, lambda v, lab, k=k: (k, v, lab)))
+        wall_lists.append(_pair_options(cands, n,
+                                        lambda v, lab, k=k: (k, v, lab)))
     hand_opts = _hand_options(sw, band, suppress_overlaps)
 
     hyps = []

@@ -173,7 +173,7 @@ def test_json_round_trip():
 def test_fit_properties_random_streams(seed, n, mu):
     rng = np.random.default_rng(seed)
     est = fit_from(cone_wrenches(rng, n, mu))
-    assert len(est.constraints) <= FrictionEstConfig().max_constraints
+    assert len(est.constraints) in (0, 4)
     for c in est.constraints:
         assert np.linalg.norm(c.normal) == pytest.approx(1.0)
     assert est.ready == (n >= FrictionEstConfig().min_samples)

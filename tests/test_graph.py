@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ccfg.config import SolverOptions
 from ccfg.errors import DuplicateId, UnknownVariable
@@ -118,9 +117,12 @@ def dense_lsq_oracle(dims, specs):
 
 
 def test_linear_graph_matches_dense_oracle():
-    for seed in range(6):
+    # The last input has well over 200 columns, the size of an estimator
+    # window and more.
+    sizes = [{}] * 6 + [dict(n_vars=120, n_factors=300)]
+    for seed, size in enumerate(sizes):
         rng = np.random.default_rng(seed)
-        g, dims, specs = _random_linear_graph(rng)
+        g, dims, specs = _random_linear_graph(rng, **size)
         report = g.solve()
         assert report.converged
         assert report.final_cost <= report.initial_cost + 1e-12

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ccfg.sim.engine as engine
 from ccfg.config import NoiseConfig, ZERO_NOISE
@@ -482,11 +482,11 @@ def test_step_sequence_deterministic(monkeypatch):
     def run():
         sw = flush_world(0.0805)
         gen = np.random.default_rng(7)
-        noise = NoiseConfig()
+        noise = dataclasses.replace(NoiseConfig(), vision_period=5)
         out, worlds = [], []
         for k in range(12):
             tgt = PlanarPose([0.001 * np.sin(0.3 * k), 0.0795], 0.0)
-            sw, fr = step(sw, tgt, rng=gen, noise=noise, vision_period=5)
+            sw, fr = step(sw, tgt, rng=gen, noise=noise)
             worlds.append(sw)
             out.append((fr.wrench_meas.force.tolist(),
                         fr.hand_pose_meas.position.tolist(),
@@ -496,6 +496,9 @@ def test_step_sequence_deterministic(monkeypatch):
 
     (a, worlds), (b, _) = run(), run()
     assert a == b
+    # vision arrives every noise.vision_period steps
+    assert [w.t_index for w, (*_, v) in zip(worlds, a)
+            if v is not None] == [5, 10]
     assert_matches_recording(sols[:12], worlds,
                              RECORDED["step_sequence_deterministic"])
 
@@ -540,13 +543,12 @@ def test_step_raises_typed_invariant_violations(monkeypatch):
 
 # ------------------------------------------------------------ property tests
 
-@st.composite
-def resting_polygons(draw):
-    """Convex polygon posed with one face flat on the ground, statically
-    stable (centroid strictly over the support span)."""
-    seed = draw(st.integers(0, 10_000))
+def _resting_case(seed, n):
+    """Convex hull of n random points, posed with face 0 flat on the ground
+    and statically stable (centroid strictly over the support span), or None
+    when the draw gives no such polygon."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-0.06, 0.06, size=(draw(st.integers(4, 8)), 2))
+    pts = rng.uniform(-0.06, 0.06, size=(n, 2))
     from ccfg.core import convex_hull
     hull = convex_hull(pts)
     if len(hull) < 3:
@@ -568,6 +570,28 @@ def resting_polygons(draw):
     if not (x0 + 0.005 < cx < x1 - 0.005):
         return None
     return poly, pose
+
+
+@st.composite
+def resting_polygons(draw):
+    return _resting_case(draw(st.integers(0, 10_000)),
+                         draw(st.integers(4, 8)))
+
+
+def assert_rests_in_balance(poly, pose):
+    sw = SimWorld(polygon=poly, object_pose=pose,
+                  hand_pose=PlanarPose([0.0, 1.0], 0.0),
+                  hand=HandModel(half_length=0.05),
+                  world=WorldModel(ground_height=0.0), mass=0.8,
+                  com=poly.centroid(), mu_hand=0.9, mu_ground=0.4,
+                  mu_wall=0.3, stiffness=np.array([600.0, 600.0, 20.0]))
+    sol = resolve_mode(sw, sw.hand_pose)
+    np.testing.assert_allclose(sol.env_wrench.force, [0.0, 0.8 * 9.81],
+                               atol=1e-7)
+    fres, tres = net_wrench_residual(sw, sol)
+    assert fres < 1e-7 and tres < 1e-7
+    assert abs(sol.object_pose.angle - pose.angle) < 1e-9
+    return sol
 
 
 def test_three_vertices_near_ground_rest_on_adjacent_pair():
@@ -597,24 +621,36 @@ def test_three_vertices_near_ground_rest_on_adjacent_pair():
     assert abs(sol.object_pose.angle - pose.angle) < 1e-9
 
 
+# A sliver face puts vertex 4, 0.36 mm up and still inside the activation
+# band, between the two supports 0 and 1 in x.
+SLIVER_PENTAGON = (
+    PolygonModel([[-0.03087923805297496, -0.03793304695631396],
+                  [0.02009015075090398, -0.05347109205582301],
+                  [0.0480993106374296, 0.026780353141326263],
+                  [0.02457449083415983, 0.029676051219049496],
+                  [-0.03054876987486104, -0.03713094394919626]]),
+    PlanarPose([0.0, 0.04528890816008931], 0.2959008582053193))
+
+
 @settings(max_examples=25, deadline=None)
 @given(resting_polygons())
+@example(SLIVER_PENTAGON)
 def test_any_stable_resting_polygon_balances(case):
     if case is None:
         return
-    poly, pose = case
-    sw = SimWorld(polygon=poly, object_pose=pose,
-                  hand_pose=PlanarPose([0.0, 1.0], 0.0),
-                  hand=HandModel(half_length=0.05),
-                  world=WorldModel(ground_height=0.0), mass=0.8,
-                  com=poly.centroid(), mu_hand=0.9, mu_ground=0.4,
-                  mu_wall=0.3, stiffness=np.array([600.0, 600.0, 20.0]))
-    sol = resolve_mode(sw, sw.hand_pose)
-    np.testing.assert_allclose(sol.env_wrench.force, [0.0, 0.8 * 9.81],
-                               atol=1e-7)
-    fres, tres = net_wrench_residual(sw, sol)
-    assert fres < 1e-7 and tres < 1e-7
-    assert abs(sol.object_pose.angle - pose.angle) < 1e-9
+    assert_rests_in_balance(*case)
+
+
+@pytest.mark.parametrize("seed, n", [(2281, 7), (2281, 8), (2448, 7),
+                                     (2962, 4)])
+def test_raised_vertex_between_supports_is_not_paired(seed, n):
+    # Draws of the strategy above whose tangent order puts a raised in-band
+    # vertex between the two supports; the support pair shares a face.
+    poly, pose = _resting_case(seed, n)
+    sol = assert_rests_in_balance(poly, pose)
+    active = [v for v, lab in sol.hypothesis.ground if lab != "separate"]
+    assert len(active) == 2
+    assert (active[0] - active[1]) % poly.n_vertices in (1, poly.n_vertices - 1)
 
 
 @settings(max_examples=30, deadline=None)

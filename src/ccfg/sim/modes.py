@@ -41,7 +41,6 @@ their stick variant is the ordinary flush stick.
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -321,15 +320,18 @@ def enumerate_modes(sw: SimWorld, band: float = 1e-3,
 
 
 def _sort_key(h: ContactModeHypothesis) -> tuple:
-    anchors = () if h.hand_contact is None else h.hand_contact.anchors
-    # 0.0 == -0.0, yet they print apart: the anchor signs keep such
-    # hypotheses apart in the cache.
-    return _cached_sort_key(
-        h, tuple(math.copysign(1.0, c) for a in anchors for c in a))
+    hc = h.hand_contact
+    if hc is not None and hc.anchors:
+        # a face has one flush candidate per pass, so its anchors, floats
+        # recomputed at every pose, never decide the order: leave them out
+        h = ContactModeHypothesis(
+            h.hand_label, HandContact(hc.kind, hc.vertex, hc.face, hc.tip),
+            h.ground, h.walls)
+    return _cached_sort_key(h)
 
 
 @functools.lru_cache(maxsize=1024)
-def _cached_sort_key(h: ContactModeHypothesis, _signs: tuple) -> tuple:
+def _cached_sort_key(h: ContactModeHypothesis) -> tuple:
     """All-separate first, then by active contact count, then by the repr
     of to_json(); the same hypotheses come back step after step."""
     n = h.active_count()

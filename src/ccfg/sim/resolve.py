@@ -33,12 +33,26 @@ and any whose LU step is singular or above 1e8, take minimum-norm (gelsy)
 steps, and the report redistributes the split in proportion to the normal
 forces.
 
+Before any block is built, a hypothesis whose contacts all lie on lines of
+the fixed world (ground, walls) is screened: its object x/y balance rows
+and slide rows are linear in the contact forces with constant coefficients,
+since a world line's n and t are never rotated and gravity is constant.
+When their least-squares residual is far above the convergence test (for
+example the all-separate mode, or every contact sliding one way), no iterate
+can converge, and the trial is rejected as no_converge with no Jacobian
+evaluated.  This is exact: a member's Newton trajectory depends only on its
+own iterate (residuals are elementwise, each LU or gelsy solve is per
+member, padding slots add exact zeros), and such a member ends no_converge
+whether it diverges or stalls, so every other trial and every reason come
+out as without the screen.
+
 Among the hypotheses that survive all feasibility checks the resolver picks
 the one with minimal slip dissipation (sum of squared tangential relative
 displacements), breaking ties toward more sticking contacts and then by
 enumeration order.
 """
 
+import functools
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
@@ -63,7 +77,8 @@ _OBJ, _HAND, _WORLD = 0, 1, 2          # bodies; the world has no unknowns
 # it); the contact must stay within [lo, hi] along t from origin.  basis
 # holds the two stick residual rows in world coordinates, s the slide sign
 # (0 for stick).
-_PB, _LB, _P, _ANCHOR, _BASIS, _LO, _HI, _S, _MU = 0, 1, 2, 4, 14, 18, 19, 20, 21
+_PB, _LB, _P, _ANCHOR, _N, _BASIS, _LO, _HI, _S, _MU = \
+    0, 1, 2, 4, 6, 14, 18, 19, 20, 21
 _NCOL = 22
 
 _SIGN = {"stick": 0, "slide_pos": 1, "slide_neg": -1}
@@ -100,6 +115,7 @@ class ModeSolution:
     trials: int
     newton_iterations: int     # Jacobian evaluations summed over all trials
     rejections: dict           # reason -> count over the infeasible trials
+    screened: int              # no_converge trials rejected before Newton
 
 
 # one solved hypothesis: reason is "" when feasible, and then solution holds
@@ -571,16 +587,48 @@ def _check_trial(sw, hyp, rows, z, cfg):
     return "", (forces, end)
 
 
+def _unbalanced(rows, weight) -> bool:
+    """True when the object touches only lines of the fixed world and their
+    forces cannot cancel its weight whatever the iterate (see _inconsistent).
+    """
+    if any(row[_LB] != _WORLD for row, _ in rows):
+        return False
+    return _inconsistent(weight, tuple((*row[_N:_N + 4], row[_S] * row[_MU])
+                                       for row, _ in rows))
+
+
+@functools.lru_cache(maxsize=256)
+def _inconsistent(weight, lines) -> bool:
+    """Whether forces f_n n + f_t t on world lines (n, t, s mu), sliding
+    where s mu != 0, have no exact solution for the object's x/y balance.
+
+    The balance rows and the slide rows f_t + s mu f_n = 0 are A f = b in
+    the forces alone, with constant coefficients: a world line's n and t are
+    never rotated.  A least-squares residual far above the convergence test
+    bounds max |R| above it at every iterate.
+    """
+    slides = [(i, s_mu) for i, (*_, s_mu) in enumerate(lines) if s_mu != 0]
+    A = np.zeros((2 + len(slides), 2 * len(lines)))
+    for i, (nx, ny, tx, ty, _) in enumerate(lines):
+        A[:2, 2 * i:2 * i + 2] = (nx, tx), (ny, ty)
+    for r, (i, s_mu) in enumerate(slides, start=2):
+        A[r, 2 * i:2 * i + 2] = s_mu, 1.0
+    b = np.zeros(len(A))
+    b[1] = weight
+    f = np.linalg.lstsq(A, b)[0]
+    return float(np.linalg.norm(A @ f - b)) > 1e-6 * math.sqrt(len(A))
+
+
 def _solve_pass(sw, target, hyps, cfg, start):
     """Solve and screen one enumeration pass; trials indexed from start.
 
-    Hypotheses are sorted by (min_norm, contact count), so that each system
-    size is one run and padding stays small, and batched in blocks of at
-    most _SLOTS contact slots, which keeps the stacked arrays to a few MB
-    when a wall brings hundreds of hypotheses.
+    Hypotheses whose world contacts cannot balance the weight are rejected
+    as no_converge before Newton runs.  The rest are sorted by (min_norm,
+    contact count), so that each system size is one run and padding stays
+    small, and batched in blocks of at most _SLOTS contact slots, which
+    keeps the stacked arrays to a few MB when a wall brings hundreds of
+    hypotheses.
     """
-    if not hyps:
-        return []
     build, ref = _ContactRows(sw), _Reference(sw, target)
     rows = [build(h) for h in hyps]
     counts = [len(r) for r in rows]
@@ -588,14 +636,17 @@ def _solve_pass(sw, target, hyps, cfg, start):
     # wrench neutral, a null space a plain solve would blow up on
     min_norm = np.array([len(st) != len(set(st)) for st in (
         [iface for _, (iface, label) in r if label == "stick"] for r in rows)])
-    blocks, width = [[]], 1
+    trials = [None] * len(hyps)
+    blocks, width = [], 1
     for i in np.lexsort((counts, min_norm)).tolist():
+        if _unbalanced(rows[i], ref.weight):
+            trials[i] = _Trial(start + i, hyps[i], "no_converge", 0, None)
+            continue
         width = max(width, counts[i])
-        if (len(blocks[-1]) + 1) * width > _SLOTS and blocks[-1]:
+        if not blocks or (len(blocks[-1]) + 1) * width > _SLOTS:
             blocks.append([])
             width = max(1, counts[i])
         blocks[-1].append(i)
-    trials = [None] * len(hyps)
     for block in blocks:
         batch = _Batch([rows[i] for i in block], min_norm[block])
         z, res, evaluations = _newton(ref, batch)
@@ -648,7 +699,9 @@ def _finish(sw, chosen, trials) -> ModeSolution:
         trials=len(trials),
         newton_iterations=sum(t.evaluations for t in trials),
         rejections=dict(sorted(Counter(t.reason for t in trials
-                                       if t.reason).items())))
+                                       if t.reason).items())),
+        # Newton evaluates every member it runs at least once
+        screened=sum(t.evaluations == 0 for t in trials))
 
 
 def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,

@@ -9,18 +9,21 @@ import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ccfg.sim.engine as engine
-from ccfg.config import NoiseConfig, ZERO_NOISE
+import ccfg.sim.resolve as resolve
+from ccfg.config import NoiseConfig, SimConfig, ZERO_NOISE
 from ccfg.core import (HandModel, PlanarPose, PolygonModel, Wall, WorldModel,
                        cross2, rotation)
 from ccfg.errors import InvariantViolation, JammedConfiguration, NoFeasibleMode
 from ccfg.sim import (Observation, SimWorld, enumerate_modes, resolve_mode,
                       step, synthesize_measurements)
+from ccfg.sim.modes import ACTIVE_LABELS, ContactModeHypothesis, _sort_key
 from ccfg.sim.resolve import (_HAND, _OBJ, _WORLD, _Batch, _ContactRows,
                               _Reference, _system)
 
@@ -290,10 +293,13 @@ def test_corner_handoff_during_long_drag(monkeypatch):
                              RECORDED["corner_handoff_during_long_drag"])
 
     # the batch accounts for every hypothesis: solved one at a time, each is
-    # feasible or rejected for the reason the batch counted
+    # feasible or rejected for the reason the batch counted; a trial costs at
+    # least one Jacobian unless it was screened out before Newton ran
     for sol in sols:
         assert 0 < sum(sol.rejections.values()) < sol.trials
-        assert sol.newton_iterations >= sol.trials
+        assert sol.newton_iterations >= sol.trials - sol.screened
+        assert sol.screened <= sol.rejections.get("no_converge", 0)
+    assert sum(sol.screened for sol in sols) == 7 * len(sols)
     for before, tgt, sol in firsts[:3]:
         hyps = enumerate_modes(before)
         assert len(hyps) == sol.trials
@@ -401,6 +407,132 @@ def test_contact_jacobian_matches_finite_differences():
         scale = 1.0 + np.abs(J[i, :m, :m])
         assert np.max(np.abs(J[i, :m, :m] - J_fd[i, :m, :m]) / scale) < 1e-6
     assert M >= 8
+
+
+# ------------------------------------------------ recorded passes and screen
+
+# The state before every step of the wall drag of tests/test_classify.py, at
+# walls x = 0.120, 0.122 and 0.124 m: object pose, hand pose and the step's
+# target (x, y, angle), each episode ending 15 steps after the box first
+# touches the wall.
+WALL_DRAG = json.loads((Path(__file__).parent / "data"
+                        / "wall_drag_states.json").read_text())
+
+
+def drag_states():
+    """(world, target) before every step of the long drag, from the
+    recorded poses of test_corner_handoff_during_long_drag."""
+    sw = flush_world(0.0800)
+    states = [(sw, PlanarPose([0.0005, 0.0785], 0.0))]
+    for k, rec in enumerate(RECORDED["corner_handoff_during_long_drag"][:-1],
+                            start=2):
+        states.append((sw.with_poses(PlanarPose.from_vector(rec["object_pose"]),
+                                     PlanarPose.from_vector(rec["hand_pose"])),
+                       PlanarPose([0.0005 * k, 0.0785], 0.0)))
+    return states
+
+
+def wall_states():
+    states = []
+    for wall_x, steps in WALL_DRAG.items():
+        w = WorldModel(ground_height=0.0, walls=(Wall(float(wall_x), -1),))
+        states += [(make_world(PlanarPose.from_vector(obj),
+                               PlanarPose.from_vector(hand), world=w),
+                    PlanarPose.from_vector(target))
+                   for obj, hand, target in steps]
+    return states
+
+
+def pivot_states():
+    """The three resolves of test_pivot_corner_stays_pinned."""
+    sw, _, corner_w, hold, th = tipped_rig()
+    states = [(sw, hold)]
+    for dth in (-0.03, -0.06):
+        sol = resolve_mode(*states[-1])
+        Rd = rotation(dth)
+        states.append((sw.with_poses(sol.object_pose, sol.hand_pose),
+                       PlanarPose(corner_w + Rd @ (np.asarray(hold.position)
+                                                   - corner_w), th + dth)))
+    return states
+
+
+def test_enumeration_order_ignores_flush_anchors():
+    # the sort key's cache leaves the flush anchors out; on every recorded
+    # drag and wall pass the order is still the one the full repr gives,
+    # and no two hypotheses of a pass share an anchor-free key
+    def full_key(h):
+        n = h.active_count()
+        return n > 0, n, repr(h.to_json())
+
+    states = drag_states() + wall_states()
+    flush = 0
+    for sw, _ in states:
+        hyps = enumerate_modes(sw)
+        assert hyps == sorted(hyps, key=full_key)
+        assert len({_sort_key(h) for h in hyps}) == len(hyps)
+        flush += any(h.hand_contact is not None and h.hand_contact.anchors
+                     for h in hyps)
+    assert len(states) == 240 + 150 and flush > 100
+
+
+def unscreened(trials_of):
+    """Run trials_of() with the iterate-0 screen switched off."""
+    with mock.patch.object(resolve, "_unbalanced", return_value=False):
+        return trials_of()
+
+
+def test_screened_hypotheses_never_converge():
+    # every hypothesis the screen rejects on the drag, wall and pivot rigs
+    # also ends no_converge (max |R| > 1e-9) when Newton runs on it in full.
+    # The drag rejects the same seven label sets at every step and the wall
+    # drag moves little from one step to the next, so every 4th drag and
+    # every 2nd wall state is run, which keeps this to a few seconds.
+    screened = 0
+    for sw, target in drag_states()[::4] + wall_states()[::2] \
+            + pivot_states():
+        build = _ContactRows(sw)
+        hyps = [h for h in enumerate_modes(sw)
+                if resolve._unbalanced(build(h), WEIGHT)]
+        assert all(h.hand_label == "none" for h in hyps)
+        trials = unscreened(lambda: resolve._solve_pass(
+            sw, target, hyps, SimConfig(), 0))
+        assert all(t.reason == "no_converge" and t.evaluations > 0
+                   for t in trials)
+        screened += len(hyps)
+    assert screened > 1000
+
+
+WORLD_LABELS = ("separate",) + ACTIVE_LABELS
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-0.4, 0.4), st.floats(0.0, 1.5, exclude_min=True),
+       st.floats(0.0, 1.5, exclude_min=True),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from(WORLD_LABELS)),
+                max_size=2, unique_by=lambda c: c[0]),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from(WORLD_LABELS)),
+                max_size=2, unique_by=lambda c: c[0]))
+def test_screen_rejects_only_what_newton_cannot_balance(
+        angle, mu_ground, mu_wall, ground, walls):
+    # a tilted box with its lowest corner on the ground and its rightmost
+    # against a wall, any vertices labelled on either line, no hand contact:
+    # whenever the screen fires, full Newton ends no_converge too
+    R = rotation(angle)
+    verts = (R @ np.asarray(BOX.vertices).T).T
+    obj = PlanarPose([0.0, -float(verts[:, 1].min())], angle)
+    w = WorldModel(ground_height=0.0,
+                   walls=(Wall(float(verts[:, 0].max()), -1),))
+    sw = make_world(obj, PlanarPose([0.0, 1.0], 0.0), world=w,
+                    mu_ground=mu_ground, mu_wall=mu_wall)
+    hyp = ContactModeHypothesis("none", None, tuple(ground),
+                                tuple((0, v, lab) for v, lab in walls))
+    target = sw.hand_pose
+    [trial] = resolve._solve_pass(sw, target, [hyp], SimConfig(), 0)
+    if trial.evaluations == 0:
+        assert trial.reason == "no_converge"
+        [full] = unscreened(lambda: resolve._solve_pass(
+            sw, target, [hyp], SimConfig(), 0))
+        assert full.reason == "no_converge" and full.evaluations > 0
 
 
 # ------------------------------------------------------------- measurements

@@ -3,7 +3,39 @@
 Variables are real vectors; factors map connected variable values to weighted
 residuals. Solving runs Levenberg-Marquardt over the free variables; windowing
 works by hard-fixing old time-indexed variables (their values become constants
-inside factors) rather than marginalizing them out.
+inside factors) rather than marginalizing them out. A fixed variable is
+deleted once no factor reads it, so the graph's size is set by the window,
+not by the number of frames seen.
+
+Each Levenberg-Marquardt iteration assembles J, H = JᵀJ and g = Jᵀr at the
+current point and then stops, or tries steps, by these tests in turn:
+
+- gradient: every column of J is nearly orthogonal to r,
+  |g_j| <= _GRAD_TOL * sqrt(H_jj) * ||r||, the cosine test of MINPACK
+  (Moré, "The Levenberg-Marquardt algorithm: implementation and theory",
+  1978). It runs before any trial step.
+- no_descent: no step with damping up to _LAMBDA_MAX lowers the cost.
+- cost / step: the accepted step lowered the cost by at most cost_tol of
+  it, or moved no coordinate by more than step_tol.
+- max_iter: max_iter assemblies ran without meeting a test above.
+
+A graph with no free column or no residual row stops as empty, unsolved.
+
+At a minimum reached to rounding, g is rounding noise in sums whose terms
+are of size sqrt(H_jj) * ||r||, so every cosine is a small multiple of
+machine epsilon (at most 5e-14 on a 50-pose odometry and vision window),
+far below _GRAD_TOL, and the gradient test stops the solve after one
+assembly. The cost test alone cannot see that: the undamped step there
+changes the cost only by rounding, and if it raises it by one ulp the
+damping ladder climbs, with a full residual evaluation and a dense solve
+per rung, until some step leaves the cost unchanged. A sliding window whose
+new pose enters with a zero odometry residual starts at such a minimum.
+
+The test measures stationarity, not how accurately the point was computed.
+A step solved through JᵀJ carries an error of about eps * cond(J)**2 in
+directions that H barely constrains; the gradient there is already below
+rounding, so the solve stops with that error, where a further step could
+have refined it.
 """
 
 import math
@@ -17,6 +49,7 @@ from ..errors import DuplicateId, SingularNormalEquations, UnknownVariable
 
 _DIAG_FLOOR = 1e-12
 _LAMBDA_MAX = 1e10
+_GRAD_TOL = 1e-10   # cosine between each column of J and r
 
 
 @dataclass
@@ -73,6 +106,9 @@ class SolveReport:
     initial_cost: float
     final_cost: float
     converged: bool
+    # "gradient", "cost", "step", "no_descent", "max_iter", or "empty" (no
+    # free columns or no residual rows); see the module docstring
+    stopped_by: str
     factor_norms: tuple = ()
     condition: float = 0.0
     singular: bool = False
@@ -154,7 +190,14 @@ class FactorGraph:
 
     def slide_window(self, horizon: int):
         """Fix time-indexed variables older than the horizon; drop factors
-        whose variables are all fixed (their cost is constant)."""
+        whose variables are all fixed (their cost is constant); then delete
+        the fixed variables no remaining factor reads.
+
+        A fixed variable a kept factor still reads stays as that factor's
+        constant, for example the pose just before the window under the
+        oldest odometry factor. A deleted variable is gone: `get` and
+        `add_factor` no longer know its id.
+        """
         if horizon < 2:
             raise ValueError("horizon must be at least 2")
         newest = max((v.time_index for v in self.variables.values()
@@ -167,6 +210,9 @@ class FactorGraph:
                 v.fixed = True
         self.factors = [f for f in self.factors
                         if any(not self.variables[vid].fixed for vid in f.var_ids)]
+        read = {vid for f in self.factors for vid in f.var_ids}
+        self.variables = {vid: v for vid, v in self.variables.items()
+                          if not v.fixed or vid in read}
 
     def active_time_indices(self) -> list:
         return sorted({v.time_index for v in self.variables.values()
@@ -236,14 +282,14 @@ class FactorGraph:
         initial_cost = current.cost
         if not math.isfinite(initial_cost):
             raise SingularNormalEquations("non-finite residuals at initial point")
-        report = SolveReport(0, initial_cost, initial_cost, True)
+        report = SolveReport(0, initial_cost, initial_cost, True, "empty")
         if n_cols == 0 or n_rows == 0:
             report.factor_norms = current.norms(factors)
             return report
 
         lam = opts.lambda0
         cost = initial_cost
-        converged = False
+        stopped_by = "max_iter"
         singular = False
         condition = 0.0
         iterations = 0
@@ -259,6 +305,9 @@ class FactorGraph:
             damp_base = np.maximum(diag, _DIAG_FLOOR)
             dmax, dmin = float(damp_base.max()), float(damp_base.min())
             condition = dmax / dmin if dmin > 0 else math.inf
+            if np.all(np.abs(g) <= _GRAD_TOL * math.sqrt(cost) * np.sqrt(diag)):
+                stopped_by = "gradient"
+                break
             accepted = False
             new_cost = cost
             step = None
@@ -289,18 +338,21 @@ class FactorGraph:
             if not accepted:
                 # No descent step exists within damping range: cost decrease is
                 # zero, which meets the convergence criterion.
-                converged = True
+                stopped_by = "no_descent"
                 break
             drop = cost - new_cost
             cost = new_cost
-            if (drop <= opts.cost_tol * max(cost, 1e-30)
-                    or float(np.abs(step).max()) <= opts.step_tol):
-                converged = True
+            if drop <= opts.cost_tol * max(cost, 1e-30):
+                stopped_by = "cost"
+                break
+            if float(np.abs(step).max()) <= opts.step_tol:
+                stopped_by = "step"
                 break
 
         report.iterations = iterations
         report.final_cost = cost
-        report.converged = converged
+        report.converged = stopped_by != "max_iter"
+        report.stopped_by = stopped_by
         report.singular = singular
         report.condition = condition
         report.factor_norms = current.norms(factors)

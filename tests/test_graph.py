@@ -1,7 +1,11 @@
 """Factor-graph solver: linear oracles, trilateration, windowing, Jacobians."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccfg.config import SolverOptions
 from ccfg.errors import DuplicateId, UnknownVariable
@@ -74,7 +78,8 @@ def test_prior_only_keeps_value():
     assert g.get("x")[0] == pytest.approx(7.0, abs=1e-12)
 
 
-def _random_linear_graph(rng, n_vars=4, n_factors=9):
+def _random_linear_graph(rng, n_vars=4, n_factors=9, sigma_scale=1.0,
+                         prior_sigma=1e3):
     g = FactorGraph()
     dims = rng.integers(1, 4, size=n_vars)
     for i, d in enumerate(dims):
@@ -86,21 +91,22 @@ def _random_linear_graph(rng, n_vars=4, n_factors=9):
         rows = int(rng.integers(1, 4))
         blocks = [rng.normal(size=(rows, dims[i])) for i in picks]
         rhs = rng.normal(size=rows)
-        sigma = rng.uniform(0.1, 2.0, size=rows)
+        sigma = sigma_scale * rng.uniform(0.1, 2.0, size=rows)
         specs.append((picks, blocks, rhs, sigma))
         g.add_factor(linear_factor(tuple(f"v{i}" for i in picks),
                                    blocks, rhs, sigma))
-    # Weak prior on every variable so the system has a unique minimizer.
+    # Prior on every variable so the system has a unique minimizer; by
+    # default a weak one.
     for i, d in enumerate(dims):
-        spec = ([i], [np.eye(d)], np.zeros(d), np.full(d, 1e3))
-        specs.append(spec)
+        sigma = np.full(d, sigma_scale * prior_sigma)
+        specs.append(([i], [np.eye(d)], np.zeros(d), sigma))
         g.add_factor(linear_factor((f"v{i}",), [np.eye(d)], np.zeros(d),
-                                   np.full(d, 1e3), kind="prior"))
+                                   sigma, kind="prior"))
     return g, dims, specs
 
 
-def dense_lsq_oracle(dims, specs):
-    """Independent weighted least-squares solve of the same linear system."""
+def _weighted_system(dims, specs):
+    """The linear system's rows divided by sigma, as one dense A and b."""
     offs = np.concatenate([[0], np.cumsum(dims)])
     n = offs[-1]
     A_rows, b_rows = [], []
@@ -111,8 +117,12 @@ def dense_lsq_oracle(dims, specs):
             A[:, offs[i]:offs[i] + dims[i]] = block
         A_rows.append(A / sigma[:, None])
         b_rows.append(rhs / sigma)
-    A = np.vstack(A_rows)
-    b = np.concatenate(b_rows)
+    return np.vstack(A_rows), np.concatenate(b_rows), offs
+
+
+def dense_lsq_oracle(dims, specs):
+    """Independent weighted least-squares solve of the same linear system."""
+    A, b, offs = _weighted_system(dims, specs)
     return np.linalg.lstsq(A, b, rcond=None)[0], offs
 
 
@@ -139,6 +149,31 @@ def test_linear_graph_converges_in_one_iteration():
     assert report.iterations <= 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-4, 2),
+       prior_sigma=st.sampled_from([10.0, 1e3]))
+def test_linear_graph_at_any_sigma_scale_matches_dense_oracle(
+        seed, log_scale, prior_sigma):
+    # Sigmas from 1e-4 to 1e2 scale g, sqrt(H_jj) and ||r|| alike, so a
+    # scale-relative gradient test stops at the same point at every scale.
+    # The tolerance is 1e-10, or the forward error of solving through JᵀJ,
+    # eps * cond(J)**2 * |x|, where that is larger: the weak prior leaves
+    # directions set by a 1e3 sigma, and no stopping test can beat that
+    # bound, since the gradient there is already at rounding level.
+    rng = np.random.default_rng(seed)
+    g, dims, specs = _random_linear_graph(rng, sigma_scale=10.0 ** log_scale,
+                                          prior_sigma=prior_sigma)
+    report = g.solve()
+    assert report.converged
+    x_star, offs = dense_lsq_oracle(dims, specs)
+    A, _, _ = _weighted_system(dims, specs)
+    tol = max(1e-10, 8 * np.finfo(float).eps * np.linalg.cond(A) ** 2
+              * max(1.0, float(np.abs(x_star).max())))
+    for i, d in enumerate(dims):
+        np.testing.assert_allclose(g.get(f"v{i}"), x_star[offs[i]:offs[i] + d],
+                                   rtol=0, atol=tol)
+
+
 def test_trilateration():
     truth = np.array([1.3, -0.7])
     anchors = [np.array([0.0, 0.0]), np.array([3.0, 0.0]), np.array([0.0, 2.0])]
@@ -149,6 +184,24 @@ def test_trilateration():
     report = g.solve()
     assert report.converged
     np.testing.assert_allclose(g.get("p"), truth, atol=1e-8)
+
+
+def test_trilateration_from_random_starts():
+    # Noise-free ranges: the residual vanishes at the truth, so the gradient
+    # test must not stop a solve anywhere short of it.
+    truth = np.array([1.3, -0.7])
+    anchors = [np.array(a) for a in ([0.0, 0.0], [3.0, 0.0], [0.0, 2.0],
+                                     [2.5, -2.5])]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g = FactorGraph()
+        g.add_variable("p", truth + rng.uniform(-2.0, 2.0, size=2))
+        for a in anchors:
+            g.add_factor(range_factor("p", a, float(np.hypot(*(truth - a))),
+                                      1e-3))
+        report = g.solve()
+        assert report.converged
+        np.testing.assert_allclose(g.get("p"), truth, rtol=0, atol=1e-8)
 
 
 def test_sigma_scaling_leaves_minimizer_unchanged():
@@ -199,6 +252,108 @@ def test_slide_window_no_new_factors_no_drift():
     for vid, old in before.items():
         if not g.variables[vid].fixed:
             np.testing.assert_allclose(g.get(vid), old, atol=1e-6)
+
+
+def _chain_step(g, t, odo, vision, rng):
+    """Add pose x{t} at x{t-1} + odo with its odometry factor, and a vision
+    factor on every fourth pose."""
+    if t == 0:
+        g.add_variable("x0", vision, time_index=0)
+    else:
+        g.add_variable(f"x{t}", g.get(f"x{t - 1}") + odo, time_index=t)
+        g.add_factor(linear_factor((f"x{t - 1}", f"x{t}"),
+                                   [-np.eye(3), np.eye(3)], odo,
+                                   [0.01, 0.01, 0.005], kind="odometry"))
+    if t % 4 == 0:
+        g.add_factor(linear_factor((f"x{t}",), [np.eye(3)],
+                                   vision + rng.normal(scale=0.02, size=3),
+                                   [0.02, 0.02, 0.05], kind="vision"))
+
+
+def _slide_keeping_every_variable(g, horizon):
+    """slide_window without deleting variables: the reference for it."""
+    newest = max(v.time_index for v in g.variables.values()
+                 if v.time_index is not None)
+    for v in g.variables.values():
+        if v.time_index is not None and v.time_index <= newest - horizon:
+            v.fixed = True
+    g.factors = [f for f in g.factors
+                 if any(not g.variables[vid].fixed for vid in f.var_ids)]
+
+
+def test_slide_window_deletes_fixed_variables_no_factor_reads():
+    horizon = 50
+    rng = np.random.default_rng(4)
+    g, ref = FactorGraph(), FactorGraph()
+    pose = np.zeros(3)
+    for t in range(2000):
+        odo = rng.normal(scale=0.01, size=3)
+        pose = pose + odo
+        odo_meas = odo + rng.normal(scale=0.01, size=3)
+        for graph in (g, ref):
+            _chain_step(graph, t, odo_meas, pose, np.random.default_rng(t))
+        g.slide_window(horizon)
+        _slide_keeping_every_variable(ref, horizon)
+        # the window, plus the pose its oldest odometry factor still reads
+        assert len(g.variables) <= horizon + 1
+        if t % 20 == 19:
+            g.solve()
+            ref.solve()
+            assert g.active_time_indices() == ref.active_time_indices()
+            window = [f"x{j}" for j in ref.active_time_indices()]
+            np.testing.assert_allclose([g.get(v) for v in window],
+                                       [ref.get(v) for v in window],
+                                       rtol=0, atol=1e-12)
+    oldest = g.active_time_indices()[0]
+    assert g.variables[f"x{oldest - 1}"].fixed
+    assert f"x{oldest - 2}" not in g.variables
+    assert len(ref.variables) == 2000
+
+
+def test_window_at_its_minimum_costs_one_assembly():
+    # A solved odometry and vision window gains a pose placed by odometry,
+    # whose factor then has a zero residual: the window is still at its
+    # minimum and the solve must stop before any trial step.
+    residuals, jacobians, keys = Counter(), Counter(), itertools.count()
+
+    def counted(factor):
+        key = next(keys)
+
+        def res(*values):
+            residuals[key] += 1
+            return factor.residual_fn(*values)
+
+        def jac(*values):
+            jacobians[key] += 1
+            return factor.jacobian_fn(*values)
+
+        return Factor(factor.var_ids, res, jac, factor.sigma, kind=factor.kind)
+
+    g = FactorGraph()
+    add_factor = g.add_factor
+    g.add_factor = lambda f: add_factor(counted(f))
+    rng = np.random.default_rng(2)
+    pose = np.zeros(3)
+    for t in range(41):
+        odo = rng.normal(scale=0.01, size=3)
+        pose = pose + odo
+        _chain_step(g, t, odo + rng.normal(scale=0.01, size=3), pose, rng)
+        g.slide_window(10)
+        g.solve()
+    _chain_step(g, 41, rng.normal(scale=0.01, size=3), pose, rng)  # no vision
+    g.slide_window(10)
+    before = {vid: v.value.tobytes() for vid, v in g.variables.items()}
+    residuals.clear()
+    jacobians.clear()
+    report = g.solve()
+
+    active = len(g.factors)
+    assert active > 10
+    assert sorted(residuals.values()) == [1] * active
+    assert sorted(jacobians.values()) == [1] * active
+    assert report.iterations == 1
+    assert {vid: v.value.tobytes() for vid, v in g.variables.items()} == before
+    assert report.converged and report.stopped_by == "gradient"
 
 
 def test_jacobian_check_linear_and_trig():

@@ -27,12 +27,6 @@ class NoiseConfig:
                        sigma_hand_angle=self.sigma_hand_angle * factor,
                        sigma_vision=self.sigma_vision * factor)
 
-    @property
-    def noise_free(self) -> bool:
-        return (self.sigma_force == 0 and self.sigma_torque == 0
-                and self.sigma_hand_pos == 0 and self.sigma_hand_angle == 0
-                and self.sigma_vision == 0)
-
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0, 0.0, 0.0, 10)
 

@@ -91,7 +91,7 @@ def _diameter(x, y) -> float:
                for i in range(0, len(x), DIAMETER_ROWS))
 
 
-def noisy_convex_hull(points, inlier_fraction: float = 0.95) -> np.ndarray:
+def noisy_convex_hull(points) -> np.ndarray:
     """Convex hull of noisy samples, with noise-scale vertices peeled away.
 
     The band is 2x the median perpendicular height of the exact hull's vertices
@@ -101,17 +101,13 @@ def noisy_convex_hull(points, inlier_fraction: float = 0.95) -> np.ndarray:
     one band of the peeled hull; a vertex whose peel fails that test is never
     tried again. Since any input point is a convex combination of the exact
     hull's vertices and the inflated hull is convex, that acceptance rule keeps
-    every input point inside the returned hull inflated by the fitted band, so
-    the realized inlier fraction is 1.0 and dominates any requested
-    inlier_fraction.
+    every input point inside the returned hull inflated by the fitted band.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
     if len(pts) < MIN_POINTS:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
-    if not (0.0 < inlier_fraction <= 1.0):
-        raise ValueError("inlier_fraction must be in (0, 1]")
 
     hull = convex_hull(pts)
     m = len(hull)

@@ -7,8 +7,6 @@ import numpy as np
 
 from .pose import CROSS_REL_TOL, cross2, extent
 
-FACE_EQ_TOL = 1e-9
-
 
 def face_normals(vertices) -> np.ndarray:
     """Outward unit normals of a CCW polygon, one row per face i running

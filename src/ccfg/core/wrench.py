@@ -97,5 +97,7 @@ def center_of_pressure(G, H, w: Wrench2) -> CopResult:
             f"normal force {f_normal:.3e} N too small for a center of pressure")
     tau_H = transform_torque(w, H).torque
     gamma = tau_H / cross2(chord, w.force)
-    point = gamma * G + (1.0 - gamma) * H
+    # H + gamma*(G - H), not gamma*G + (1 - gamma)*H: for |gamma| >> 1 the
+    # two large terms of the latter cancel and lose the point's low bits
+    point = H + gamma * chord
     return CopResult(point, float(gamma))

@@ -109,29 +109,16 @@ class SolveReport:
     # "gradient", "cost", "step", "no_descent", "max_iter", or "empty" (no
     # free columns or no residual rows); see the module docstring
     stopped_by: str
-    factor_norms: tuple = ()
-    condition: float = 0.0
     singular: bool = False
-
-    def norm_by_kind(self) -> dict:
-        out = {}
-        for kind, norm in self.factor_norms:
-            out[kind] = max(out.get(kind, 0.0), norm)
-        return out
 
 
 @dataclass
 class _Evaluation:
-    """Residuals of the active factors at one point, as the solver uses
-    them: raw (for factor_norms), divided by sigma, and the total cost."""
+    """Residuals of the active factors at one point, divided by sigma, and
+    the total cost."""
 
-    raw: list
     weighted: list
     cost: float
-
-    def norms(self, factors) -> tuple:
-        return tuple((f.kind, float(np.linalg.norm(r)))
-                     for f, r in zip(factors, self.raw))
 
 
 def jacobian_check(factor: Factor, values: Sequence[np.ndarray],
@@ -229,7 +216,7 @@ class FactorGraph:
 
     def _evaluate(self, factors) -> _Evaluation:
         """Every factor's residual at the current values, one call each."""
-        raw, weighted, cost = [], [], 0.0
+        weighted, cost = [], 0.0
         for f in factors:
             r = f.residual(*self._values_of(f))
             if f.sigma.size not in (1, r.size):
@@ -237,9 +224,8 @@ class FactorGraph:
                                  f"!= residual length {r.size}")
             w = r / f.sigma
             cost += float(w @ w)
-            raw.append(r)
             weighted.append(w)
-        return _Evaluation(raw, weighted, cost)
+        return _Evaluation(weighted, cost)
 
     def _assemble(self, factors, offsets, n_cols, weighted):
         """Weighted residual vector and dense Jacobian at the current values.
@@ -278,20 +264,18 @@ class FactorGraph:
             offsets[v.id] = n_cols
             n_cols += v.dim
         current = self._evaluate(factors)
-        n_rows = sum(r.size for r in current.raw)
+        n_rows = sum(w.size for w in current.weighted)
         initial_cost = current.cost
         if not math.isfinite(initial_cost):
             raise SingularNormalEquations("non-finite residuals at initial point")
         report = SolveReport(0, initial_cost, initial_cost, True, "empty")
         if n_cols == 0 or n_rows == 0:
-            report.factor_norms = current.norms(factors)
             return report
 
         lam = opts.lambda0
         cost = initial_cost
         stopped_by = "max_iter"
         singular = False
-        condition = 0.0
         iterations = 0
         for _ in range(opts.max_iter):
             iterations += 1
@@ -303,8 +287,6 @@ class FactorGraph:
             if np.any(diag < _DIAG_FLOOR):
                 singular = True
             damp_base = np.maximum(diag, _DIAG_FLOOR)
-            dmax, dmin = float(damp_base.max()), float(damp_base.min())
-            condition = dmax / dmin if dmin > 0 else math.inf
             if np.all(np.abs(g) <= _GRAD_TOL * math.sqrt(cost) * np.sqrt(diag)):
                 stopped_by = "gradient"
                 break
@@ -354,8 +336,6 @@ class FactorGraph:
         report.converged = stopped_by != "max_iter"
         report.stopped_by = stopped_by
         report.singular = singular
-        report.condition = condition
-        report.factor_norms = current.norms(factors)
         return report
 
     @staticmethod

@@ -39,7 +39,6 @@ when the whole face fits under the hand.  Pairs carry slide labels only;
 their stick variant is the ordinary flush stick.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -285,8 +284,10 @@ def enumerate_modes(sw: SimWorld, band: float = 1e-3,
                     suppress_overlaps: bool = True) -> list:
     """All mode hypotheses consistent with current proximity.
 
-    The all-separate hypothesis is always first.  Candidates use a proximity
-    band (default 1 mm): anything clearly separated is not enumerated.
+    The all-separate hypothesis is always first; the order of the rest
+    carries no meaning, and the resolver's choice does not depend on it.
+    Candidates use a proximity band (default 1 mm): anything clearly
+    separated is not enumerated.
 
     With suppress_overlaps a flush candidate strips the slide labels from the
     point candidates it covers (a point sliding along a face it is flush with
@@ -315,27 +316,7 @@ def enumerate_modes(sw: SimWorld, band: float = 1e-3,
                     hand_label=hand_lab, hand_contact=hand_geom,
                     ground=tuple(g), walls=walls))
 
-    hyps.sort(key=_sort_key)
     return hyps
-
-
-def _sort_key(h: ContactModeHypothesis) -> tuple:
-    hc = h.hand_contact
-    if hc is not None and hc.anchors:
-        # a face has one flush candidate per pass, so its anchors, floats
-        # recomputed at every pose, never decide the order: leave them out
-        h = ContactModeHypothesis(
-            h.hand_label, HandContact(hc.kind, hc.vertex, hc.face, hc.tip),
-            h.ground, h.walls)
-    return _cached_sort_key(h)
-
-
-@functools.lru_cache(maxsize=1024)
-def _cached_sort_key(h: ContactModeHypothesis) -> tuple:
-    """All-separate first, then by active contact count, then by the repr
-    of to_json(); the same hypotheses come back step after step."""
-    n = h.active_count()
-    return n > 0, n, h.to_json().__repr__()
 
 
 def _jointly_consistent(ground, walls) -> bool:

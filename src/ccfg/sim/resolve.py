@@ -48,8 +48,12 @@ out as without the screen.
 
 Among the hypotheses that survive all feasibility checks the resolver picks
 the one with minimal slip dissipation (sum of squared tangential relative
-displacements), breaking ties toward more sticking contacts and then by
-enumeration order.
+displacements).  Among modes within 1e-13 of the least it prefers more
+sticking contacts, then fewer active contacts, then the lesser repr of
+to_json(): a key of the hypothesis alone, so the choice does not depend on
+the order the hypotheses are listed in.  The repr is unique among feasible
+trials, which all come from one pass (a wider pass runs only when the last
+found nothing), and a pass has at most one flush candidate per face.
 """
 
 import functools
@@ -120,7 +124,7 @@ class ModeSolution:
 
 # one solved hypothesis: reason is "" when feasible, and then solution holds
 # what the report needs
-_Trial = namedtuple("_Trial", "index hyp reason evaluations solution")
+_Trial = namedtuple("_Trial", "hyp reason evaluations solution")
 
 
 class _ContactRows:
@@ -619,8 +623,8 @@ def _inconsistent(weight, lines) -> bool:
     return float(np.linalg.norm(A @ f - b)) > 1e-6 * math.sqrt(len(A))
 
 
-def _solve_pass(sw, target, hyps, cfg, start):
-    """Solve and screen one enumeration pass; trials indexed from start.
+def _solve_pass(sw, target, hyps, cfg):
+    """Solve and screen one enumeration pass, one trial per hypothesis.
 
     Hypotheses whose world contacts cannot balance the weight are rejected
     as no_converge before Newton runs.  The rest are sorted by (min_norm,
@@ -640,7 +644,7 @@ def _solve_pass(sw, target, hyps, cfg, start):
     blocks, width = [], 1
     for i in np.lexsort((counts, min_norm)).tolist():
         if _unbalanced(rows[i], ref.weight):
-            trials[i] = _Trial(start + i, hyps[i], "no_converge", 0, None)
+            trials[i] = _Trial(hyps[i], "no_converge", 0, None)
             continue
         width = max(width, counts[i])
         if not blocks or (len(blocks[-1]) + 1) * width > _SLOTS:
@@ -664,8 +668,7 @@ def _solve_pass(sw, target, hyps, cfg, start):
                        "dissipation": float(sum(
                            sl ** 2 for sl, (row, _) in zip(slips, rows[i])
                            if row[_S] != 0))}
-            trials[i] = _Trial(start + i, hyps[i], reason,
-                               int(evaluations[j]), sol)
+            trials[i] = _Trial(hyps[i], reason, int(evaluations[j]), sol)
     return trials
 
 
@@ -711,7 +714,7 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
     expandable = hypotheses is None
     if hypotheses is None:
         hypotheses = enumerate_modes(sw, cfg.activation_band)
-    trials = _solve_pass(sw, target, list(hypotheses), cfg, 0)
+    trials = _solve_pass(sw, target, list(hypotheses), cfg)
     seen = set(hypotheses)
 
     def feasible():
@@ -721,7 +724,7 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
         fresh = [h for h in enumerate_modes(sw, band, suppress_overlaps=False)
                  if h not in seen]
         seen.update(fresh)
-        trials.extend(_solve_pass(sw, target, fresh, cfg, len(trials)))
+        trials.extend(_solve_pass(sw, target, fresh, cfg))
 
     if not feasible() and expandable:
         # a flush candidate may have suppressed the very point-slide label the
@@ -756,6 +759,9 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
             diagnostics=diag)
 
     best_d = min(t.solution["dissipation"] for t in ok)
-    short = [t for t in ok if t.solution["dissipation"] <= best_d + 1e-13]
-    short.sort(key=lambda t: (-t.hyp.stick_count(), t.index))
-    return _finish(sw, short[0], trials)
+    # ties: a key of the hypothesis alone (see the module docstring)
+    chosen = min((t for t in ok
+                  if t.solution["dissipation"] <= best_d + 1e-13),
+                 key=lambda t: (-t.hyp.stick_count(), t.hyp.active_count(),
+                                repr(t.hyp.to_json())))
+    return _finish(sw, chosen, trials)

@@ -1,7 +1,6 @@
 """Ground-truth plant state."""
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -78,14 +77,6 @@ class SimWorld:
     def hand_tangential(self) -> np.ndarray:
         rel = self.vertices_world() - self.hand_pose.position
         return rel @ self.hand_tangent()
-
-    def com_world(self) -> np.ndarray:
-        return self.object_pose.transform(self.com)
-
-    def gravity_wrench(self, reference) -> Wrench2:
-        force = np.array([0.0, -self.mass * self.world.gravity])
-        w = Wrench2(force, 0.0, self.com_world())
-        return w.about(reference)
 
     def with_poses(self, object_pose: PlanarPose, hand_pose: PlanarPose,
                    **extra) -> "SimWorld":

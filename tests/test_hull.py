@@ -86,12 +86,6 @@ def test_noisy_hull_too_few_points():
         noisy_convex_hull(np.zeros((7, 2)))
 
 
-def test_noisy_hull_rejects_bad_fraction():
-    pts = np.random.default_rng(0).uniform(size=(20, 2))
-    with pytest.raises(ValueError):
-        noisy_convex_hull(pts, inlier_fraction=0.0)
-
-
 def test_noisy_hull_area_oracle_uniform_square():
     # Oracle: the noiseless shape is the unit square with area exactly 1.
     for seed in range(5):

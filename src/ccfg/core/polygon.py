@@ -1,6 +1,5 @@
 """Convex polygon model with per-face normal angles and offsets."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +79,8 @@ class PolygonModel:
         n = self.n_vertices
         return self.vertices[i % n], self.vertices[(i + 1) % n]
 
-    def face_equation_residual(self, i: int, point) -> float:
-        """Signed distance of a point to face i's supporting line (outward positive)."""
-        phi = self.normal_angles[i % self.n_vertices]
-        d = self.offsets[i % self.n_vertices]
-        return float(point[0] * math.cos(phi) + point[1] * math.sin(phi) - d)
-
     def contains(self, point, margin: float = 0.0) -> bool:
-        return all(self.face_equation_residual(i, point) <= margin
-                   for i in range(self.n_vertices))
+        return bool(np.all(self.all_face_residuals(point) <= margin))
 
     def centroid(self) -> np.ndarray:
         verts = self.vertices

@@ -19,10 +19,6 @@ class Wall:
         if self.facing not in (-1, 1):
             raise ValueError("wall facing must be +1 or -1")
 
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array([float(self.facing), 0.0])
-
     def to_json(self) -> dict:
         return {"x_m": float(self.x), "facing": int(self.facing)}
 

@@ -26,9 +26,6 @@ class Wrench2:
         object.__setattr__(self, "torque", float(torque))
         object.__setattr__(self, "reference", _frozen_vec2(reference))
 
-    def about(self, new_reference) -> "Wrench2":
-        return transform_torque(self, new_reference)
-
     def __add__(self, other: "Wrench2") -> "Wrench2":
         """Sum of two wrenches, expressed about self.reference."""
         o = transform_torque(other, self.reference)

@@ -19,11 +19,11 @@ is frozen and serialized with the constraints: a reloaded cone has no samples
 left to estimate it from.
 
 The fit works on normalized force rays. Each buffered wrench contributes its
-unit force direction; the convex hull of those rays together with the origin
-is peeled by noisy_convex_hull, and the two hull edges meeting at the origin
-become the force-plane facets of the cone wedge. Torque is bounded by the
-extreme observed ratios of scaled torque to force magnitude, tilted along the
-mean force direction so the bound grows with load like a proper cone facet.
+unit force direction, measured as an angle from the mean direction; the two
+angular extremes are the edges of the cone wedge and become its force-plane
+facets. Torque is bounded by the extreme observed ratios of scaled torque to
+force magnitude, tilted along the mean force direction so the bound grows
+with load like a proper cone facet.
 """
 
 from dataclasses import dataclass, field, replace
@@ -32,14 +32,12 @@ from typing import Optional
 import numpy as np
 
 from ..config import FrictionEstConfig
-from ..core import Wrench2, noisy_convex_hull
-from ..errors import NotReady, TooFewPoints
+# noisy_convex_hull is unused here; perfbench/tracing.py rebinds it by name
+from ..core import Wrench2, noisy_convex_hull  # noqa: F401
+from ..errors import NotReady
 
 # Forces below this carry no usable direction and are skipped by the fit.
 RAY_FORCE_EPS = 1e-9
-# Rays handed to the hull are thinned to this many angular bins so a refit
-# stays cheap no matter how full the sample buffer is.
-MAX_HULL_RAYS = 64
 # Floor on noise_sigma as a fraction of the median buffered force magnitude;
 # keeps the wall test above the simulator's own numerical error.
 NOISE_FLOOR_REL = 1e-5
@@ -189,52 +187,6 @@ def _noise_sigma(buf: np.ndarray) -> float:
     return max(sigma, floor)
 
 
-def _thin_rays(rays: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """At most two rays per angular bin, keeping each bin's extremes.
-
-    The global angular extremes survive thinning exactly, so the fitted wedge
-    is the same as from the full ray set; the hull peel just runs on a
-    buffer-size-independent point count.
-    """
-    if len(rays) <= MAX_HULL_RAYS:
-        return rays
-    lo, hi = float(angles.min()), float(angles.max())
-    if hi - lo < 1e-12:
-        return rays[:1]
-    bins = np.minimum((MAX_HULL_RAYS * (angles - lo) / (hi - lo)).astype(int),
-                      MAX_HULL_RAYS - 1)
-    # Stable sorts by bin, then angle up (down): each bin's first entry is
-    # its least (greatest) angle, at the lowest index among ties.
-    up = np.lexsort((angles, bins))
-    down = np.lexsort((-angles, bins))
-    sorted_bins = bins[up]
-    first = np.flatnonzero(np.r_[True, sorted_bins[1:] != sorted_bins[:-1]])
-    return rays[np.union1d(up[first], down[first])]
-
-
-def _extreme_rays(rays: np.ndarray, angles: np.ndarray):
-    """The two edge directions of the wedge spanned by unit force rays.
-
-    Primary path: peeled hull of the (thinned) rays plus the origin; the hull
-    vertices adjacent to the origin are the wedge edges, robust to stray
-    outlier rays. Falls back to plain angular extremes when the hull
-    degenerates (too few distinct rays, or origin swallowed).
-    """
-    pts = np.vstack([_thin_rays(rays, angles), [[0.0, 0.0]]])
-    try:
-        ring = noisy_convex_hull(pts)
-    except TooFewPoints:
-        ring = None
-    if ring is not None and len(ring) >= 3:
-        i0 = int(np.argmin(np.hypot(ring[:, 0], ring[:, 1])))
-        if np.hypot(*ring[i0]) < 0.5:
-            lo = ring[(i0 + 1) % len(ring)]
-            hi = ring[(i0 - 1) % len(ring)]
-            return lo / np.linalg.norm(lo), hi / np.linalg.norm(hi)
-
-    return rays[int(np.argmin(angles))], rays[int(np.argmax(angles))]
-
-
 def _fit_cone(buf: np.ndarray) -> tuple:
     F = buf[:, :2]
     mags = np.hypot(F[:, 0], F[:, 1])
@@ -252,7 +204,10 @@ def _fit_cone(buf: np.ndarray) -> tuple:
     angles = np.arctan2(mean_dir[0] * rays[:, 1] - mean_dir[1] * rays[:, 0],
                         rays @ mean_dir)
 
-    lo, hi = _extreme_rays(rays, angles)
+    lo = rays[int(np.argmin(angles))]
+    hi = rays[int(np.argmax(angles))]
+    # F / hypot is a unit vector only up to rounding
+    lo, hi = lo / np.linalg.norm(lo), hi / np.linalg.norm(hi)
     cons = [
         # force direction must stay counterclockwise of the lower edge...
         ConeConstraint(np.array([lo[1], -lo[0], 0.0])),

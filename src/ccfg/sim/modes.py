@@ -224,10 +224,12 @@ def _hand_candidates(sw: SimWorld, band: float):
 def _pair_options(cands: list, n: int, tag) -> list:
     """Label assignments for the candidates of one environment interface.
 
-    Candidates arrive sorted along the interface tangent; n is the polygon's
-    vertex count.  Besides singles, only pairs that share a face may be
-    jointly active (see module docstring); an active pair shares one
-    tangential label.
+    n is the polygon's vertex count.  Besides singles, only pairs that share
+    a face may be jointly active (see module docstring); an active pair
+    shares one tangential label.  Candidates arrive sorted along the
+    interface (by x on the ground, by y on a wall), which fixes the label
+    order inside each hypothesis tuple: to_json(), the frame truth_label and
+    the resolver's tie-break repr all read that order.
     """
     if not cands:
         return [()]

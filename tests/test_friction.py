@@ -13,7 +13,6 @@ from ccfg.errors import NotReady
 from ccfg.estimator import (ConeConstraint, WrenchConeEstimate,
                             check_violation, ingest, new_cone_estimate,
                             violation_threshold)
-from ccfg.estimator.friction import MAX_HULL_RAYS, _thin_rays
 
 SCALE = 0.05  # m, hand half-length used as the torque normalizer
 
@@ -172,34 +171,23 @@ def test_json_round_trip():
        mu=st.floats(0.05, 1.2))
 def test_fit_properties_random_streams(seed, n, mu):
     rng = np.random.default_rng(seed)
-    est = fit_from(cone_wrenches(rng, n, mu))
+    ws = cone_wrenches(rng, n, mu)
+    est = fit_from(ws)
     assert len(est.constraints) in (0, 4)
     for c in est.constraints:
         assert np.linalg.norm(c.normal) == pytest.approx(1.0)
     assert est.ready == (n >= FrictionEstConfig().min_samples)
-
-
-def thin_rays_reference(rays, angles):
-    """Bin-by-bin loop: each bin keeps its argmin and argmax angle."""
-    lo, hi = float(angles.min()), float(angles.max())
-    bins = np.minimum((MAX_HULL_RAYS * (angles - lo) / (hi - lo)).astype(int),
-                      MAX_HULL_RAYS - 1)
-    keep = set()
-    for b in np.unique(bins):
-        members = np.nonzero(bins == b)[0]
-        keep.add(members[np.argmin(angles[members])])
-        keep.add(members[np.argmax(angles[members])])
-    return rays[sorted(keep)]
-
-
-def test_thin_rays_matches_bin_loop_with_ties():
-    rng = np.random.default_rng(5)
-    for trial in range(200):
-        n = int(rng.integers(MAX_HULL_RAYS + 1, 2000))
-        angles = rng.uniform(-0.4, 0.4, n)
-        if trial % 2:
-            # few distinct angles: every bin holds ties at both extremes
-            angles = np.round(angles * 40) / 40
-        rays = np.c_[np.cos(angles), np.sin(angles), np.arange(n)]
-        assert np.array_equal(_thin_rays(rays, angles),
-                              thin_rays_reference(rays, angles))
+    if not est.ready:
+        return
+    # every ingested wrench lies inside both force facets, and each facet is
+    # spanned by one ingested force ray. The torque facets are left out: they
+    # are tilted along the mean force and can cut off a wrench leaning away
+    # from it.
+    scaled = np.array([[*w.force, w.torque / SCALE] for w in ws])
+    slack = 1e-12 * np.maximum(1.0, np.linalg.norm(scaled, axis=1))
+    rays = scaled[:, :2] / np.linalg.norm(scaled[:, :2], axis=1)[:, None]
+    force_facets = [c for c in est.constraints if c.normal[2] == 0.0]
+    assert len(force_facets) == 2
+    for c in force_facets:
+        assert np.all(scaled @ c.normal - c.offset <= slack)
+        assert np.min(np.abs(rays @ c.normal[:2])) <= 1e-12

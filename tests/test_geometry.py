@@ -54,15 +54,15 @@ def test_polygon_face_equations_hold_at_both_endpoints():
     poly = PolygonModel([(0, 0), (2, 0), (2, 1), (0, 1)])
     for i in range(poly.n_vertices):
         a, b = poly.face_endpoints(i)
-        assert abs(poly.face_equation_residual(i, a)) < 1e-9
-        assert abs(poly.face_equation_residual(i, b)) < 1e-9
+        assert abs(poly.all_face_residuals(a)[i]) < 1e-9
+        assert abs(poly.all_face_residuals(b)[i]) < 1e-9
 
 
 def test_polygon_outward_normals_point_away_from_centroid():
     poly = PolygonModel([(0, 0), (3, 0), (4, 2), (1, 3), (-1, 1)])
     c = poly.centroid()
     for i in range(poly.n_vertices):
-        assert poly.face_equation_residual(i, c) < 0
+        assert poly.all_face_residuals(c)[i] < 0
 
 
 def test_polygon_rejects_clockwise_and_nonconvex():
@@ -98,8 +98,8 @@ def test_polygon_from_hull_satisfies_face_invariants(raw):
     poly = PolygonModel(hull)
     for i in range(poly.n_vertices):
         a, b = poly.face_endpoints(i)
-        assert abs(poly.face_equation_residual(i, a)) < 1e-9
-        assert abs(poly.face_equation_residual(i, b)) < 1e-9
+        assert abs(poly.all_face_residuals(a)[i]) < 1e-9
+        assert abs(poly.all_face_residuals(b)[i]) < 1e-9
 
 
 def test_world_model_validation():

@@ -66,4 +66,8 @@ class UnknownVariable(CcfgError):
 
 
 class SingularNormalEquations(CcfgError):
-    """Normal equations were rank deficient even after damping."""
+    """FactorGraph.solve found non-finite residuals at its initial point.
+
+    A singular or rank-deficient H does not raise: it sets
+    SolveReport.singular and the damped steps go on.
+    """

@@ -22,14 +22,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..config import ClassifierConfig, FrictionEstConfig
 from ..core import (PlanarPose, Wrench2, center_of_pressure, face_normals,
                     hand_normal, hand_tangent)
 from ..errors import DegenerateForce, InsufficientHistory
 from .friction import (WrenchConeEstimate, check_violation,
                        violation_threshold)
 
-# Hand poses closer than these between frames count as stationary.
+FORCE_THRESHOLD = 2.5     # N; below this the hand is not in contact
+DELTA_EDGE = 5e-3         # m; COP-to-hand-endpoint band
+DELTA_VERT = 8e-3         # m; COP-to-projected-vertex band
+DELTA_LOWEST = 5e-3       # m; strictly-lowest-vertex margin
+COP_INTERIOR_FRAC = 0.10  # fraction of edge length for flush COP margin
+HYSTERESIS_FRAMES = 3     # consecutive frames before a label switches
+HISTORY_FRAMES = 20       # buffer for flush-vs-point likelihood
+FEASIBILITY_FRAMES = 10   # frames in the kinematic feasibility fit
+SLIP_SPEED_TOL = 1e-4     # m/s below which contacts count as sticking
+COP_SIGMA = 2e-3          # m; expected COP measurement scatter
+SLIP_BOUNDARY_BAND = 0.3  # N; cone-boundary proximity for slip labels
+# Hand poses closer than SLIP_SPEED_TOL and this between frames count as
+# stationary.
 STATIONARY_ANGLE_TOL = 1e-3
 
 
@@ -126,16 +137,14 @@ def _hand_cop_offset(w_meas: Wrench2, hand_pose: PlanarPose,
     return float(t_hat @ (cop.point - center))
 
 
-def point_feasibility(history: Sequence, config: Optional[ClassifierConfig]
-                      = None) -> float:
+def point_feasibility(history: Sequence) -> float:
     """RMS residual of one least-squares fit of a fixed world point that lies
     on the hand line and explains the measured COP in every frame.
 
     The model is linear in the point, so a single Gauss-Newton step solves it
     exactly. history holds (hand_pose, cop_offset) pairs.
     """
-    cfg = config or ClassifierConfig()
-    frames = list(history)[-cfg.feasibility_frames:]
+    frames = list(history)[-FEASIBILITY_FRAMES:]
     rows, rhs = [], []
     for pose, s in frames:
         t_hat = hand_tangent(pose.angle)
@@ -153,12 +162,10 @@ def point_feasibility(history: Sequence, config: Optional[ClassifierConfig]
 
 
 def flush_feasibility(history: Sequence, face_normal: np.ndarray,
-                      half_length: float,
-                      config: Optional[ClassifierConfig] = None) -> float:
+                      half_length: float) -> float:
     """RMS misalignment of the hand line with a candidate flush face, scaled
     by the hand half-length so it compares against point residuals in meters."""
-    cfg = config or ClassifierConfig()
-    frames = list(history)[-cfg.feasibility_frames:]
+    frames = list(history)[-FEASIBILITY_FRAMES:]
     devs = []
     for pose, _s in frames:
         n_hat = hand_normal(pose.angle)
@@ -168,7 +175,6 @@ def flush_feasibility(history: Sequence, face_normal: np.ndarray,
 
 
 def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView,
-                  config: Optional[ClassifierConfig] = None,
                   history: Optional[Sequence] = None):
     """Decision cascade for the hand-side contact geometry.
 
@@ -177,8 +183,7 @@ def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView,
     fixed-point fit beats the flush fit means that vertex rides the hand line;
     anything else is flush against the most anti-parallel face.
     """
-    cfg = config or ClassifierConfig()
-    if float(np.hypot(*w_meas.force)) < cfg.force_threshold:
+    if float(np.hypot(*w_meas.force)) < FORCE_THRESHOLD:
         return None
 
     normals = face_normals(view.vertices)
@@ -195,20 +200,20 @@ def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView,
         return ObjectPointHandLine(_nearest_vertex_to_line(hand_pose, view))
 
     L = view.hand_half_length
-    if abs(s - L) <= cfg.delta_edge or abs(s + L) <= cfg.delta_edge:
+    if abs(s - L) <= DELTA_EDGE or abs(s + L) <= DELTA_EDGE:
         return ObjectLineHandPoint(endpoint=1 if s > 0 else -1)
 
     t_hat = hand_tangent(hand_pose.angle)
     offsets = (view.vertices - hand_pose.position) @ t_hat
     gaps = np.abs((view.vertices - hand_pose.position) @ n_hat)
-    near = np.abs(offsets - s) <= cfg.delta_vert
+    near = np.abs(offsets - s) <= DELTA_VERT
     if np.any(near):
         candidates = np.nonzero(near)[0]
         vertex = int(candidates[np.argmin(gaps[candidates])])
         accept = True
         if history is not None and len(history) >= 2:
-            p_res = point_feasibility(history, cfg)
-            f_res = flush_feasibility(history, normals[flush_face], L, cfg)
+            p_res = point_feasibility(history)
+            f_res = flush_feasibility(history, normals[flush_face], L)
             accept = p_res <= f_res
         if accept:
             return ObjectPointHandLine(vertex)
@@ -226,8 +231,7 @@ def _nearest_vertex_to_line(hand_pose: PlanarPose, view: EstimateView) -> int:
 
 # -- ground geometry -----------------------------------------------------------
 
-def classify_ground(view: EstimateView, w_meas: Wrench2,
-                    config: Optional[ClassifierConfig] = None):
+def classify_ground(view: EstimateView, w_meas: Wrench2):
     """Ground-side geometry from the estimated polygon and a weightless COP.
 
     One vertex strictly lowest keeps the object on a point. A level bottom
@@ -237,12 +241,11 @@ def classify_ground(view: EstimateView, w_meas: Wrench2,
     would act if it balanced the hand wrench alone: the object's weight is
     left out, so a sideways push can move it off a face that is flush.
     """
-    cfg = config or ClassifierConfig()
     verts = view.vertices
     ys = verts[:, 1]
     order = np.argsort(ys)
     lowest, second = int(order[0]), int(order[1])
-    if ys[second] - ys[lowest] > cfg.delta_lowest:
+    if ys[second] - ys[lowest] > DELTA_LOWEST:
         return PointOnLine(lowest)
 
     n = len(verts)
@@ -267,7 +270,7 @@ def classify_ground(view: EstimateView, w_meas: Wrench2,
     # torque balance about (x*, h) with ground reaction -F acting there
     x_star = c[0] - ((c[1] - h) * F[0] - w_meas.torque) / F[1]
     x_lo, x_hi = min(a[0], b[0]), max(a[0], b[0])
-    margin = cfg.cop_interior_frac * (x_hi - x_lo)
+    margin = COP_INTERIOR_FRAC * (x_hi - x_lo)
     if x_lo + margin <= x_star <= x_hi - margin:
         return Flush(face)
     near = face if abs(a[0] - x_star) < abs(b[0] - x_star) else (face + 1) % n
@@ -277,8 +280,7 @@ def classify_ground(view: EstimateView, w_meas: Wrench2,
 # -- wall detection ------------------------------------------------------------
 
 def classify_wall(w_meas: Wrench2, ground_cone: WrenchConeEstimate,
-                  walls_active: bool, view: EstimateView,
-                  config: Optional[FrictionEstConfig] = None
+                  walls_active: bool, view: EstimateView
                   ) -> Optional[WallContact]:
     """Wall contact iff the measured wrench leaves the frozen ground cone by
     more than violation_sigma_factor times the cone's noise_sigma, the
@@ -288,7 +290,7 @@ def classify_wall(w_meas: Wrench2, ground_cone: WrenchConeEstimate,
     if not walls_active or not view.walls:
         return None
     report = check_violation(ground_cone, w_meas)
-    if report.max_violation <= violation_threshold(ground_cone, config):
+    if report.max_violation <= violation_threshold(ground_cone):
         return None
     best = None
     for wid, wall in enumerate(view.walls):
@@ -302,24 +304,21 @@ def classify_wall(w_meas: Wrench2, ground_cone: WrenchConeEstimate,
 # -- slip labels ---------------------------------------------------------------
 
 def classify_slip(cone: Optional[WrenchConeEstimate], w_meas: Wrench2,
-                  rel_tangential_speed: float,
-                  config: Optional[ClassifierConfig] = None) -> str:
+                  rel_tangential_speed: float) -> str:
     """Slide labels need both measured relative motion and a load near the
     friction-cone boundary; everything else is sticking."""
-    cfg = config or ClassifierConfig()
-    if abs(rel_tangential_speed) < cfg.slip_speed_tol:
+    if abs(rel_tangential_speed) < SLIP_SPEED_TOL:
         return "stick"
     if cone is not None and cone.ready:
         v = check_violation(cone, w_meas).max_violation
-        if v < -cfg.slip_boundary_band:
+        if v < -SLIP_BOUNDARY_BAND:
             return "stick"
     return "slide_pos" if rel_tangential_speed > 0 else "slide_neg"
 
 
 # -- flush vs point likelihood ---------------------------------------------------
 
-def flush_vs_point_likelihood(history: Sequence, view: EstimateView,
-                              config: Optional[ClassifierConfig] = None) -> float:
+def flush_vs_point_likelihood(history: Sequence, view: EstimateView) -> float:
     """Log-likelihood ratio; positive favors an object vertex on the hand line.
 
     Point contact pins the COP to one world point, so its tracking error
@@ -327,11 +326,10 @@ def flush_vs_point_likelihood(history: Sequence, view: EstimateView,
     moves. Flush contact lets pressure redistribute, so the COP wanders while
     the hand is stationary and tracks no vertex.
     """
-    cfg = config or ClassifierConfig()
     frames = list(history)
-    if len(frames) < cfg.history_frames:
+    if len(frames) < HISTORY_FRAMES:
         raise InsufficientHistory(
-            f"need {cfg.history_frames} frames, got {len(frames)}")
+            f"need {HISTORY_FRAMES} frames, got {len(frames)}")
 
     poses = [p for p, _ in frames]
     s = np.array([float(v) for _, v in frames])
@@ -340,9 +338,9 @@ def flush_vs_point_likelihood(history: Sequence, view: EstimateView,
     for k in range(1, len(poses)):
         dp = np.hypot(*(poses[k].position - poses[k - 1].position))
         da = abs(poses[k].angle - poses[k - 1].angle)
-        if dp < cfg.slip_speed_tol and da < STATIONARY_ANGLE_TOL:
+        if dp < SLIP_SPEED_TOL and da < STATIONARY_ANGLE_TOL:
             still.append(k)
-    v_still = float(np.var(s[still])) if len(still) >= 3 else cfg.cop_sigma ** 2
+    v_still = float(np.var(s[still])) if len(still) >= 3 else COP_SIGMA ** 2
 
     v_vertex = math.inf
     for v in view.vertices:
@@ -352,7 +350,7 @@ def flush_vs_point_likelihood(history: Sequence, view: EstimateView,
             errs.append(float(t_hat @ (v - pose.position)) - float(sk))
         v_vertex = min(v_vertex, float(np.mean(np.square(errs))))
 
-    floor = (0.1 * cfg.cop_sigma) ** 2
+    floor = (0.1 * COP_SIGMA) ** 2
     return 0.5 * len(frames) * math.log(max(v_still, floor)
                                         / max(v_vertex, floor))
 
@@ -366,8 +364,7 @@ class LabelFilter:
     FIELDS = ("hand_geometry", "ground_geometry", "wall_contact",
               "hand_slip", "ground_slip")
 
-    def __init__(self, config: Optional[ClassifierConfig] = None):
-        self.config = config or ClassifierConfig()
+    def __init__(self):
         self.emitted: Optional[ContactConfiguration] = None
         self._pending = {f: (None, 0) for f in self.FIELDS}
 
@@ -385,7 +382,7 @@ class LabelFilter:
                 continue
             cand, count = self._pending[f]
             count = count + 1 if new == cand else 1
-            if count >= self.config.hysteresis_frames:
+            if count >= HYSTERESIS_FRAMES:
                 self._pending[f] = (None, 0)
                 out[f] = new
             else:

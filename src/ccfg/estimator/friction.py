@@ -27,7 +27,6 @@ with load like a proper cone facet.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -36,6 +35,10 @@ from ..config import FrictionEstConfig
 from ..core import Wrench2, noisy_convex_hull  # noqa: F401
 from ..errors import NotReady
 
+# Ring buffer of scaled wrenches the cone is fit from, and the lifetime
+# sample count before the first fit.
+BUFFER_SIZE = 2000
+MIN_SAMPLES = 20
 # Forces below this carry no usable direction and are skipped by the fit.
 RAY_FORCE_EPS = 1e-9
 # Floor on noise_sigma as a fraction of the median buffered force magnitude;
@@ -125,15 +128,13 @@ def _scaled(est: WrenchConeEstimate, w: Wrench2) -> np.ndarray:
 
 
 def ingest(est: WrenchConeEstimate, w_meas: Wrench2, context: str,
-           external_contact_allowed: bool,
-           config: Optional[FrictionEstConfig] = None) -> WrenchConeEstimate:
+           external_contact_allowed: bool) -> WrenchConeEstimate:
     """Buffer one measured wrench and refit, or freeze the estimate.
 
     Learning only makes sense while the measured wrench is pure interface
     friction, so the first call with external_contact_allowed=True freezes
     the estimate; every later call returns it untouched.
     """
-    cfg = config or FrictionEstConfig()
     if est.frozen:
         return est
     if external_contact_allowed:
@@ -142,9 +143,9 @@ def ingest(est: WrenchConeEstimate, w_meas: Wrench2, context: str,
     w = _scaled(est, w_meas)
     if not np.all(np.isfinite(w)):
         raise ValueError("measured wrench must be finite")
-    buf = np.vstack([est.samples, w[None, :]])[-cfg.buffer_size:]
+    buf = np.vstack([est.samples, w[None, :]])[-BUFFER_SIZE:]
     count = est.sample_count + 1
-    if count < cfg.min_samples:
+    if count < MIN_SAMPLES:
         cons, sigma = (), 0.0
     else:
         cons, sigma = _fit_cone(buf), _noise_sigma(buf)
@@ -163,12 +164,10 @@ def check_violation(est: WrenchConeEstimate, w_meas: Wrench2) -> ViolationReport
     return ViolationReport(max_violation=float(vals[j]), violating_index=j)
 
 
-def violation_threshold(est: WrenchConeEstimate,
-                        config: Optional[FrictionEstConfig] = None) -> float:
+def violation_threshold(est: WrenchConeEstimate) -> float:
     """Violation, in Newtons, above which a measured wrench has significantly
     left the cone: violation_sigma_factor * noise_sigma."""
-    cfg = config or FrictionEstConfig()
-    return cfg.violation_sigma_factor * est.noise_sigma
+    return FrictionEstConfig().violation_sigma_factor * est.noise_sigma
 
 
 def _noise_sigma(buf: np.ndarray) -> float:

@@ -15,9 +15,9 @@ current point and then stops, or tries steps, by these tests in turn:
   (Moré, "The Levenberg-Marquardt algorithm: implementation and theory",
   1978). It runs before any trial step.
 - no_descent: no step with damping up to _LAMBDA_MAX lowers the cost.
-- cost / step: the accepted step lowered the cost by at most cost_tol of
-  it, or moved no coordinate by more than step_tol.
-- max_iter: max_iter assemblies ran without meeting a test above.
+- cost / step: the accepted step lowered the cost by at most _COST_TOL of
+  it, or moved no coordinate by more than _STEP_TOL.
+- max_iter: _MAX_ITER assemblies ran without meeting a test above.
 
 A graph with no free column or no residual row stops as empty, unsolved.
 
@@ -44,12 +44,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..config import SolverOptions
 from ..errors import DuplicateId, SingularNormalEquations, UnknownVariable
 
 _DIAG_FLOOR = 1e-12
+_MAX_ITER = 25
+_LAMBDA0 = 1e-4
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 10.0
 _LAMBDA_MAX = 1e10
 _GRAD_TOL = 1e-10   # cosine between each column of J and r
+_COST_TOL = 1e-10   # relative cost decrease
+_STEP_TOL = 1e-12   # step infinity-norm
 
 
 @dataclass
@@ -83,8 +88,9 @@ class Factor:
     def __init__(self, var_ids, residual_fn, jacobian_fn, sigma,
                  kind="factor", time_index=None):
         sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-        if np.any(sig <= 0):
-            raise ValueError(f"factor {kind!r} sigma must be positive")
+        if not np.all((sig > 0) & np.isfinite(sig)):
+            raise ValueError(f"factor {kind!r} sigma must be positive "
+                             "and finite")
         object.__setattr__(self, "var_ids", tuple(var_ids))
         object.__setattr__(self, "residual_fn", residual_fn)
         object.__setattr__(self, "jacobian_fn", jacobian_fn)
@@ -255,8 +261,7 @@ class FactorGraph:
             row0 += k
         return r, J
 
-    def solve(self, options: Optional[SolverOptions] = None) -> SolveReport:
-        opts = options or SolverOptions()
+    def solve(self) -> SolveReport:
         factors = self._active_factors()
         free = [v for v in self.variables.values() if not v.fixed]
         offsets, n_cols = {}, 0
@@ -272,12 +277,12 @@ class FactorGraph:
         if n_cols == 0 or n_rows == 0:
             return report
 
-        lam = opts.lambda0
+        lam = _LAMBDA0
         cost = initial_cost
         stopped_by = "max_iter"
         singular = False
         iterations = 0
-        for _ in range(opts.max_iter):
+        for _ in range(_MAX_ITER):
             iterations += 1
             r, J = self._assemble(factors, offsets, n_cols,
                                   current.weighted)
@@ -300,7 +305,7 @@ class FactorGraph:
                 step = self._try_step(H, g, trial, damp_base)
                 if step is None:
                     singular = True
-                    trial = lam if trial == 0.0 else trial * opts.lambda_up
+                    trial = lam if trial == 0.0 else trial * _LAMBDA_UP
                     continue
                 before = [(v, v.value) for v in free]
                 for v in free:
@@ -314,9 +319,9 @@ class FactorGraph:
                     break
                 for v, old in before:
                     v.value = old
-                trial = lam if trial == 0.0 else trial * opts.lambda_up
+                trial = lam if trial == 0.0 else trial * _LAMBDA_UP
             if accepted and trial > 0.0:
-                lam = max(trial / opts.lambda_down, opts.lambda0)
+                lam = max(trial / _LAMBDA_DOWN, _LAMBDA0)
             if not accepted:
                 # No descent step exists within damping range: cost decrease is
                 # zero, which meets the convergence criterion.
@@ -324,10 +329,10 @@ class FactorGraph:
                 break
             drop = cost - new_cost
             cost = new_cost
-            if drop <= opts.cost_tol * max(cost, 1e-30):
+            if drop <= _COST_TOL * max(cost, 1e-30):
                 stopped_by = "cost"
                 break
-            if float(np.abs(step).max()) <= opts.step_tol:
+            if float(np.abs(step).max()) <= _STEP_TOL:
                 stopped_by = "step"
                 break
 

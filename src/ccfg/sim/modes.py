@@ -48,6 +48,7 @@ import numpy as np
 from .world import SimWorld
 
 ACTIVE_LABELS = ("stick", "slide_pos", "slide_neg")
+ACTIVATION_BAND = 1e-3   # m; contacts closer than this are candidates
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def _hand_options(sw: SimWorld, band: float,
     return options
 
 
-def enumerate_modes(sw: SimWorld, band: float = 1e-3,
+def enumerate_modes(sw: SimWorld, band: float = ACTIVATION_BAND,
                     suppress_overlaps: bool = True) -> list:
     """All mode hypotheses consistent with current proximity.
 

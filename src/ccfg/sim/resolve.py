@@ -60,16 +60,14 @@ import functools
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
 from numpy.linalg import _umath_linalg
 
-from ..config import SimConfig
 from ..core import PlanarPose, Wrench2, cross2, wrap_angle
 from ..errors import JammedConfiguration, NoFeasibleMode
-from .modes import ContactModeHypothesis, enumerate_modes
+from .modes import ACTIVATION_BAND, ContactModeHypothesis, enumerate_modes
 from .world import SimWorld
 
 _OBJ, _HAND, _WORLD = 0, 1, 2          # bodies; the world has no unknowns
@@ -91,6 +89,7 @@ _GELSY, _GELSY_LWORK = scipy.linalg.get_lapack_funcs(
     ("gelsy", "gelsy_lwork"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
 _SLOTS = 512          # contact slots per batch; keeps its arrays near 1 MB
+_FORCE_BOUND = 1e5    # N; beyond this a mode counts as jammed
 
 
 @dataclass(frozen=True)
@@ -531,7 +530,7 @@ def _screen(ref, batch, z, res):
                      for k, i in enumerate(conv) if not early[k]}
 
 
-def _check_trial(sw, hyp, rows, z, cfg):
+def _check_trial(sw, hyp, rows, z):
     """The remaining feasibility checks of a member that passed _screen.
 
     Returns ("", (forces, end state)) when it passes, with the tangential
@@ -549,7 +548,7 @@ def _check_trial(sw, hyp, rows, z, cfg):
         if row[_S] == 0:
             groups.setdefault(iface, []).append(i)
     for fn_sum, ft_sum in totals.values():
-        if max(abs(fn_sum), abs(ft_sum)) > cfg.force_bound:
+        if max(abs(fn_sum), abs(ft_sum)) > _FORCE_BOUND:
             return "force_bound", None
     sums = {iface: (sum(forces[i][0] for i in idxs),
                     sum(forces[i][1] for i in idxs))
@@ -623,7 +622,7 @@ def _inconsistent(weight, lines) -> bool:
     return float(np.linalg.norm(A @ f - b)) > 1e-6 * math.sqrt(len(A))
 
 
-def _solve_pass(sw, target, hyps, cfg):
+def _solve_pass(sw, target, hyps):
     """Solve and screen one enumeration pass, one trial per hypothesis.
 
     Hypotheses whose world contacts cannot balance the weight are rejected
@@ -659,7 +658,7 @@ def _solve_pass(sw, target, hyps, cfg):
             k, reason, sol = len(rows[i]), reasons[j], None
             if not reason:
                 reason, passed = _check_trial(sw, hyps[i], rows[i],
-                                              z[j, :6 + 2 * k], cfg)
+                                              z[j, :6 + 2 * k])
             if not reason:
                 slips = geometry[j][2][:k].tolist()
                 sol = {"rows": rows[i], "passed": passed,
@@ -707,14 +706,13 @@ def _finish(sw, chosen, trials) -> ModeSolution:
         screened=sum(t.evaluations == 0 for t in trials))
 
 
-def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
-                 config: Optional[SimConfig] = None) -> ModeSolution:
+def resolve_mode(sw: SimWorld, target: PlanarPose,
+                 hypotheses=None) -> ModeSolution:
     """Pick and solve the contact mode for one impedance target."""
-    cfg = config or SimConfig()
     expandable = hypotheses is None
     if hypotheses is None:
-        hypotheses = enumerate_modes(sw, cfg.activation_band)
-    trials = _solve_pass(sw, target, list(hypotheses), cfg)
+        hypotheses = enumerate_modes(sw)
+    trials = _solve_pass(sw, target, list(hypotheses))
     seen = set(hypotheses)
 
     def feasible():
@@ -724,13 +722,13 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
         fresh = [h for h in enumerate_modes(sw, band, suppress_overlaps=False)
                  if h not in seen]
         seen.update(fresh)
-        trials.extend(_solve_pass(sw, target, fresh, cfg))
+        trials.extend(_solve_pass(sw, target, fresh))
 
     if not feasible() and expandable:
         # a flush candidate may have suppressed the very point-slide label the
         # command needs (e.g. the hand rotating off a face it started flush
         # with), so retry with the full label set before giving up
-        widen(cfg.activation_band)
+        widen(ACTIVATION_BAND)
 
     if not feasible() and expandable:
         # the proximity band only sees contacts that are already close, but a
@@ -745,7 +743,7 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
             verts - verts.mean(axis=0), axis=1)))
         reach = dp + dth * (sw.hand.half_length + 2.0 * radius)
         if reach > 0.0:
-            widen(cfg.activation_band + reach)
+            widen(ACTIVATION_BAND + reach)
 
     ok = feasible()
     if not ok:
@@ -753,7 +751,7 @@ def resolve_mode(sw: SimWorld, target: PlanarPose, hypotheses=None,
         if any(t.reason == "force_bound" for t in trials):
             raise JammedConfiguration(
                 f"all {len(trials)} mode hypotheses infeasible, contact force "
-                f"bound {cfg.force_bound:g} N exceeded", diagnostics=diag)
+                f"bound {_FORCE_BOUND:g} N exceeded", diagnostics=diag)
         raise NoFeasibleMode(
             f"no feasible contact mode among {len(trials)} hypotheses",
             diagnostics=diag)

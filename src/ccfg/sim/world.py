@@ -1,5 +1,6 @@
 """Ground-truth plant state."""
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -34,16 +35,24 @@ class SimWorld:
     contact_label: Optional[dict] = None        # resolved mode of the last step
 
     def __post_init__(self):
+        # plain comparisons, false for NaN: with_poses runs this per trial
         com = np.asarray(self.com, dtype=float).copy()
+        if not all(-math.inf < v < math.inf for v in com.tolist()):
+            raise ValueError("com must be finite")
         com.flags.writeable = False
         object.__setattr__(self, "com", com)
         k = np.asarray(self.stiffness, dtype=float).copy()
-        if k.shape != (3,) or np.any(k <= 0):
-            raise ValueError("stiffness must be 3 positive diagonal entries")
+        if k.shape != (3,) or not all(0 < v < math.inf for v in k.tolist()):
+            raise ValueError("stiffness must be 3 positive finite diagonal "
+                             "entries")
         k.flags.writeable = False
         object.__setattr__(self, "stiffness", k)
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not 0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if not all(0 <= mu < math.inf
+                   for mu in (self.mu_hand, self.mu_ground, self.mu_wall)):
+            raise ValueError("friction coefficients must be non-negative "
+                             "and finite")
 
     # -- derived geometry ---------------------------------------------------
 

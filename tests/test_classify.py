@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccfg.config import ClassifierConfig, NoiseConfig
+from ccfg.config import NoiseConfig
 from ccfg.core import (HandModel, PlanarPose, PolygonModel, Wall, WorldModel,
                        Wrench2, hand_normal, hand_tangent)
 from ccfg.errors import InsufficientHistory
@@ -17,6 +17,7 @@ from ccfg.estimator import (ContactConfiguration, EstimateView, Flush,
                             classify_ground, classify_hand, classify_slip,
                             classify_wall, flush_vs_point_likelihood,
                             from_sim_truth, ingest, new_cone_estimate)
+from ccfg.estimator.classify import FORCE_THRESHOLD, HYSTERESIS_FRAMES
 from ccfg.estimator.friction import ConeConstraint, WrenchConeEstimate
 from ccfg.sim import SimWorld, step
 
@@ -259,27 +260,28 @@ def test_slip_labels_need_motion_and_boundary_load():
 
 
 def test_label_filter_debounces_single_frame_blips():
-    filt = LabelFilter(ClassifierConfig(hysteresis_frames=3))
+    filt = LabelFilter()
     a = ContactConfiguration(Flush(2), Flush(0), None, "stick", "stick")
     b = ContactConfiguration(None, Flush(0), WallContact(0, 1), "stick",
                              "slide_pos")
     assert filt.update(a) == a
-    assert filt.update(b) == a          # 1st discrepant frame
+    for _ in range(HYSTERESIS_FRAMES - 1):
+        assert filt.update(b) == a      # discrepant, not yet long enough
     assert filt.update(a) == a          # blip cancelled
-    assert filt.update(b) == a
-    assert filt.update(b) == a
-    out = filt.update(b)                # 3rd consecutive: switches
+    for _ in range(HYSTERESIS_FRAMES - 1):
+        assert filt.update(b) == a
+    out = filt.update(b)                # the run is long enough: switches
     assert out == b
 
 
 def test_label_filter_fields_switch_independently():
-    filt = LabelFilter(ClassifierConfig(hysteresis_frames=2))
+    filt = LabelFilter()
     a = ContactConfiguration(Flush(2), Flush(0), None, "stick", "stick")
     c = ContactConfiguration(Flush(2), Flush(0), WallContact(0, 1),
                              "slide_neg", "stick")
     filt.update(a)
-    filt.update(c)
-    out = filt.update(c)
+    for _ in range(HYSTERESIS_FRAMES):
+        out = filt.update(c)
     assert out.wall_contact == WallContact(0, 1)
     assert out.hand_slip == "slide_neg"
     assert out.hand_geometry == Flush(2)
@@ -308,13 +310,17 @@ def test_from_sim_truth_mapping():
 
 @settings(max_examples=80, deadline=None)
 @given(fx=st.floats(-8, 8), fy=st.floats(-8, 0.0), tau=st.floats(-0.3, 0.3),
-       thr_lo=st.floats(0.5, 4.0), bump=st.floats(0.0, 4.0))
-def test_force_threshold_monotone(fx, fy, tau, thr_lo, bump):
+       scale=st.floats(0.0, 1.0))
+def test_force_threshold_monotone(fx, fy, tau, scale):
+    # no contact below the threshold force, and a wrench scaled down from
+    # one read as no contact stays no contact
     pose = PlanarPose([0.0, 0.08], 0.0)
-    w = Wrench2([fx, fy], tau, pose.position)
-    lo = classify_hand(w, pose, box_view(),
-                       ClassifierConfig(force_threshold=thr_lo))
-    hi = classify_hand(w, pose, box_view(),
-                       ClassifierConfig(force_threshold=thr_lo + bump))
-    if lo is None:
-        assert hi is None
+
+    def label(s):
+        w = Wrench2([s * fx, s * fy], s * tau, pose.position)
+        return classify_hand(w, pose, box_view())
+
+    full = label(1.0)
+    assert (full is None) == (np.hypot(fx, fy) < FORCE_THRESHOLD)
+    if full is None:
+        assert label(scale) is None

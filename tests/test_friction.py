@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccfg.config import FrictionEstConfig
 from ccfg.core import Wrench2
 from ccfg.errors import NotReady
 from ccfg.estimator import (ConeConstraint, WrenchConeEstimate,
                             check_violation, ingest, new_cone_estimate,
                             violation_threshold)
+from ccfg.estimator.friction import BUFFER_SIZE, MIN_SAMPLES
 
 SCALE = 0.05  # m, hand half-length used as the torque normalizer
 
@@ -28,11 +28,10 @@ def cone_wrenches(rng, n, mu, sigma_force=0.0, sigma_torque=0.0):
     return [Wrench2(force[i], tau[i]) for i in range(n)]
 
 
-def fit_from(wrenches, config=None):
+def fit_from(wrenches):
     est = new_cone_estimate("ground", SCALE)
     for w in wrenches:
-        est = ingest(est, w, "ground", external_contact_allowed=False,
-                     config=config)
+        est = ingest(est, w, "ground", external_contact_allowed=False)
     return est
 
 
@@ -133,11 +132,13 @@ def test_in_cone_samples_within_noise_bound():
 
 
 def test_ring_buffer_caps_and_counts():
-    cfg = FrictionEstConfig(buffer_size=50)
     rng = np.random.default_rng(5)
-    est = fit_from(cone_wrenches(rng, 120, 0.3), config=cfg)
-    assert est.samples.shape == (50, 3)
-    assert est.sample_count == 120
+    ws = cone_wrenches(rng, BUFFER_SIZE + 100, 0.3)
+    est = fit_from(ws)
+    assert est.samples.shape == (BUFFER_SIZE, 3)
+    assert est.sample_count == BUFFER_SIZE + 100
+    # the buffer keeps the newest samples
+    assert est.samples[0, 0] == ws[100].force[0]
 
 
 def test_freeze_before_ready_stays_not_ready():
@@ -176,7 +177,7 @@ def test_fit_properties_random_streams(seed, n, mu):
     assert len(est.constraints) in (0, 4)
     for c in est.constraints:
         assert np.linalg.norm(c.normal) == pytest.approx(1.0)
-    assert est.ready == (n >= FrictionEstConfig().min_samples)
+    assert est.ready == (n >= MIN_SAMPLES)
     if not est.ready:
         return
     # every ingested wrench lies inside both force facets, and each facet is

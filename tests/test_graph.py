@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccfg.config import SolverOptions
-from ccfg.errors import DuplicateId, UnknownVariable
+from ccfg.errors import DuplicateId, SingularNormalEquations, UnknownVariable
 from ccfg.graph import Factor, FactorGraph, jacobian_check
 
 
@@ -57,6 +56,24 @@ def test_add_factor_unknown_variable():
     g.add_variable("x", 0.0)
     with pytest.raises(UnknownVariable):
         g.add_factor(linear_factor(("y",), [np.eye(1)], [0.0], 1.0))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_factor_rejects_sigma_not_positive_and_finite(sigma):
+    # nan would surface only at solve() as non-finite residuals, and inf
+    # would drop the factor from the cost without a word
+    with pytest.raises(ValueError, match="sigma"):
+        linear_factor(("x",), [np.eye(2)], [0.0, 0.0], [1.0, sigma])
+
+
+def test_nonfinite_initial_residual_raises():
+    g = FactorGraph()
+    g.add_variable("x", 0.0)
+    g.add_factor(linear_factor(("x",), [np.eye(1)], [3.0], 1.0))
+    g.add_factor(Factor(("x",), lambda x: [np.nan], lambda x: [np.eye(1)],
+                        1.0, kind="nan"))
+    with pytest.raises(SingularNormalEquations):
+        g.solve()
 
 
 def test_two_priors_average():
@@ -145,7 +162,7 @@ def test_linear_graph_matches_dense_oracle():
 def test_linear_graph_converges_in_one_iteration():
     rng = np.random.default_rng(3)
     g, _, _ = _random_linear_graph(rng, n_vars=2, n_factors=4)
-    report = g.solve(SolverOptions(lambda0=1e-12))
+    report = g.solve()
     assert report.iterations <= 2
 
 

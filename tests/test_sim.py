@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ccfg.sim.engine as engine
 import ccfg.sim.resolve as resolve
-from ccfg.config import NoiseConfig, SimConfig, ZERO_NOISE
+from ccfg.config import NoiseConfig, ZERO_NOISE
 from ccfg.core import (HandModel, PlanarPose, PolygonModel, Wall, WorldModel,
                        cross2, rotation)
 from ccfg.errors import InvariantViolation, JammedConfiguration, NoFeasibleMode
@@ -107,6 +107,23 @@ def net_wrench_residual(sw, sol):
         F = F + f
         tau += cross2(np.asarray(c.point), f)
     return float(np.hypot(*F)), float(abs(tau))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(mass=0.0), dict(mass=np.nan), dict(mass=np.inf),
+    dict(com=[np.nan, 0.0]), dict(com=[0.0, -np.inf]),
+    dict(stiffness=[600.0, np.nan, 20.0]),
+    dict(stiffness=[np.inf, 600.0, 20.0]),
+    dict(mu_hand=-0.1), dict(mu_ground=np.nan), dict(mu_wall=np.inf)])
+def test_world_rejects_nonphysical_parameters(bad):
+    # unchecked, a NaN mass or com ends as NoFeasibleMode, a NaN mu_ground as
+    # a LAPACK error and a negative mu_hand as InvariantViolation
+    with pytest.raises(ValueError):
+        make_world(PlanarPose([0.0, 0.04], 0.0), PlanarPose([0.0, 0.12], 0.0),
+                   **bad)
+    # a frictionless interface is physical
+    make_world(PlanarPose([0.0, 0.04], 0.0), PlanarPose([0.0, 0.12], 0.0),
+               mu_hand=0.0, mu_ground=0.0, mu_wall=0.0)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -496,8 +513,7 @@ def test_screened_hypotheses_never_converge():
         hyps = [h for h in enumerate_modes(sw)
                 if resolve._unbalanced(build(h), WEIGHT)]
         assert all(h.hand_label == "none" for h in hyps)
-        trials = unscreened(lambda: resolve._solve_pass(
-            sw, target, hyps, SimConfig()))
+        trials = unscreened(lambda: resolve._solve_pass(sw, target, hyps))
         assert all(t.reason == "no_converge" and t.evaluations > 0
                    for t in trials)
         screened += len(hyps)
@@ -529,11 +545,10 @@ def test_screen_rejects_only_what_newton_cannot_balance(
     hyp = ContactModeHypothesis("none", None, tuple(ground),
                                 tuple((0, v, lab) for v, lab in walls))
     target = sw.hand_pose
-    [trial] = resolve._solve_pass(sw, target, [hyp], SimConfig())
+    [trial] = resolve._solve_pass(sw, target, [hyp])
     if trial.evaluations == 0:
         assert trial.reason == "no_converge"
-        [full] = unscreened(lambda: resolve._solve_pass(
-            sw, target, [hyp], SimConfig()))
+        [full] = unscreened(lambda: resolve._solve_pass(sw, target, [hyp]))
         assert full.reason == "no_converge" and full.evaluations > 0
 
 
@@ -673,6 +688,33 @@ def test_step_raises_typed_invariant_violations(monkeypatch):
     assert res["penetration"] == pytest.approx(-1e-3, rel=1e-6)
     monkeypatch.setattr(engine, "resolve_mode", lambda *a, **k: good)
     step(sw, tgt, rng=0)
+
+    # the tolerances the step() docstring promises: balance to 1e-6 and
+    # penetration to 1e-9, each tried 1% past and 1% inside
+    ground = float(sw.with_poses(good.object_pose, good.hand_pose)
+                   .ground_gaps().min())
+
+    def sunk_by(depth):
+        pose = PlanarPose(good.object_pose.position
+                          - np.array([0.0, ground + depth]),
+                          good.object_pose.angle)
+        return dataclasses.replace(good, object_pose=pose)
+
+    edges = [("balance", 1.01e-6,
+              dataclasses.replace(good, residual_norm=1.01e-6),
+              dataclasses.replace(good, residual_norm=0.99e-6)),
+             ("penetration", -1.01e-9, sunk_by(1.01e-9), sunk_by(0.99e-9))]
+    for invariant, value, past, inside in edges:
+        monkeypatch.setattr(engine, "resolve_mode",
+                            lambda *a, sol=past, **k: sol)
+        with pytest.raises(InvariantViolation) as exc:
+            step(sw, tgt, rng=0)
+        assert exc.value.invariant == invariant
+        assert exc.value.residuals[invariant] == pytest.approx(value,
+                                                               rel=1e-4)
+        monkeypatch.setattr(engine, "resolve_mode",
+                            lambda *a, sol=inside, **k: sol)
+        step(sw, tgt, rng=0)
 
 
 # ------------------------------------------------------------ property tests

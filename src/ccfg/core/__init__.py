@@ -1,8 +1,7 @@
 """Planar geometry and contact-mechanics primitives shared by the whole toolkit."""
 
 from .hull import convex_hull, noisy_convex_hull
-from .mechanics import (FrictionResidual, TorqueConeResult,
-                        friction_complementarity_residual, torque_cone_check)
+from .mechanics import FrictionResidual, friction_complementarity_residual
 from .polygon import PolygonModel, face_normals
 from .pose import (PlanarPose, cross2, hand_normal, hand_tangent, rotate,
                    rotation, wrap_angle)
@@ -18,7 +17,6 @@ __all__ = [
     "HandModel",
     "PlanarPose",
     "PolygonModel",
-    "TorqueConeResult",
     "Wall",
     "WorldModel",
     "Wrench2",
@@ -33,7 +31,6 @@ __all__ = [
     "noisy_convex_hull",
     "rotate",
     "rotation",
-    "torque_cone_check",
     "transform_torque",
     "wrap_angle",
 ]

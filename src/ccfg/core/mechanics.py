@@ -1,13 +1,9 @@
-"""Friction complementarity and torque-cone feasibility checks."""
+"""Friction complementarity residual of one contact."""
 
 import math
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import NamedTuple
 
 from ..errors import NegativeNormalForce
-from .pose import cross2
-from .wrench import Wrench2, transform_torque
 
 NORMAL_FORCE_TOL = 1e-9
 
@@ -38,66 +34,3 @@ def friction_complementarity_residual(f_n: float, f_t: float, v_slide: float,
     else:
         comp = abs(v_slide) * max(0.0, mu * f_n - f_t * math.copysign(1.0, v_slide))
     return FrictionResidual(cone, comp)
-
-
-class TorqueConeResult(NamedTuple):
-    satisfied: bool
-    residuals: tuple  # one signed entry per reference point; >= 0 means satisfied
-
-
-def torque_cone_check(geometry: str, endpoints: Sequence, w: Wrench2,
-                      tol: float = 1e-9) -> TorqueConeResult:
-    """Check that a contact wrench keeps its center of pressure on the patch.
-
-    geometry "flush": endpoints are the patch bounds ordered along the contact
-    tangent, either (start, end) or (start_a, start_b, end_a, end_b) when hand
-    and object face overhang each other. The wrench torque about each start
-    point must keep the pressure center ahead of it, and behind each end point.
-
-    geometry "point_line": endpoints are (start, vertex, end) for a polygon
-    vertex touching a line; additionally the torque about the vertex itself
-    must vanish (the vertex is the pressure center).
-
-    Residuals come back in endpoint order, normalized so that >= 0 always means
-    satisfied regardless of which side of the patch the force acts from.
-    Equality constraints report -|torque| so the same rule applies.
-    """
-    pts = [np.asarray(p, dtype=float) for p in endpoints]
-    if geometry == "flush":
-        if len(pts) == 2:
-            n_start, n_mid = 1, 0
-        elif len(pts) == 4:
-            n_start, n_mid = 2, 0
-        else:
-            raise ValueError("flush geometry takes 2 or 4 endpoints")
-    elif geometry == "point_line":
-        if len(pts) != 3:
-            raise ValueError("point_line geometry takes (start, vertex, end)")
-        n_start, n_mid = 1, 1
-    else:
-        raise ValueError(f"unknown contact geometry {geometry!r}")
-
-    tangent = pts[-1] - pts[0]
-    span = float(np.hypot(tangent[0], tangent[1]))
-    force_scale = float(np.hypot(w.force[0], w.force[1]))
-    tol_nm = tol * max(1.0, force_scale * max(span, 1.0))
-    taus = [transform_torque(w, p).torque for p in pts]
-    # Orientation of the normal force relative to the patch tangent decides
-    # which torque sign keeps the pressure center ahead of a start point.
-    f_perp = cross2(tangent, w.force) / max(span, 1e-12)
-    if abs(f_perp) <= NORMAL_FORCE_TOL * max(1.0, force_scale):
-        # Force parallel to the patch: the torque is reference-independent and
-        # must vanish outright.
-        residuals = [-abs(t) for t in taus]
-    else:
-        s = 1.0 if f_perp > 0 else -1.0
-        residuals = []
-        for k, tau in enumerate(taus):
-            if k < n_start:
-                residuals.append(s * tau)
-            elif k < n_start + n_mid:
-                residuals.append(-abs(tau))
-            else:
-                residuals.append(-s * tau)
-    ok = all(r >= -tol_nm for r in residuals)
-    return TorqueConeResult(bool(ok), tuple(float(r) for r in residuals))

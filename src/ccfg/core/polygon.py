@@ -79,9 +79,6 @@ class PolygonModel:
         n = self.n_vertices
         return self.vertices[i % n], self.vertices[(i + 1) % n]
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        return bool(np.all(self.all_face_residuals(point) <= margin))
-
     def centroid(self) -> np.ndarray:
         verts = self.vertices
         nxt = np.roll(verts, -1, axis=0)
@@ -95,13 +92,6 @@ class PolygonModel:
         verts = self.vertices
         nxt = np.roll(verts, -1, axis=0)
         return float((verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]).sum() / 2.0)
-
-    def to_json(self) -> dict:
-        return {"vertices_m": [[float(x), float(y)] for x, y in self.vertices]}
-
-    @staticmethod
-    def from_json(d: dict) -> "PolygonModel":
-        return PolygonModel(np.asarray(d["vertices_m"], dtype=float))
 
     def __eq__(self, other):
         if not isinstance(other, PolygonModel):

@@ -93,10 +93,6 @@ class PlanarPose:
         return {"x_m": float(self.position[0]), "y_m": float(self.position[1]),
                 "theta_rad": float(self.angle)}
 
-    @staticmethod
-    def from_json(d: dict) -> "PlanarPose":
-        return PlanarPose(np.array([d["x_m"], d["y_m"]]), d["theta_rad"])
-
     def __eq__(self, other):
         if not isinstance(other, PlanarPose):
             return NotImplemented

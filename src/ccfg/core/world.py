@@ -3,8 +3,6 @@
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 GRAVITY_ACCEL = 9.81  # m/s^2, acting along -y
 
 
@@ -18,13 +16,6 @@ class Wall:
     def __post_init__(self):
         if self.facing not in (-1, 1):
             raise ValueError("wall facing must be +1 or -1")
-
-    def to_json(self) -> dict:
-        return {"x_m": float(self.x), "facing": int(self.facing)}
-
-    @staticmethod
-    def from_json(d: dict) -> "Wall":
-        return Wall(float(d["x_m"]), int(d["facing"]))
 
 
 @dataclass(frozen=True)
@@ -41,29 +32,6 @@ class WorldModel:
             raise ValueError("at most two walls supported")
         object.__setattr__(self, "walls", walls)
 
-    @property
-    def ground_normal(self) -> np.ndarray:
-        return np.array([0.0, 1.0])
-
-    @property
-    def ground_tangent(self) -> np.ndarray:
-        return np.array([1.0, 0.0])
-
-    def to_json(self) -> dict:
-        return {
-            "ground_height_m": float(self.ground_height),
-            "walls": [w.to_json() for w in self.walls],
-            "gravity_mps2": float(self.gravity),
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "WorldModel":
-        return WorldModel(
-            ground_height=float(d.get("ground_height_m", 0.0)),
-            walls=tuple(Wall.from_json(w) for w in d.get("walls", [])),
-            gravity=float(d.get("gravity_mps2", GRAVITY_ACCEL)),
-        )
-
 
 @dataclass(frozen=True)
 class HandModel:
@@ -74,13 +42,6 @@ class HandModel:
     def __post_init__(self):
         if not (self.half_length > 0):
             raise ValueError("hand half_length must be positive")
-
-    def to_json(self) -> dict:
-        return {"half_length_m": float(self.half_length)}
-
-    @staticmethod
-    def from_json(d: dict) -> "HandModel":
-        return HandModel(float(d["half_length_m"]))
 
 
 @dataclass(frozen=True)
@@ -108,13 +69,6 @@ class GravityParams:
         """Build from mass and object-frame center-of-mass offset from the pivot."""
         dx, dy = float(com_offset[0]), float(com_offset[1])
         return GravityParams(alpha=-mass * gravity * dx, beta=mass * gravity * dy)
-
-    def to_json(self) -> dict:
-        return {"alpha_nm": float(self.alpha), "beta_nm": float(self.beta)}
-
-    @staticmethod
-    def from_json(d: dict) -> "GravityParams":
-        return GravityParams(float(d["alpha_nm"]), float(d["beta_nm"]))
 
 
 def gravity_torque(gp: GravityParams, theta_o: float) -> float:

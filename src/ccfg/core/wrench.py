@@ -1,5 +1,6 @@
 """Planar wrenches, reference-point changes, and center of pressure."""
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,24 +16,24 @@ COP_FORCE_EPS = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Wrench2:
-    """Planar wrench: force (N), torque (N*m), and the world point the torque is about."""
+    """Planar wrench: force (N), torque (N*m), and the world point the torque
+    is about; every field finite."""
 
     force: np.ndarray
     torque: float
     reference: np.ndarray
 
     def __init__(self, force, torque: float, reference=(0.0, 0.0)):
-        object.__setattr__(self, "force", _frozen_vec2(force))
-        object.__setattr__(self, "torque", float(torque))
-        object.__setattr__(self, "reference", _frozen_vec2(reference))
-
-    def __add__(self, other: "Wrench2") -> "Wrench2":
-        """Sum of two wrenches, expressed about self.reference."""
-        o = transform_torque(other, self.reference)
-        return Wrench2(self.force + o.force, self.torque + o.torque, self.reference)
-
-    def __neg__(self) -> "Wrench2":
-        return Wrench2(-self.force, -self.torque, self.reference)
+        force, reference = _frozen_vec2(force), _frozen_vec2(reference)
+        torque = float(torque)
+        # plain comparisons, false for NaN
+        if not all(-math.inf < v < math.inf
+                   for v in (*force.tolist(), torque, *reference.tolist())):
+            raise ValueError("wrench force, torque and reference must be "
+                             "finite")
+        object.__setattr__(self, "force", force)
+        object.__setattr__(self, "torque", torque)
+        object.__setattr__(self, "reference", reference)
 
     def to_json(self) -> dict:
         return {
@@ -40,11 +41,6 @@ class Wrench2:
             "torque_nm": float(self.torque),
             "reference_m": [float(self.reference[0]), float(self.reference[1])],
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "Wrench2":
-        return Wrench2(np.asarray(d["force_n"], dtype=float), d["torque_nm"],
-                       np.asarray(d["reference_m"], dtype=float))
 
     def __eq__(self, other):
         if not isinstance(other, Wrench2):

@@ -68,6 +68,5 @@ class UnknownVariable(CcfgError):
 class SingularNormalEquations(CcfgError):
     """FactorGraph.solve found non-finite residuals at its initial point.
 
-    A singular or rank-deficient H does not raise: it sets
-    SolveReport.singular and the damped steps go on.
+    A singular or rank-deficient H does not raise: the damped steps go on.
     """

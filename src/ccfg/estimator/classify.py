@@ -91,10 +91,6 @@ class WallContact:
         return {"kind": "wall", "wall_id": self.wall_id, "vertex": self.vertex}
 
 
-def _label_json(label):
-    return None if label is None else label.to_json()
-
-
 @dataclass(frozen=True)
 class ContactConfiguration:
     hand_geometry: object          # None | Flush | ObjectLineHandPoint | ObjectPointHandLine
@@ -102,13 +98,6 @@ class ContactConfiguration:
     wall_contact: Optional[WallContact]
     hand_slip: str                 # "stick" | "slide_pos" | "slide_neg"
     ground_slip: str
-
-    def to_json(self):
-        return {"hand_geometry": _label_json(self.hand_geometry),
-                "ground_geometry": _label_json(self.ground_geometry),
-                "wall_contact": _label_json(self.wall_contact),
-                "hand_slip": self.hand_slip,
-                "ground_slip": self.ground_slip}
 
 
 @dataclass(frozen=True)

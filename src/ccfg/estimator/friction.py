@@ -14,9 +14,9 @@ the constraints, as the robust successive-difference scale
 1.4826 * median|dw| / sqrt(2) of each scaled wrench component, taking the
 largest component. Facet normals are unit vectors, so it bounds the noise of
 every facet reading. It is floored at NOISE_FLOOR_REL of the median buffered
-force, so a noise-free run still tests against a nonzero threshold. The value
-is frozen and serialized with the constraints: a reloaded cone has no samples
-left to estimate it from.
+force, so a noise-free run still tests against a nonzero threshold. Freezing
+the estimate freezes noise_sigma with the constraints, so the wall test keeps
+the scale of the ground phase it was fit in.
 
 The fit works on normalized force rays. Each buffered wrench contributes its
 unit force direction, measured as an angle from the mean direction; the two
@@ -26,6 +26,7 @@ force magnitude, tilted along the mean force direction so the bound grows
 with load like a proper cone facet.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,11 +59,6 @@ class ConeConstraint:
     def to_json(self) -> dict:
         return {"normal": [float(v) for v in self.normal],
                 "offset": float(self.offset)}
-
-    @staticmethod
-    def from_json(d: dict) -> "ConeConstraint":
-        return ConeConstraint(np.asarray(d["normal"], dtype=float),
-                              float(d["offset"]))
 
 
 @dataclass(frozen=True)
@@ -97,29 +93,10 @@ class WrenchConeEstimate:
     def ready(self) -> bool:
         return len(self.constraints) > 0
 
-    def to_json(self) -> dict:
-        return {"context": self.context,
-                "scale_length": float(self.scale_length),
-                "frozen": self.frozen,
-                "sample_count": self.sample_count,
-                "noise_sigma": float(self.noise_sigma),
-                "constraints": [c.to_json() for c in self.constraints]}
-
-    @staticmethod
-    def from_json(d: dict) -> "WrenchConeEstimate":
-        return WrenchConeEstimate(
-            context=d["context"],
-            scale_length=float(d["scale_length"]),
-            constraints=tuple(ConeConstraint.from_json(c)
-                              for c in d["constraints"]),
-            frozen=bool(d["frozen"]),
-            sample_count=int(d["sample_count"]),
-            noise_sigma=float(d["noise_sigma"]))
-
 
 def new_cone_estimate(context: str, scale_length: float) -> WrenchConeEstimate:
-    if scale_length <= 0:
-        raise ValueError("scale_length must be positive")
+    if not 0 < scale_length < math.inf:
+        raise ValueError("scale_length must be positive and finite")
     return WrenchConeEstimate(context=context, scale_length=scale_length)
 
 

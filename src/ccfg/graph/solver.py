@@ -115,7 +115,6 @@ class SolveReport:
     # "gradient", "cost", "step", "no_descent", "max_iter", or "empty" (no
     # free columns or no residual rows); see the module docstring
     stopped_by: str
-    singular: bool = False
 
 
 @dataclass
@@ -280,7 +279,6 @@ class FactorGraph:
         lam = _LAMBDA0
         cost = initial_cost
         stopped_by = "max_iter"
-        singular = False
         iterations = 0
         for _ in range(_MAX_ITER):
             iterations += 1
@@ -289,8 +287,6 @@ class FactorGraph:
             H = J.T @ J
             g = J.T @ r
             diag = np.diag(H).copy()
-            if np.any(diag < _DIAG_FLOOR):
-                singular = True
             damp_base = np.maximum(diag, _DIAG_FLOOR)
             if np.all(np.abs(g) <= _GRAD_TOL * math.sqrt(cost) * np.sqrt(diag)):
                 stopped_by = "gradient"
@@ -304,7 +300,6 @@ class FactorGraph:
             while trial <= _LAMBDA_MAX:
                 step = self._try_step(H, g, trial, damp_base)
                 if step is None:
-                    singular = True
                     trial = lam if trial == 0.0 else trial * _LAMBDA_UP
                     continue
                 before = [(v, v.value) for v in free]
@@ -340,7 +335,6 @@ class FactorGraph:
         report.final_cost = cost
         report.converged = stopped_by != "max_iter"
         report.stopped_by = stopped_by
-        report.singular = singular
         return report
 
     @staticmethod
@@ -354,20 +348,3 @@ class FactorGraph:
         if not np.all(np.isfinite(step)):
             return None
         return step
-
-    # -- debugging ---------------------------------------------------------
-
-    def dump(self) -> dict:
-        return {
-            "variables": {
-                vid: {"value": v.value.tolist(), "time_index": v.time_index,
-                      "fixed": v.fixed}
-                for vid, v in self.variables.items()
-            },
-            "factors": [
-                {"kind": f.kind, "vars": list(f.var_ids),
-                 "residual": f.residual(*self._values_of(f)).tolist(),
-                 "sigma": f.sigma.tolist()}
-                for f in self.factors
-            ],
-        }

@@ -9,7 +9,7 @@ from ..core import PlanarPose
 from ..core.mechanics import friction_complementarity_residual
 from ..errors import InvariantViolation
 from .measure import synthesize_measurements
-from .resolve import ModeSolution, resolve_mode
+from .resolve import PENETRATION_TOL, ModeSolution, resolve_mode
 from .world import SimWorld
 
 DT = 0.01             # s per step
@@ -31,7 +31,7 @@ def step(sw: SimWorld, impedance_target: PlanarPose,
     if noise is None:
         noise = ZERO_NOISE
     depth = sw.penetration_depth()
-    if depth < -1e-9:
+    if depth < -PENETRATION_TOL:
         raise ValueError(f"current state penetrates by {-depth:g} m; "
                          "step requires a non-penetrating state")
     sol = resolve_mode(sw, impedance_target)
@@ -73,7 +73,7 @@ def _check_invariants(sw: SimWorld, sol: ModeSolution,
                                f"complementarity violated at {c.iface}: "
                                f"{r.comp_violation:g}"))
     depth = new_world.penetration_depth()
-    if depth < -1e-9:
+    if depth < -PENETRATION_TOL:
         failed.append(("penetration", f"penetrates by {-depth:g} m"))
     if failed:
         invariant, message = failed[0]

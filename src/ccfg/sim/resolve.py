@@ -89,6 +89,11 @@ _GELSY, _GELSY_LWORK = scipy.linalg.get_lapack_funcs(
     ("gelsy", "gelsy_lwork"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
 _SLOTS = 512          # contact slots per batch; keeps its arrays near 1 MB
+_NEWTON_TOL = 1e-10   # max |R| at which a Newton member has converged
+_NEWTON_MAX_ITER = 40  # steps before an unconverged member is given up
+# m; deepest penetration a resolved state may keep. engine.step checks its
+# input and output against the same bound.
+PENETRATION_TOL = 1e-9
 _FORCE_BOUND = 1e5    # N; beyond this a mode counts as jammed
 
 
@@ -445,7 +450,7 @@ def _steps(R, J, counts, min_norm):
     return dz
 
 
-def _newton(ref, batch, tol=1e-10, max_iter=40):
+def _newton(ref, batch):
     """Newton iteration from zero on every member of a batch at once.
 
     Returns the iterates (N, n), the final max |R| (inf when diverged) and
@@ -457,11 +462,12 @@ def _newton(ref, batch, tol=1e-10, max_iter=40):
     evaluations = np.zeros(N, dtype=int)
     live, b = np.arange(N), batch
     with np.errstate(all="ignore"):   # non-finite members are dropped below
-        for it in range(max_iter + 1):
+        for it in range(_NEWTON_MAX_ITER + 1):
             R, J = _system(z[live], ref, b)
             r = np.abs(R).max(axis=1)
             keep = np.isfinite(r)
-            done = keep & (r <= tol) if it < max_iter else keep
+            done = keep & (r <= _NEWTON_TOL) \
+                if it < _NEWTON_MAX_ITER else keep
             res[live[done]] = r[done]
             keep &= ~done
             if keep.any():
@@ -571,7 +577,7 @@ def _check_trial(sw, hyp, rows, z):
         if min(hi, sw.hand.half_length) - max(lo, -sw.hand.half_length) <= 1e-9:
             return "patch_gone", None
 
-    if end.penetration_depth() < -1e-9:
+    if end.penetration_depth() < -PENETRATION_TOL:
         return "penetration", None
     Rm = end.object_pose.rotation
     for tip in end.hand_tips():

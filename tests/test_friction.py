@@ -53,12 +53,13 @@ def test_frozen_ingest_is_identity():
     est = fit_from(cone_wrenches(np.random.default_rng(0), 30, 0.5))
     frozen = ingest(est, Wrench2([0.0, 5.0], 0.0), "ground", True)
     assert frozen.frozen
+    # freezing keeps a positive threshold for the wall test
+    assert violation_threshold(frozen) > 0
     again = ingest(frozen, Wrench2([50.0, -3.0], 2.0), "ground", True)
     assert again is frozen
-    # byte identical through any number of frozen ingests, learning or not
+    # the same object through any number of frozen ingests, learning or not
     third = ingest(again, Wrench2([1.0, 1.0], 0.0), "ground", False)
     assert third is frozen
-    assert third.to_json() == frozen.to_json()
 
 
 def test_warmup_guard_below_twenty_samples():
@@ -150,21 +151,11 @@ def test_freeze_before_ready_stays_not_ready():
         check_violation(est, Wrench2([0.0, 3.0], 0.0))
 
 
-def test_json_round_trip():
-    rng = np.random.default_rng(6)
-    est = fit_from(cone_wrenches(rng, 60, 0.4))
-    back = WrenchConeEstimate.from_json(est.to_json())
-    assert back.context == est.context
-    assert back.sample_count == est.sample_count
-    # a reloaded cone has no samples, so it must carry its noise estimate to
-    # run the same wall test as the original
-    assert est.noise_sigma > 0
-    assert back.noise_sigma == est.noise_sigma
-    assert violation_threshold(back) == violation_threshold(est)
-    assert len(back.constraints) == len(est.constraints)
-    for a, b in zip(back.constraints, est.constraints):
-        np.testing.assert_allclose(a.normal, b.normal)
-        assert a.offset == b.offset
+@pytest.mark.parametrize("scale", [0.0, -SCALE, math.nan, math.inf,
+                                   -math.inf])
+def test_cone_rejects_scale_not_positive_and_finite(scale):
+    with pytest.raises(ValueError):
+        new_cone_estimate("ground", scale)
 
 
 @settings(max_examples=60, deadline=None)

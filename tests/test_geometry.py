@@ -32,7 +32,6 @@ def test_pose_vector_roundtrip():
     p = PlanarPose((0.3, -0.2), 0.7)
     q = PlanarPose.from_vector(p.as_vector())
     assert q == p
-    assert PlanarPose.from_json(p.to_json()) == p
 
 
 def test_pose_rejects_nonfinite_angle():
@@ -74,12 +73,8 @@ def test_polygon_rejects_clockwise_and_nonconvex():
         PolygonModel([(0, 0), (1, 1)])                    # too few
 
 
-def test_polygon_contains_and_json_roundtrip():
+def test_polygon_area_and_centroid():
     poly = PolygonModel([(0, 0), (2, 0), (2, 1), (0, 1)])
-    assert poly.contains((1.0, 0.5))
-    assert not poly.contains((2.1, 0.5))
-    assert poly.contains((2.05, 0.5), margin=0.1)
-    assert PolygonModel.from_json(poly.to_json()) == poly
     assert poly.area() == pytest.approx(2.0)
     np.testing.assert_allclose(poly.centroid(), [1.0, 0.5], atol=1e-12)
 
@@ -103,9 +98,7 @@ def test_polygon_from_hull_satisfies_face_invariants(raw):
 
 
 def test_world_model_validation():
-    w = WorldModel(ground_height=0.1, walls=(Wall(0.5, -1),))
-    assert w.ground_normal @ w.ground_tangent == 0
-    assert WorldModel.from_json(w.to_json()) == w
+    assert WorldModel(walls=[Wall(0.5, -1)]).walls == (Wall(0.5, -1),)
     with pytest.raises(ValueError):
         WorldModel(walls=(Wall(0, 1), Wall(1, 1), Wall(2, -1)))
     with pytest.raises(ValueError):

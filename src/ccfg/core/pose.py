@@ -68,10 +68,13 @@ class PlanarPose:
     angle: float
 
     def __init__(self, position, angle: float):
-        if not math.isfinite(angle):
-            raise ValueError("pose angle must be finite")
-        object.__setattr__(self, "position", _frozen_vec2(position))
-        object.__setattr__(self, "angle", wrap_angle(float(angle)))
+        position, angle = _frozen_vec2(position), float(angle)
+        # plain comparisons, false for NaN
+        if not all(-math.inf < v < math.inf
+                   for v in (*position.tolist(), angle)):
+            raise ValueError("pose position and angle must be finite")
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "angle", wrap_angle(angle))
 
     @property
     def rotation(self) -> np.ndarray:

@@ -65,7 +65,7 @@ class UnknownVariable(CcfgError):
     """A factor references a variable id that does not exist."""
 
 
-class SingularNormalEquations(CcfgError):
+class NonFiniteResidual(CcfgError):
     """FactorGraph.solve found non-finite residuals at its initial point.
 
     A singular or rank-deficient H does not raise: the damped steps go on.

@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import DuplicateId, SingularNormalEquations, UnknownVariable
+from ..errors import DuplicateId, NonFiniteResidual, UnknownVariable
 
 _DIAG_FLOOR = 1e-12
 _MAX_ITER = 25
@@ -271,7 +271,7 @@ class FactorGraph:
         n_rows = sum(w.size for w in current.weighted)
         initial_cost = current.cost
         if not math.isfinite(initial_cost):
-            raise SingularNormalEquations("non-finite residuals at initial point")
+            raise NonFiniteResidual("non-finite residuals at initial point")
         report = SolveReport(0, initial_cost, initial_cost, True, "empty")
         if n_cols == 0 or n_rows == 0:
             return report

@@ -295,8 +295,9 @@ def enumerate_modes(sw: SimWorld, band: float = ACTIVATION_BAND,
     With suppress_overlaps a flush candidate strips the slide labels from the
     point candidates it covers (a point sliding along a face it is flush with
     duplicates the flush slide).  Commands that rotate the hand off the face
-    within one step need those labels back; the resolver re-enumerates with
-    suppression off when every suppressed hypothesis is infeasible.
+    within one step need those labels back: when no hypothesis of the default
+    call is feasible, the resolver's one fallback pass re-enumerates with
+    suppression off and the band widened by the commanded reach.
     """
     n = sw.polygon.n_vertices
     ground_opts = _pair_options(_ground_candidates(sw, band), n,

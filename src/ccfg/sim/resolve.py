@@ -46,14 +46,21 @@ member, padding slots add exact zeros), and such a member ends no_converge
 whether it diverges or stalls, so every other trial and every reason come
 out as without the screen.
 
+Only when no trial of the first pass, over enumerate_modes(sw), is feasible
+does one fallback pass run, over the hypotheses it has not tried with the
+suppressed slide labels restored and the band grown by the commanded reach.
+A member's trial depends only on its own iterate, so a hypothesis comes out
+the same in either pass and in any batch: the fallback finds exactly the
+feasible modes of the wider enumeration.
+
 Among the hypotheses that survive all feasibility checks the resolver picks
 the one with minimal slip dissipation (sum of squared tangential relative
 displacements).  Among modes within 1e-13 of the least it prefers more
 sticking contacts, then fewer active contacts, then the lesser repr of
 to_json(): a key of the hypothesis alone, so the choice does not depend on
 the order the hypotheses are listed in.  The repr is unique among feasible
-trials, which all come from one pass (a wider pass runs only when the last
-found nothing), and a pass has at most one flush candidate per face.
+trials, which all come from one pass (the fallback runs only when the first
+pass found nothing), and a pass has at most one flush candidate per face.
 """
 
 import functools
@@ -712,46 +719,27 @@ def _finish(sw, chosen, trials) -> ModeSolution:
         screened=sum(t.evaluations == 0 for t in trials))
 
 
-def resolve_mode(sw: SimWorld, target: PlanarPose,
-                 hypotheses=None) -> ModeSolution:
+def resolve_mode(sw: SimWorld, target: PlanarPose) -> ModeSolution:
     """Pick and solve the contact mode for one impedance target."""
-    expandable = hypotheses is None
-    if hypotheses is None:
-        hypotheses = enumerate_modes(sw)
-    trials = _solve_pass(sw, target, list(hypotheses))
-    seen = set(hypotheses)
-
-    def feasible():
-        return [t for t in trials if not t.reason]
-
-    def widen(band):
-        fresh = [h for h in enumerate_modes(sw, band, suppress_overlaps=False)
-                 if h not in seen]
-        seen.update(fresh)
-        trials.extend(_solve_pass(sw, target, fresh))
-
-    if not feasible() and expandable:
-        # a flush candidate may have suppressed the very point-slide label the
-        # command needs (e.g. the hand rotating off a face it started flush
-        # with), so retry with the full label set before giving up
-        widen(ACTIVATION_BAND)
-
-    if not feasible() and expandable:
-        # the proximity band only sees contacts that are already close, but a
-        # single command may sweep across one (drag ending against a wall, a
-        # plunge onto the object): widen the band to the commanded reach so
-        # those crossings get candidates; the force-sign and penetration
-        # screens still reject anything the motion cannot actually touch
+    hyps = enumerate_modes(sw)
+    trials = _solve_pass(sw, target, hyps)
+    ok = [t for t in trials if not t.reason]
+    if not ok:
+        # a flush candidate may suppress the slide label the command needs,
+        # and one command may sweep across a contact the band does not see
+        # yet; the screens still reject what the motion cannot touch
         dp = float(np.linalg.norm(target.position - sw.hand_pose.position))
         dth = abs(wrap_angle(target.angle - sw.hand_pose.angle))
         verts = sw.vertices_world()
         radius = float(np.max(np.linalg.norm(
             verts - verts.mean(axis=0), axis=1)))
         reach = dp + dth * (sw.hand.half_length + 2.0 * radius)
-        if reach > 0.0:
-            widen(ACTIVATION_BAND + reach)
-
-    ok = feasible()
+        seen = set(hyps)
+        trials += _solve_pass(sw, target, [
+            h for h in enumerate_modes(sw, ACTIVATION_BAND + reach,
+                                       suppress_overlaps=False)
+            if h not in seen])
+        ok = [t for t in trials if not t.reason]
     if not ok:
         diag = [{"mode": t.hyp.to_json(), "reason": t.reason} for t in trials]
         if any(t.reason == "force_bound" for t in trials):

@@ -1,7 +1,5 @@
 """Contact classification: hand/ground/wall labels, likelihoods, debouncing."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -39,6 +39,15 @@ def test_pose_rejects_nonfinite_angle():
         PlanarPose((0, 0), float("nan"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_pose_rejects_nonfinite_position(axis, bad):
+    position = [0.003, 0.0785]
+    position[axis] = bad
+    with pytest.raises(ValueError):
+        PlanarPose(position, 0.0)
+
+
 def test_hand_frame_vectors():
     np.testing.assert_allclose(hand_tangent(0.0), [1, 0], atol=1e-12)
     np.testing.assert_allclose(hand_normal(0.0), [0, -1], atol=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccfg.errors import DuplicateId, SingularNormalEquations, UnknownVariable
+from ccfg.errors import DuplicateId, NonFiniteResidual, UnknownVariable
 from ccfg.graph import Factor, FactorGraph, jacobian_check
 
 
@@ -72,7 +72,7 @@ def test_nonfinite_initial_residual_raises():
     g.add_factor(linear_factor(("x",), [np.eye(1)], [3.0], 1.0))
     g.add_factor(Factor(("x",), lambda x: [np.nan], lambda x: [np.eye(1)],
                         1.0, kind="nan"))
-    with pytest.raises(SingularNormalEquations):
+    with pytest.raises(NonFiniteResidual):
         g.solve()
 
 

@@ -322,11 +322,11 @@ def test_corner_handoff_during_long_drag(monkeypatch):
         assert len(hyps) == sol.trials
         feasible, rejected = 0, Counter()
         for h in hyps:
-            try:
-                resolve_mode(before, tgt, hypotheses=[h])
+            [trial] = resolve._solve_pass(before, tgt, [h])
+            if trial.reason:
+                rejected[trial.reason] += 1
+            else:
                 feasible += 1
-            except (NoFeasibleMode, JammedConfiguration) as exc:
-                rejected[exc.diagnostics[0]["reason"]] += 1
         assert rejected == sol.rejections
         assert sum(sol.rejections.values()) + feasible == sol.trials
 
@@ -475,23 +475,23 @@ def pivot_states():
 
 def test_chosen_mode_ignores_hypothesis_order():
     # the resolver's tie-break is a key of the hypothesis, not its list
-    # index: on the recorded drag and wall passes, listing the same
-    # hypotheses in reverse chooses the same mode and the same poses
-    compared = 0
-    for sw, target in drag_states()[::2] + wall_states()[::2]:
-        hyps = enumerate_modes(sw)
-        try:
-            sol = resolve_mode(sw, target, hypotheses=hyps)
-        except (NoFeasibleMode, JammedConfiguration):
-            continue   # the widened passes run only on a default call
-        rev = resolve_mode(sw, target, hypotheses=hyps[::-1])
+    # index: on the recorded drag and wall states, enumerating every pass
+    # in reverse chooses the same mode and the same poses, also on the
+    # three states whose mode only the fallback pass finds
+    def reversed_modes(*args, **kwargs):
+        return enumerate_modes(*args, **kwargs)[::-1]
+
+    states = drag_states()[::2] + wall_states()[::2]
+    for sw, target in states:
+        sol = resolve_mode(sw, target)
+        with mock.patch.object(resolve, "enumerate_modes", reversed_modes):
+            rev = resolve_mode(sw, target)
         assert rev.hypothesis == sol.hypothesis
         assert rev.object_pose.as_vector().tolist() \
             == sol.object_pose.as_vector().tolist()
         assert rev.hand_pose.as_vector().tolist() \
             == sol.hand_pose.as_vector().tolist()
-        compared += 1
-    assert compared == 192   # of 195: pass 1 finds no mode on three
+    assert len(states) == 195
 
 
 def unscreened(trials_of):
@@ -833,8 +833,30 @@ def test_raised_vertex_between_supports_is_not_paired(seed, n):
 @given(st.floats(-0.003, 0.003), st.floats(-0.003, 0.001),
        st.floats(-0.02, 0.02))
 def test_random_flush_commands_stay_physical(dx, dy, dth):
+    assert_flush_command_physical(PlanarPose([dx, 0.0802 + dy], dth))
+
+
+def test_flush_rotation_needs_the_fallback_pass():
+    # rotating the hand off the face it lies on: the first pass, with the
+    # tip slide labels suppressed under the flush patch, has no feasible
+    # mode, and the fallback finds the tip sliding along the top face
+    target = PlanarPose([0.003, 0.0802], -0.02)
     sw = flush_world(0.0802)
-    sol = resolve_mode(sw, PlanarPose([dx, 0.0802 + dy], dth))
+    first = resolve._solve_pass(sw, target, enumerate_modes(sw))
+    assert all(t.reason for t in first)
+    sol = assert_flush_command_physical(target)
+    assert sol.hypothesis.hand_mode == "slide_neg_point"
+    hc = sol.hypothesis.hand_contact
+    assert (hc.kind, hc.face, hc.tip) == ("tip", 2, 1)
+    assert sol.trials == 100
+
+
+def assert_flush_command_physical(target):
+    """Resolve target from flush_world(0.0802) and check that the result
+    balances, stays in every friction cone, dissipates and does not
+    penetrate; returns the solution."""
+    sw = flush_world(0.0802)
+    sol = resolve_mode(sw, target)
     assert sol.residual_norm <= 1e-9
     for c in sol.contacts:
         mu = {"hand": sw.mu_hand, "ground": sw.mu_ground,
@@ -848,3 +870,4 @@ def test_random_flush_commands_stay_physical(dx, dy, dth):
     assert nw.penetration_depth() >= -1e-9
     fres, tres = net_wrench_residual(sw, sol)
     assert fres < 1e-7 and tres < 1e-7
+    return sol

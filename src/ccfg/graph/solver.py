@@ -7,13 +7,14 @@ inside factors) rather than marginalizing them out. A fixed variable is
 deleted once no factor reads it, so the graph's size is set by the window,
 not by the number of frames seen.
 
-Each Levenberg-Marquardt iteration assembles J, H = JᵀJ and g = Jᵀr at the
-current point and then stops, or tries steps, by these tests in turn:
+Each Levenberg-Marquardt iteration assembles J and g = Jᵀr at the current
+point and then stops, or tries steps, by these tests in turn:
 
 - gradient: every column of J is nearly orthogonal to r,
-  |g_j| <= _GRAD_TOL * sqrt(H_jj) * ||r||, the cosine test of MINPACK
+  |g_j| <= _GRAD_TOL * ||J_j|| * ||r||, the cosine test of MINPACK
   (Moré, "The Levenberg-Marquardt algorithm: implementation and theory",
-  1978). It runs before any trial step.
+  1978). It runs before any trial step, and H = JᵀJ, whose diagonal damps
+  the trial steps, is formed only when the test fails.
 - no_descent: no step with damping up to _LAMBDA_MAX lowers the cost.
 - cost / step: the accepted step lowered the cost by at most _COST_TOL of
   it, or moved no coordinate by more than _STEP_TOL.
@@ -22,7 +23,7 @@ current point and then stops, or tries steps, by these tests in turn:
 A graph with no free column or no residual row stops as empty, unsolved.
 
 At a minimum reached to rounding, g is rounding noise in sums whose terms
-are of size sqrt(H_jj) * ||r||, so every cosine is a small multiple of
+are of size ||J_j|| * ||r||, so every cosine is a small multiple of
 machine epsilon (at most 5e-14 on a 50-pose odometry and vision window),
 far below _GRAD_TOL, and the gradient test stops the solve after one
 assembly. The cost test alone cannot see that: the undamped step there
@@ -36,9 +37,26 @@ A step solved through JᵀJ carries an error of about eps * cond(J)**2 in
 directions that H barely constrains; the gradient there is already below
 rounding, so the solve stops with that error, where a further step could
 have refined it.
+
+A sliding window is solved again after each new pose, and most of its
+factors then read the same values as at the end of the last solve. The
+graph keeps each active factor's last evaluation: its residual divided by
+sigma, that residual's cost term and, from the first assembly at that point
+on, its Jacobian blocks divided by sigma (blocks of a variable the factor
+lists twice summed into one). An evaluation is reused while every value
+array the factor reads is the very object it was computed from. A solve
+never writes into a value array: it gives a variable a new array, and a
+rejected trial step puts the old one back, which makes the old evaluations
+valid again. Callers must do the same, replacing `Variable.value` rather
+than writing into it. The cost is summed per factor in factor order, as
+when every factor was evaluated afresh, and a factor whose evaluation
+raises leaves nothing behind, so it raises again on the next solve.
+Evaluations are dropped with their factor in `slide_window`, and a solve
+keeps those of its active factors only.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -69,13 +87,14 @@ class Variable:
         return len(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factor:
     """Residual block connecting one or more variables.
 
     residual_fn(*values) returns a length-k vector; jacobian_fn(*values)
     returns one (k, dim_i) block per connected variable, in the same order.
-    sigma holds the per-row residual standard deviations.
+    sigma holds the per-row residual standard deviations. Factors compare
+    and hash by identity.
     """
 
     var_ids: tuple
@@ -117,13 +136,44 @@ class SolveReport:
     stopped_by: str
 
 
-@dataclass
 class _Evaluation:
-    """Residuals of the active factors at one point, divided by sigma, and
-    the total cost."""
+    """One factor evaluated at the value arrays it read: the residual
+    divided by sigma, its cost term, and the Jacobian blocks divided by
+    sigma as (variable id, block) pairs, one per distinct variable, once
+    `blocks` has been called."""
 
-    weighted: list
-    cost: float
+    __slots__ = ("factor", "values", "weighted", "cost", "_blocks")
+
+    def __init__(self, factor: Factor, values: list):
+        r = factor.residual(*values)
+        if factor.sigma.size not in (1, r.size):
+            raise ValueError(f"factor {factor.kind!r} sigma length "
+                             f"{factor.sigma.size} != residual length {r.size}")
+        self.factor, self.values = factor, values
+        self.weighted = r / factor.sigma
+        self.cost = float(self.weighted @ self.weighted)
+        self._blocks = None
+
+    def holds(self, values) -> bool:
+        return all(map(operator.is_, self.values, values))
+
+    def blocks(self) -> tuple:
+        if self._blocks is None:
+            f, k = self.factor, self.weighted.size
+            jac = f.jacobian(*self.values)
+            if len(jac) != len(f.var_ids):
+                raise ValueError(f"factor {f.kind!r} returned "
+                                 f"{len(jac)} jacobian blocks")
+            merged = {}
+            for vid, value, block in zip(f.var_ids, self.values, jac):
+                if block.shape != (k, value.size):
+                    raise ValueError(f"factor {f.kind!r} jacobian block "
+                                     f"{block.shape} for {vid!r}, expected "
+                                     f"{(k, value.size)}")
+                w = block / f.sigma[:, None]
+                merged[vid] = merged[vid] + w if vid in merged else w
+            self._blocks = tuple(merged.items())
+        return self._blocks
 
 
 def jacobian_check(factor: Factor, values: Sequence[np.ndarray],
@@ -157,6 +207,7 @@ class FactorGraph:
     def __init__(self):
         self.variables: dict = {}
         self.factors: list = []
+        self._evaluations: dict = {}   # factor -> its last _Evaluation
 
     # -- construction -----------------------------------------------------
 
@@ -202,6 +253,8 @@ class FactorGraph:
                 v.fixed = True
         self.factors = [f for f in self.factors
                         if any(not self.variables[vid].fixed for vid in f.var_ids)]
+        self._evaluations = {f: self._evaluations[f] for f in self.factors
+                             if f in self._evaluations}
         read = {vid for f in self.factors for vid in f.var_ids}
         self.variables = {vid: v for vid, v in self.variables.items()
                           if not v.fixed or vid in read}
@@ -219,45 +272,37 @@ class FactorGraph:
         return [f for f in self.factors
                 if any(not self.variables[vid].fixed for vid in f.var_ids)]
 
-    def _evaluate(self, factors) -> _Evaluation:
-        """Every factor's residual at the current values, one call each."""
-        weighted, cost = [], 0.0
+    def _evaluate(self, factors) -> list:
+        """Every factor's evaluation at the current values: the kept one
+        while it holds them, else one residual call."""
+        out = []
         for f in factors:
-            r = f.residual(*self._values_of(f))
-            if f.sigma.size not in (1, r.size):
-                raise ValueError(f"factor {f.kind!r} sigma length {f.sigma.size} "
-                                 f"!= residual length {r.size}")
-            w = r / f.sigma
-            cost += float(w @ w)
-            weighted.append(w)
-        return _Evaluation(weighted, cost)
+            values = self._values_of(f)
+            ev = self._evaluations.get(f)
+            out.append(ev if ev is not None and ev.holds(values)
+                       else _Evaluation(f, values))
+        return out
 
-    def _assemble(self, factors, offsets, n_cols, weighted):
-        """Weighted residual vector and dense Jacobian at the current values.
+    @staticmethod
+    def _cost(evaluations) -> float:
+        cost = 0.0
+        for ev in evaluations:     # in factor order, one term at a time
+            cost += ev.cost
+        return cost
 
-        Blocks of one variable add into J in factor order.
-        """
-        r = np.concatenate(weighted)
+    @staticmethod
+    def _assemble(evaluations, offsets, n_cols):
+        """Weighted residual vector and dense Jacobian of the evaluations."""
+        r = np.concatenate([ev.weighted for ev in evaluations])
         J = np.zeros((r.size, n_cols))
         row0 = 0
-        for f, res in zip(factors, weighted):
-            k = res.size
-            jac = f.jacobian(*self._values_of(f))
-            if len(jac) != len(f.var_ids):
-                raise ValueError(f"factor {f.kind!r} returned "
-                                 f"{len(jac)} jacobian blocks")
-            sigma = f.sigma[:, None]
-            for vid, block in zip(f.var_ids, jac):
-                if vid not in offsets:
-                    continue  # fixed variable: treated as a constant
-                dim = self.variables[vid].dim
-                if block.shape != (k, dim):
-                    raise ValueError(f"factor {f.kind!r} jacobian block "
-                                     f"{block.shape} for {vid!r}, expected "
-                                     f"{(k, dim)}")
-                c0 = offsets[vid]
-                J[row0:row0 + k, c0:c0 + dim] += block / sigma
-            row0 += k
+        for ev in evaluations:
+            row1 = row0 + ev.weighted.size
+            for vid, block in ev.blocks():
+                c0 = offsets.get(vid)
+                if c0 is not None:      # else fixed: treated as a constant
+                    J[row0:row1, c0:c0 + block.shape[1]] = block
+            row0 = row1
         return r, J
 
     def solve(self) -> SolveReport:
@@ -268,8 +313,9 @@ class FactorGraph:
             offsets[v.id] = n_cols
             n_cols += v.dim
         current = self._evaluate(factors)
-        n_rows = sum(w.size for w in current.weighted)
-        initial_cost = current.cost
+        self._evaluations = dict(zip(factors, current))
+        n_rows = sum(ev.weighted.size for ev in current)
+        initial_cost = self._cost(current)
         if not math.isfinite(initial_cost):
             raise NonFiniteResidual("non-finite residuals at initial point")
         report = SolveReport(0, initial_cost, initial_cost, True, "empty")
@@ -282,15 +328,14 @@ class FactorGraph:
         iterations = 0
         for _ in range(_MAX_ITER):
             iterations += 1
-            r, J = self._assemble(factors, offsets, n_cols,
-                                  current.weighted)
-            H = J.T @ J
+            r, J = self._assemble(current, offsets, n_cols)
             g = J.T @ r
-            diag = np.diag(H).copy()
-            damp_base = np.maximum(diag, _DIAG_FLOOR)
-            if np.all(np.abs(g) <= _GRAD_TOL * math.sqrt(cost) * np.sqrt(diag)):
+            norms = np.sqrt(np.einsum("ij,ij->j", J, J))
+            if np.all(np.abs(g) <= _GRAD_TOL * math.sqrt(cost) * norms):
                 stopped_by = "gradient"
                 break
+            H = J.T @ J
+            damp_base = np.maximum(np.diag(H), _DIAG_FLOOR)
             accepted = False
             new_cost = cost
             step = None
@@ -307,7 +352,7 @@ class FactorGraph:
                     c0 = offsets[v.id]
                     v.value = v.value + step[c0:c0 + v.dim]
                 trial_eval = self._evaluate(factors)
-                new_cost = trial_eval.cost
+                new_cost = self._cost(trial_eval)
                 if math.isfinite(new_cost) and new_cost <= cost:
                     accepted = True
                     current = trial_eval
@@ -331,6 +376,7 @@ class FactorGraph:
                 stopped_by = "step"
                 break
 
+        self._evaluations = dict(zip(factors, current))
         report.iterations = iterations
         report.final_cost = cost
         report.converged = stopped_by != "max_iter"

@@ -46,6 +46,19 @@ member, padding slots add exact zeros), and such a member ends no_converge
 whether it diverges or stalls, so every other trial and every reason come
 out as without the screen.
 
+A second screen rejects, the same way, a hypothesis with two stick contacts
+that pin points of one body to anchors on one other body at spacings that
+do not fit.  A stick contact's two rows are its gap g = x_p + R_p p -
+(x_l + R_l a) in an orthonormal basis, so |g| <= sqrt(2) max |R|.  For two
+such contacts with the same point body and line body, g1 - g2 = R_p (p1 -
+p2) - R_l (a1 - a2), and rotations keep lengths, so |g1| + |g2| >= |g1 -
+g2| >= delta = | |p1 - p2| - |a1 - a2| |.  Hence max |R| >= delta /
+(2 sqrt(2)) at every iterate, and when that bound exceeds 2e-9, twice the
+feasibility test's 1e-9 (which leaves room for rounding), the trial can
+only end no_converge.  The flush-stick patches of a rotated object are the
+case it catches: their anchors sit a hand spacing d apart, the face points
+d / cos(dtheta).
+
 Only when no trial of the first pass, over enumerate_modes(sw), is feasible
 does one fallback pass run, over the hypotheses it has not tried with the
 suppressed slide labels restored and the band grown by the commanded reach.
@@ -64,6 +77,7 @@ pass found nothing), and a pass has at most one flush candidate per face.
 """
 
 import functools
+import itertools
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
@@ -102,6 +116,7 @@ _NEWTON_MAX_ITER = 40  # steps before an unconverged member is given up
 # input and output against the same bound.
 PENETRATION_TOL = 1e-9
 _FORCE_BOUND = 1e5    # N; beyond this a mode counts as jammed
+_MISFIT_BOUND = 2e-9  # m; least max |R| a misfit stick pair proves
 
 
 @dataclass(frozen=True)
@@ -613,6 +628,24 @@ def _unbalanced(rows, weight) -> bool:
                                        for row, _ in rows))
 
 
+def _misfit(rows) -> bool:
+    """True when two stick rows with the same point body and line body
+    space their points and their anchors so differently that max |R| stays
+    above _MISFIT_BOUND at every iterate (see the module docstring)."""
+    sticks = {}
+    for row, _ in rows:
+        if row[_S] == 0:
+            sticks.setdefault((row[_PB], row[_LB]), []).append(row)
+    for group in sticks.values():
+        for r1, r2 in itertools.combinations(group, 2):
+            delta = abs(math.dist(r1[_P:_P + 2], r2[_P:_P + 2])
+                        - math.dist(r1[_ANCHOR:_ANCHOR + 2],
+                                    r2[_ANCHOR:_ANCHOR + 2]))
+            if delta / (2.0 * math.sqrt(2.0)) > _MISFIT_BOUND:
+                return True
+    return False
+
+
 @functools.lru_cache(maxsize=256)
 def _inconsistent(weight, lines) -> bool:
     """Whether forces f_n n + f_t t on world lines (n, t, s mu), sliding
@@ -638,12 +671,12 @@ def _inconsistent(weight, lines) -> bool:
 def _solve_pass(sw, target, hyps):
     """Solve and screen one enumeration pass, one trial per hypothesis.
 
-    Hypotheses whose world contacts cannot balance the weight are rejected
-    as no_converge before Newton runs.  The rest are sorted by (min_norm,
-    contact count), so that each system size is one run and padding stays
-    small, and batched in blocks of at most _SLOTS contact slots, which
-    keeps the stacked arrays to a few MB when a wall brings hundreds of
-    hypotheses.
+    Hypotheses whose world contacts cannot balance the weight, and those
+    with a misfit stick pair, are rejected as no_converge before Newton
+    runs.  The rest are sorted by (min_norm, contact count), so that each
+    system size is one run and padding stays small, and batched in blocks
+    of at most _SLOTS contact slots, which keeps the stacked arrays to a
+    few MB when a wall brings hundreds of hypotheses.
     """
     build, ref = _ContactRows(sw), _Reference(sw, target)
     rows = [build(h) for h in hyps]
@@ -655,7 +688,7 @@ def _solve_pass(sw, target, hyps):
     trials = [None] * len(hyps)
     blocks, width = [], 1
     for i in np.lexsort((counts, min_norm)).tolist():
-        if _unbalanced(rows[i], ref.weight):
+        if _unbalanced(rows[i], ref.weight) or _misfit(rows[i]):
             trials[i] = _Trial(hyps[i], "no_converge", 0, None)
             continue
         width = max(width, counts[i])

@@ -313,9 +313,13 @@ def test_slide_window_deletes_fixed_variables_no_factor_reads():
         _slide_keeping_every_variable(ref, horizon)
         # the window, plus the pose its oldest odometry factor still reads
         assert len(g.variables) <= horizon + 1
+        # kept evaluations go with their factors
+        assert g._evaluations.keys() <= set(g.factors)
+        assert len(g._evaluations) <= len(g.factors)
         if t % 20 == 19:
             g.solve()
             ref.solve()
+            assert len(g._evaluations) <= len(g.factors)
             assert g.active_time_indices() == ref.active_time_indices()
             window = [f"x{j}" for j in ref.active_time_indices()]
             np.testing.assert_allclose([g.get(v) for v in window],
@@ -330,11 +334,15 @@ def test_slide_window_deletes_fixed_variables_no_factor_reads():
 def test_window_at_its_minimum_costs_one_assembly():
     # A solved odometry and vision window gains a pose placed by odometry,
     # whose factor then has a zero residual: the window is still at its
-    # minimum and the solve must stop before any trial step.
+    # minimum and the solve must stop before any trial step. Every older
+    # factor reads the values the last solve ended at, so only the new
+    # factor is evaluated.
     residuals, jacobians, keys = Counter(), Counter(), itertools.count()
+    made = []
 
     def counted(factor):
         key = next(keys)
+        made.append(key)
 
         def res(*values):
             residuals[key] += 1
@@ -357,6 +365,7 @@ def test_window_at_its_minimum_costs_one_assembly():
         _chain_step(g, t, odo + rng.normal(scale=0.01, size=3), pose, rng)
         g.slide_window(10)
         g.solve()
+    old = len(made)
     _chain_step(g, 41, rng.normal(scale=0.01, size=3), pose, rng)  # no vision
     g.slide_window(10)
     before = {vid: v.value.tobytes() for vid, v in g.variables.items()}
@@ -364,10 +373,10 @@ def test_window_at_its_minimum_costs_one_assembly():
     jacobians.clear()
     report = g.solve()
 
-    active = len(g.factors)
-    assert active > 10
-    assert sorted(residuals.values()) == [1] * active
-    assert sorted(jacobians.values()) == [1] * active
+    assert len(g.factors) > 10
+    assert made[old:] == [made[-1]]     # the odometry factor of pose 41
+    assert residuals == {made[-1]: 1}
+    assert jacobians == {made[-1]: 1}
     assert report.iterations == 1
     assert {vid: v.value.tobytes() for vid, v in g.variables.items()} == before
     assert report.converged and report.stopped_by == "gradient"
@@ -454,3 +463,131 @@ def test_solve_evaluates_each_factor_once_per_point():
         # than iterations means some undamped step was rejected
         points = sum(1 for k, _ in residual_points if k == kind)
         assert points > report.iterations + 1
+
+
+def _graph_history(kind, draws):
+    """A window built and solved the way an estimator grows one: each frame
+    adds a pose and its factors, and some frames slide and some solve."""
+    rng = np.random.default_rng(draws["seed"])
+    horizon = draws["horizon"]
+    anchors = [np.array([0.0, 0.0]), np.array([3.0, 0.5]),
+               np.array([0.5, 2.5])]
+    g = FactorGraph()
+    g.add_variable("bias", rng.normal(size=2))
+    truth = np.zeros(2)
+    for t, (slide, solve) in enumerate(draws["frames"]):
+        step = rng.normal(scale=0.3, size=2)
+        truth = truth + step
+        if t == 0:
+            g.add_variable("p0", truth + rng.normal(scale=0.5, size=2), 0)
+        else:
+            g.add_variable(f"p{t}", g.get(f"p{t - 1}") + step, t)
+            g.add_factor(linear_factor(
+                (f"p{t - 1}", f"p{t}", "bias"),
+                [-np.eye(2), np.eye(2), np.eye(2)],
+                step + rng.normal(scale=0.05, size=2), [0.05, 0.08],
+                kind="odometry"))
+        if kind == "range":
+            for a in anchors[:int(rng.integers(1, 4))]:
+                g.add_factor(range_factor(
+                    f"p{t}", a,
+                    float(np.hypot(*(truth - a))) + rng.normal(scale=0.02),
+                    0.02))
+        else:
+            g.add_factor(linear_factor(
+                (f"p{t}",), [rng.normal(size=(2, 2))],
+                rng.normal(size=2), 0.1, kind="vision"))
+        g.add_factor(linear_factor(("bias",), [np.eye(2)], np.zeros(2),
+                                   10.0, kind="prior"))
+        if slide:
+            g.slide_window(horizon)
+        if solve:
+            yield g
+
+
+def _rebuilt(g):
+    """A fresh graph holding g's variables, fixed flags and factors."""
+    fresh = FactorGraph()
+    for vid, v in g.variables.items():
+        fresh.add_variable(vid, v.value, v.time_index).fixed = v.fixed
+    for f in g.factors:
+        fresh.add_factor(f)
+    return fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["linear", "range"]),
+       draws=st.fixed_dictionaries({
+           "seed": st.integers(0, 2**32 - 1),
+           "horizon": st.integers(2, 6),
+           "frames": st.lists(st.tuples(st.booleans(), st.booleans()),
+                              min_size=1, max_size=25)}))
+def test_kept_evaluations_solve_as_a_fresh_graph(kind, draws):
+    # whatever the history of adds, slides and solves, a graph solves its
+    # window exactly as a fresh graph holding the same values and factors,
+    # which has no evaluation to reuse
+    for g in _graph_history(kind, draws):
+        fresh = _rebuilt(g)
+        assert g.solve() == fresh.solve()
+        assert {vid: v.value.tobytes() for vid, v in g.variables.items()} \
+            == {vid: v.value.tobytes() for vid, v in fresh.variables.items()}
+        assert len(g._evaluations) <= len(g.factors)
+
+
+def _broken(blocks=(np.eye(2),), sigma=1.0):
+    """A graph of one factor on x with a (2,) residual, the given Jacobian
+    blocks and sigma."""
+    g = FactorGraph()
+    g.add_variable("x", [1.0, 2.0])
+    g.add_factor(Factor(("x",), lambda x: x - 1.0, lambda x: blocks, sigma,
+                        kind="broken"))
+    return g
+
+
+@pytest.mark.parametrize("graph, message", [
+    (_broken(sigma=[1.0, 1.0, 1.0]), "sigma length 3 != residual length 2"),
+    (_broken(blocks=[np.eye(2), np.eye(2)]), "returned 2 jacobian blocks"),
+    (_broken(blocks=[np.eye(3)]), "jacobian block \\(3, 3\\)"),
+])
+def test_malformed_factor_raises_on_every_solve(graph, message):
+    # nothing of a factor whose evaluation raised is kept for the next solve
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            graph.solve()
+    assert graph.get("x").tolist() == [1.0, 2.0]
+
+
+def test_factor_reading_one_variable_twice_sums_its_blocks():
+    def res(a, b, c):
+        return np.array([a[0] * b[1] - c[0], a[1] + b[0] ** 2 - 1.0])
+
+    def jac(a, b, c):
+        return [np.array([[b[1], 0.0], [0.0, 1.0]]),
+                np.array([[0.0, a[0]], [2.0 * b[0], 0.0]]),
+                np.array([[-1.0], [0.0]])]
+
+    def once(x, c):
+        return res(x, x, c)
+
+    def once_jac(x, c):
+        a, b, c_block = jac(x, x, c)
+        return [a + b, c_block]
+
+    windows, iterations = [], []
+    for factor in (Factor(("x", "x", "y"), res, jac, [0.1, 0.2]),
+                   Factor(("x", "y"), once, once_jac, [0.1, 0.2])):
+        g = FactorGraph()
+        g.add_variable("x", [0.3, 1.7])
+        g.add_variable("y", [0.4])
+        g.add_factor(factor)
+        g.add_factor(linear_factor(("y",), [np.eye(1)], [0.5], 0.3))
+        g.add_factor(linear_factor(("x",), [np.eye(2)], [0.2, 0.9], 1.0))
+        report = g.solve()
+        assert report.converged
+        windows.append(g.get("x").tolist() + g.get("y").tolist())
+        iterations.append(report.iterations)
+    # recorded from the solver that added each block into J in place
+    assert windows[0] == [0.48236083547914976, 0.7941266333452695,
+                          0.3947500204629934]
+    assert iterations[0] == 20
+    np.testing.assert_allclose(windows[1], windows[0], rtol=0, atol=1e-12)

@@ -316,7 +316,11 @@ def test_corner_handoff_during_long_drag(monkeypatch):
         assert 0 < sum(sol.rejections.values()) < sol.trials
         assert sol.newton_iterations >= sol.trials - sol.screened
         assert sol.screened <= sol.rejections.get("no_converge", 0)
-    assert sum(sol.screened for sol in sols) == 7 * len(sols)
+    # the weight screen rejects the same seven label sets at every step; on
+    # the 69 steps whose flush patch is rotated far enough for its stick
+    # anchors to misfit the face, the misfit screen rejects all ten flush
+    # stick hypotheses as well
+    assert Counter(sol.screened for sol in sols) == {7: 171, 17: 69}
     for before, tgt, sol in firsts[:3]:
         hyps = enumerate_modes(before)
         assert len(hyps) == sol.trials
@@ -495,8 +499,9 @@ def test_chosen_mode_ignores_hypothesis_order():
 
 
 def unscreened(trials_of):
-    """Run trials_of() with the iterate-0 screen switched off."""
-    with mock.patch.object(resolve, "_unbalanced", return_value=False):
+    """Run trials_of() with both screens before Newton switched off."""
+    with mock.patch.object(resolve, "_unbalanced", return_value=False), \
+            mock.patch.object(resolve, "_misfit", return_value=False):
         return trials_of()
 
 
@@ -518,6 +523,32 @@ def test_screened_hypotheses_never_converge():
                    for t in trials)
         screened += len(hyps)
     assert screened > 1000
+
+
+def test_misfit_stick_pairs_stay_above_the_bound():
+    # every hypothesis the misfit screen rejects on the drag, wall and pivot
+    # rigs, run through full Newton: max |R| stays above 1e-9 at every
+    # iterate of every member, and each trial ends no_converge
+    system, worst = resolve._system, []
+
+    def recorded(z, ref, batch):
+        R, J = system(z, ref, batch)
+        worst.append(float(np.abs(R).max(axis=1).min()))
+        return R, J
+
+    screened = 0
+    for sw, target in drag_states() + wall_states() + pivot_states():
+        build = _ContactRows(sw)
+        hyps = [h for h in enumerate_modes(sw) if resolve._misfit(build(h))]
+        if not hyps:
+            continue
+        with mock.patch.object(resolve, "_system", recorded):
+            trials = unscreened(lambda: resolve._solve_pass(sw, target, hyps))
+        assert all(t.reason == "no_converge" and t.evaluations > 0
+                   for t in trials)
+        screened += len(hyps)
+    assert screened == 69 * 10 + 4
+    assert min(worst) > 1e-9
 
 
 WORLD_LABELS = ("separate",) + ACTIVE_LABELS

@@ -62,7 +62,9 @@ class DuplicateId(CcfgError):
 
 
 class UnknownVariable(CcfgError):
-    """A factor references a variable id that does not exist."""
+    """A variable id the factor graph does not hold, referenced by a factor
+    or passed to `FactorGraph.get`: it never existed, or `slide_window`
+    deleted it."""
 
 
 class NonFiniteResidual(CcfgError):

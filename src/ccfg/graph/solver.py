@@ -38,25 +38,58 @@ directions that H barely constrains; the gradient there is already below
 rounding, so the solve stops with that error, where a further step could
 have refined it.
 
-A sliding window is solved again after each new pose, and most of its
-factors then read the same values as at the end of the last solve. The
-graph keeps each active factor's last evaluation: its residual divided by
-sigma, that residual's cost term and, from the first assembly at that point
-on, its Jacobian blocks divided by sigma (blocks of a variable the factor
-lists twice summed into one). An evaluation is reused while every value
-array the factor reads is the very object it was computed from. A solve
-never writes into a value array: it gives a variable a new array, and a
-rejected trial step puts the old one back, which makes the old evaluations
-valid again. Callers must do the same, replacing `Variable.value` rather
-than writing into it. The cost is summed per factor in factor order, as
-when every factor was evaluated afresh, and a factor whose evaluation
-raises leaves nothing behind, so it raises again on the next solve.
-Evaluations are dropped with their factor in `slide_window`, and a solve
-keeps those of its active factors only.
+A sliding window is solved again after each new pose, and most of it is
+then as the last solve left it. The graph keeps that solve's window state:
+
+- the active factors, in factor order, each with its last evaluation: its
+  residual divided by sigma and that residual's cost term, at the value
+  arrays it read;
+- the value array each variable had when the last solve ended;
+- the weighted residual r and the dense J, with the row block of each
+  active factor and the column block of each free variable;
+- for `slide_window`, the factors that read each variable, the ids it saw
+  fixed and the factors added since it last ran.
+
+A solve compares the graph with that state, by identity, and redoes only
+what changed:
+
+- a variable whose value array is not the kept one: the active factors
+  that read it are evaluated again and their rows written again;
+- a factor added since the last solve that reads a free variable:
+  evaluated, and its rows appended;
+- a factor that `slide_window` dropped, or whose variables are now all
+  fixed: its rows are removed;
+- a variable newly fixed or deleted: its columns are removed;
+- a new free variable: its columns are appended;
+- a fixed variable made free again, or `factors` bound to a new list: all
+  kept state is dropped and the window is built as for a new graph.
+
+r and J are copied over, less the removed blocks, when the removed blocks
+lead, the new ones go last and no block changed size; otherwise they are
+laid out afresh and every row is written. A row is written from its
+evaluation, so r, J (C-contiguous, zeros off the blocks) and the cost,
+summed per factor in factor order, are bitwise those of a graph built
+afresh from the same variables and factors. An accepted step gives every
+free variable a new array, so every row is written again at the next
+iteration, on the same path. Jacobians are taken only when rows are
+written.
+
+`slide_window` looks only at the factors that read a variable it has
+newly seen fixed, by the horizon or by a caller, and at the factors added
+since it last ran. Those that read no free variable are dropped; then
+each such variable, and each variable a dropped factor read, is deleted
+if it is fixed and no factor reads it. The result is that of a full scan.
+
+Callers keep this contract: replace `Variable.value`, never write into it
+(a solve does the same, and a rejected trial step puts the old array
+back); add factors with `add_factor`, and drop them by binding `factors`
+to a new list, never by editing it in place. `fixed` may be flipped at
+any time. A factor whose residual or Jacobian raises raises again on the
+next solve.
 """
 
+import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -118,11 +151,13 @@ class Factor:
         object.__setattr__(self, "time_index", time_index)
 
     def residual(self, *values) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.residual_fn(*values), dtype=float))
+        r = np.asarray(self.residual_fn(*values), dtype=float)
+        return r if r.ndim else r.reshape(1)
 
     def jacobian(self, *values):
-        blocks = self.jacobian_fn(*values)
-        return [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
+        blocks = [np.asarray(b, dtype=float)
+                  for b in self.jacobian_fn(*values)]
+        return [b if b.ndim == 2 else np.atleast_2d(b) for b in blocks]
 
 
 @dataclass
@@ -138,11 +173,10 @@ class SolveReport:
 
 class _Evaluation:
     """One factor evaluated at the value arrays it read: the residual
-    divided by sigma, its cost term, and the Jacobian blocks divided by
-    sigma as (variable id, block) pairs, one per distinct variable, once
-    `blocks` has been called."""
+    divided by sigma and its cost term. `FactorGraph._write` takes the
+    Jacobian at the same arrays."""
 
-    __slots__ = ("factor", "values", "weighted", "cost", "_blocks")
+    __slots__ = ("factor", "values", "weighted", "size", "cost")
 
     def __init__(self, factor: Factor, values: list):
         r = factor.residual(*values)
@@ -151,29 +185,40 @@ class _Evaluation:
                              f"{factor.sigma.size} != residual length {r.size}")
         self.factor, self.values = factor, values
         self.weighted = r / factor.sigma
+        self.size = r.size
         self.cost = float(self.weighted @ self.weighted)
-        self._blocks = None
 
-    def holds(self, values) -> bool:
-        return all(map(operator.is_, self.values, values))
 
-    def blocks(self) -> tuple:
-        if self._blocks is None:
-            f, k = self.factor, self.weighted.size
-            jac = f.jacobian(*self.values)
-            if len(jac) != len(f.var_ids):
-                raise ValueError(f"factor {f.kind!r} returned "
-                                 f"{len(jac)} jacobian blocks")
-            merged = {}
-            for vid, value, block in zip(f.var_ids, self.values, jac):
-                if block.shape != (k, value.size):
-                    raise ValueError(f"factor {f.kind!r} jacobian block "
-                                     f"{block.shape} for {vid!r}, expected "
-                                     f"{(k, value.size)}")
-                w = block / f.sigma[:, None]
-                merged[vid] = merged[vid] + w if vid in merged else w
-            self._blocks = tuple(merged.items())
-        return self._blocks
+class _Axis:
+    """The blocks along one axis of J, in order: rows by factor or columns
+    by variable id. at[key] is (first index + base, size), so dropping
+    leading blocks or appending blocks leaves the other entries as they
+    are."""
+
+    __slots__ = ("at", "base", "end")
+
+    def __init__(self):
+        self.at, self.base, self.end = {}, 0, 0
+
+    def __len__(self) -> int:
+        return self.end - self.base
+
+    def span(self, key) -> tuple:
+        start, size = self.at[key]
+        start -= self.base
+        return start, start + size
+
+    def append(self, key, size: int):
+        self.at[key] = (self.end, size)
+        self.end += size
+
+    def drop_leading(self, n: int) -> int:
+        """Drop the first n blocks; returns the indices they covered."""
+        for key in list(itertools.islice(self.at, n)):
+            del self.at[key]
+        old, self.base = self.base, next(iter(self.at.values()),
+                                         (self.end,))[0]
+        return self.base - old
 
 
 def jacobian_check(factor: Factor, values: Sequence[np.ndarray],
@@ -207,7 +252,7 @@ class FactorGraph:
     def __init__(self):
         self.variables: dict = {}
         self.factors: list = []
-        self._evaluations: dict = {}   # factor -> its last _Evaluation
+        self._forget()
 
     # -- construction -----------------------------------------------------
 
@@ -227,7 +272,52 @@ class FactorGraph:
         return factor
 
     def get(self, var_id: str) -> np.ndarray:
-        return self.variables[var_id].value.copy()
+        v = self.variables.get(var_id)
+        if v is None:
+            raise UnknownVariable(f"no variable {var_id!r} in the graph")
+        return v.value.copy()
+
+    # -- kept window state (module docstring) -------------------------------
+
+    def _forget(self):
+        """Drop all kept state; the next call indexes `factors` afresh."""
+        self._listed, self._n_listed = self.factors, 0
+        self._readers = {}      # vid -> {factor: None}, listed factors reading it
+        self._fixed = set()     # ids the last slide saw fixed
+        self._unchecked = []    # listed since the last slide
+        self._forget_window()
+
+    def _forget_window(self):
+        """Drop the solve's kept state; the next solve builds it afresh."""
+        self._evaluations = {}  # active factor -> _Evaluation, in J's row order
+        self._unsolved = self.factors[:self._n_listed]  # listed since
+        self._seen = {}         # vid -> value array the last solve left
+        self._lay_out({}, {})   # _rows and _cols: the blocks of r and J
+        self._J_stale = False   # some rows of r and J are not written
+
+    def _index(self):
+        """Index the factors listed since the last call, or all of them if
+        `factors` is a new list."""
+        factors = self.factors
+        if factors is not self._listed or len(factors) < self._n_listed:
+            self._forget()
+        new = factors[self._n_listed:]
+        for f in new:
+            for vid in f.var_ids:
+                self._readers.setdefault(vid, {})[f] = None
+        self._unchecked += new
+        self._unsolved += new
+        self._n_listed = len(factors)
+
+    def _values_of(self, factor: Factor):
+        return [self.variables[vid].value for vid in factor.var_ids]
+
+    def _reads_free(self, factor: Factor) -> bool:
+        variables = self.variables
+        for vid in factor.var_ids:
+            if not variables[vid].fixed:
+                return True
+        return False
 
     # -- windowing ---------------------------------------------------------
 
@@ -243,21 +333,44 @@ class FactorGraph:
         """
         if horizon < 2:
             raise ValueError("horizon must be at least 2")
-        newest = max((v.time_index for v in self.variables.values()
-                      if v.time_index is not None), default=None)
+        variables = self.variables
+        newest = max([v.time_index for v in variables.values()
+                      if v.time_index is not None], default=None)
         if newest is None:
             return
         cutoff = newest - horizon + 1
-        for v in self.variables.values():
-            if v.time_index is not None and v.time_index < cutoff:
-                v.fixed = True
-        self.factors = [f for f in self.factors
-                        if any(not self.variables[vid].fixed for vid in f.var_ids)]
-        self._evaluations = {f: self._evaluations[f] for f in self.factors
-                             if f in self._evaluations}
-        read = {vid for f in self.factors for vid in f.var_ids}
-        self.variables = {vid: v for vid, v in self.variables.items()
-                          if not v.fixed or vid in read}
+        self._index()
+        seen_fixed, readers = self._fixed, self._readers
+        seen_fixed.difference_update([vid for vid in seen_fixed
+                                      if not variables[vid].fixed])
+        newly = [vid for vid, v in variables.items()
+                 if (v.fixed or v.time_index is not None
+                     and v.time_index < cutoff) and vid not in seen_fixed]
+        for vid in newly:
+            variables[vid].fixed = True
+        seen_fixed.update(newly)
+        check = dict.fromkeys(self._unchecked)
+        for vid in newly:
+            check.update(readers.get(vid, {}))
+        self._unchecked = []
+        dropped = [f for f in check if not self._reads_free(f)]
+        deletable = dict.fromkeys(newly)
+        if dropped:
+            gone = set(dropped)
+            self.factors = [f for f in self.factors if f not in gone]
+            self._listed, self._n_listed = self.factors, len(self.factors)
+            self._unsolved = [f for f in self._unsolved if f not in gone]
+            for f in dropped:
+                self._evaluations.pop(f, None)
+                for vid in f.var_ids:
+                    readers[vid].pop(f, None)
+                    deletable[vid] = None
+        for vid in deletable:
+            if variables[vid].fixed and not readers.get(vid):
+                del variables[vid]
+                readers.pop(vid, None)
+                seen_fixed.discard(vid)
+                self._seen.pop(vid, None)
 
     def active_time_indices(self) -> list:
         return sorted({v.time_index for v in self.variables.values()
@@ -265,23 +378,85 @@ class FactorGraph:
 
     # -- solving -----------------------------------------------------------
 
-    def _values_of(self, factor: Factor):
-        return [self.variables[vid].value for vid in factor.var_ids]
+    def _window(self):
+        """Bring the kept window up to date with the graph. Returns the
+        active factors' evaluations and the free variables, both by id, and
+        the evaluations whose rows r and J still lack: the first iteration
+        of the solve writes them."""
+        self._index()
+        variables, seen, cols = self.variables, self._seen, self._cols.at
+        free = {vid: v for vid, v in variables.items() if not v.fixed}
+        stale = [vid for vid, v in variables.items()
+                 if v.value is not seen.get(vid)]
+        gone = [vid for vid in cols if vid not in free]
+        added = [vid for vid in free if vid not in cols]
+        if not seen.keys().isdisjoint(added):
+            # a fixed variable was made free: a factor that read no free
+            # variable at the last solve may read one now
+            self._forget_window()
+            return self._window()
 
-    def _active_factors(self):
-        return [f for f in self.factors
-                if any(not self.variables[vid].fixed for vid in f.var_ids)]
+        readers, rows = self._readers, dict(self._evaluations)
+        for vid in gone:
+            for f in readers.get(vid, ()):
+                if f in rows and not self._reads_free(f):
+                    del rows[f]
+        dirty = dict.fromkeys(f for vid in stale for f in readers.get(vid, ())
+                              if f in rows)
+        resized = False
+        for f in dirty:
+            ev = dirty[f] = _Evaluation(f, self._values_of(f))
+            resized = resized or ev.size != self._rows.at[f][1]
+            rows[f] = ev
+        new = [f for f in self._unsolved if self._reads_free(f)]
+        for f in new:
+            rows[f] = dirty[f] = _Evaluation(f, self._values_of(f))
+        self._evaluations, self._unsolved = rows, []
 
-    def _evaluate(self, factors) -> list:
-        """Every factor's evaluation at the current values: the kept one
-        while it holds them, else one residual call."""
-        out = []
-        for f in factors:
-            values = self._values_of(f)
-            ev = self._evaluations.get(f)
-            out.append(ev if ev is not None and ev.holds(values)
-                       else _Evaluation(f, values))
-        return out
+        # r and J keep the rows and columns they still need when those
+        # they lose lead, the new ones go last and none changed size
+        row_axis, col_axis = self._rows, self._cols
+        lost = len(row_axis.at) - (len(rows) - len(new))
+        if (not resized
+                and lost == next((i for i, f in enumerate(row_axis.at)
+                                  if f in rows), len(row_axis.at))
+                and gone == list(itertools.islice(cols, len(gone)))
+                and added == list(free)[len(free) - len(added):]
+                and all(free[vid].dim == cols[vid][1] for vid in stale
+                        if vid in cols and vid in free)):
+            old_J, old_r = self._J, self._r
+            r0 = row_axis.drop_leading(lost)
+            c0 = col_axis.drop_leading(len(gone))
+            for f in new:
+                row_axis.append(f, rows[f].size)
+            for vid in added:
+                col_axis.append(vid, free[vid].dim)
+            k_rows, k_cols = old_J.shape[0] - r0, old_J.shape[1] - c0
+            J = self._J = np.empty((len(row_axis), len(col_axis)))
+            J[:k_rows, :k_cols] = old_J[r0:, c0:]
+            J[:k_rows, k_cols:] = 0.0
+            J[k_rows:] = 0.0
+            self._r = np.empty(J.shape[0])
+            self._r[:k_rows] = old_r[r0:]
+            unwritten = list((rows if self._J_stale else dirty).values())
+        else:
+            self._lay_out(rows, free)
+            unwritten = list(rows.values())
+        self._J_stale = bool(unwritten)
+        for vid in stale:
+            seen[vid] = variables[vid].value
+        return rows, free, unwritten
+
+    def _lay_out(self, rows, free):
+        """Lay r and J out afresh, none of their rows written: a block of
+        rows per evaluation and of columns per free variable, in order."""
+        self._rows, self._cols = _Axis(), _Axis()
+        for f, ev in rows.items():
+            self._rows.append(f, ev.size)
+        for vid, v in free.items():
+            self._cols.append(vid, v.dim)
+        self._J = np.zeros((len(self._rows), len(self._cols)))
+        self._r = np.empty(self._J.shape[0])
 
     @staticmethod
     def _cost(evaluations) -> float:
@@ -291,47 +466,58 @@ class FactorGraph:
         return cost
 
     @staticmethod
-    def _assemble(evaluations, offsets, n_cols):
-        """Weighted residual vector and dense Jacobian of the evaluations."""
-        r = np.concatenate([ev.weighted for ev in evaluations])
-        J = np.zeros((r.size, n_cols))
-        row0 = 0
+    def _write(J, r, evaluations, rows: _Axis, cols: _Axis):
+        """Write each evaluation's weighted residual into r and its
+        Jacobian, divided by sigma, into J, in place. A variable the factor
+        lists twice gets the sum of its blocks; a fixed one is a constant
+        and gets none, but every block's shape is checked."""
         for ev in evaluations:
-            row1 = row0 + ev.weighted.size
-            for vid, block in ev.blocks():
-                c0 = offsets.get(vid)
-                if c0 is not None:      # else fixed: treated as a constant
-                    J[row0:row1, c0:c0 + block.shape[1]] = block
-            row0 = row1
-        return r, J
+            f, k = ev.factor, ev.size
+            row0, row1 = rows.span(f)
+            r[row0:row1] = ev.weighted
+            jac = f.jacobian(*ev.values)
+            if len(jac) != len(f.var_ids):
+                raise ValueError(f"factor {f.kind!r} returned "
+                                 f"{len(jac)} jacobian blocks")
+            sigma, done = f.sigma[:, None], set()
+            for vid, value, block in zip(f.var_ids, ev.values, jac):
+                if block.shape != (k, value.size):
+                    raise ValueError(f"factor {f.kind!r} jacobian block "
+                                     f"{block.shape} for {vid!r}, expected "
+                                     f"{(k, value.size)}")
+                if vid in cols.at:
+                    c0, c1 = cols.span(vid)
+                    if vid in done:
+                        J[row0:row1, c0:c1] += block / sigma
+                    else:
+                        np.divide(block, sigma, out=J[row0:row1, c0:c1])
+                        done.add(vid)
 
     def solve(self) -> SolveReport:
-        factors = self._active_factors()
-        free = [v for v in self.variables.values() if not v.fixed]
-        offsets, n_cols = {}, 0
-        for v in free:
-            offsets[v.id] = n_cols
-            n_cols += v.dim
-        current = self._evaluate(factors)
-        self._evaluations = dict(zip(factors, current))
-        n_rows = sum(ev.weighted.size for ev in current)
+        rows, free_vars, unwritten = self._window()
+        factors, current = list(rows), list(rows.values())
+        free = list(free_vars.items())
         initial_cost = self._cost(current)
         if not math.isfinite(initial_cost):
             raise NonFiniteResidual("non-finite residuals at initial point")
         report = SolveReport(0, initial_cost, initial_cost, True, "empty")
-        if n_cols == 0 or n_rows == 0:
+        if self._J.size == 0:
             return report
 
         lam = _LAMBDA0
         cost = initial_cost
         stopped_by = "max_iter"
         iterations = 0
+        moved = False
         for _ in range(_MAX_ITER):
             iterations += 1
-            r, J = self._assemble(current, offsets, n_cols)
+            r, J = self._r, self._J
+            if unwritten:
+                self._write(J, r, unwritten, self._rows, self._cols)
+                self._J_stale, unwritten = False, ()
             g = J.T @ r
             norms = np.sqrt(np.einsum("ij,ij->j", J, J))
-            if np.all(np.abs(g) <= _GRAD_TOL * math.sqrt(cost) * norms):
+            if (np.abs(g) <= _GRAD_TOL * math.sqrt(cost) * norms).all():
                 stopped_by = "gradient"
                 break
             H = J.T @ J
@@ -347,17 +533,22 @@ class FactorGraph:
                 if step is None:
                     trial = lam if trial == 0.0 else trial * _LAMBDA_UP
                     continue
-                before = [(v, v.value) for v in free]
-                for v in free:
-                    c0 = offsets[v.id]
-                    v.value = v.value + step[c0:c0 + v.dim]
-                trial_eval = self._evaluate(factors)
+                before = [v.value for _, v in free]
+                for vid, v in free:
+                    c0, c1 = self._cols.span(vid)
+                    v.value = v.value + step[c0:c1]
+                trial_eval = [_Evaluation(f, self._values_of(f))
+                              for f in factors]
                 new_cost = self._cost(trial_eval)
                 if math.isfinite(new_cost) and new_cost <= cost:
-                    accepted = True
-                    current = trial_eval
+                    accepted = moved = self._J_stale = True
+                    if any(ev.size != old.size
+                           for ev, old in zip(trial_eval, current)):
+                        self._lay_out(dict(zip(factors, trial_eval)),
+                                      free_vars)
+                    current = unwritten = trial_eval
                     break
-                for v, old in before:
+                for (_, v), old in zip(free, before):
                     v.value = old
                 trial = lam if trial == 0.0 else trial * _LAMBDA_UP
             if accepted and trial > 0.0:
@@ -376,7 +567,10 @@ class FactorGraph:
                 stopped_by = "step"
                 break
 
-        self._evaluations = dict(zip(factors, current))
+        if moved:
+            self._evaluations = dict(zip(factors, current))
+            for vid, v in free:
+                self._seen[vid] = v.value
         report.iterations = iterations
         report.final_cost = cost
         report.converged = stopped_by != "max_iter"

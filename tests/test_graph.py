@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccfg.errors import DuplicateId, NonFiniteResidual, UnknownVariable
 from ccfg.graph import Factor, FactorGraph, jacobian_check
@@ -56,6 +56,19 @@ def test_add_factor_unknown_variable():
     g.add_variable("x", 0.0)
     with pytest.raises(UnknownVariable):
         g.add_factor(linear_factor(("y",), [np.eye(1)], [0.0], 1.0))
+
+
+def test_get_unknown_variable_names_the_id():
+    g = FactorGraph()
+    for t in range(3):
+        g.add_variable(f"x{t}", 0.0, time_index=t)
+    g.add_factor(linear_factor(("x1", "x2"), [np.eye(1), -np.eye(1)], [0.0],
+                               1.0))
+    g.slide_window(2)   # fixes x0, which no factor reads
+    assert list(g.variables) == ["x1", "x2"]
+    for vid in ("x0", "never"):
+        with pytest.raises(UnknownVariable, match=repr(vid)):
+            g.get(vid)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
@@ -298,6 +311,31 @@ def _slide_keeping_every_variable(g, horizon):
                  if any(not g.variables[vid].fixed for vid in f.var_ids)]
 
 
+def _full_scan_slide(g, horizon):
+    """What slide_window leaves, found by scanning every variable and
+    factor: the kept factors in order, and each kept variable's id and
+    fixed flag in order."""
+    newest = max(v.time_index for v in g.variables.values()
+                 if v.time_index is not None)
+    fixed = {vid: v.fixed or (v.time_index is not None
+                              and v.time_index <= newest - horizon)
+             for vid, v in g.variables.items()}
+    factors = [f for f in g.factors
+               if not all(fixed[vid] for vid in f.var_ids)]
+    read = {vid for f in factors for vid in f.var_ids}
+    return factors, [(vid, fx) for vid, fx in fixed.items()
+                     if not fx or vid in read]
+
+
+def _slide_as_full_scan(g, horizon):
+    """g.slide_window(horizon), checked against _full_scan_slide."""
+    factors, variables = _full_scan_slide(g, horizon)
+    g.slide_window(horizon)
+    assert len(g.factors) == len(factors)
+    assert all(a is b for a, b in zip(g.factors, factors))
+    assert [(vid, v.fixed) for vid, v in g.variables.items()] == variables
+
+
 def test_slide_window_deletes_fixed_variables_no_factor_reads():
     horizon = 50
     rng = np.random.default_rng(4)
@@ -309,7 +347,7 @@ def test_slide_window_deletes_fixed_variables_no_factor_reads():
         odo_meas = odo + rng.normal(scale=0.01, size=3)
         for graph in (g, ref):
             _chain_step(graph, t, odo_meas, pose, np.random.default_rng(t))
-        g.slide_window(horizon)
+        _slide_as_full_scan(g, horizon)
         _slide_keeping_every_variable(ref, horizon)
         # the window, plus the pose its oldest odometry factor still reads
         assert len(g.variables) <= horizon + 1
@@ -467,7 +505,12 @@ def test_solve_evaluates_each_factor_once_per_point():
 
 def _graph_history(kind, draws):
     """A window built and solved the way an estimator grows one: each frame
-    adds a pose and its factors, and some frames slide and some solve."""
+    adds a pose and its factors, and some frames slide and some solve. A
+    caller may also replace a variable's value array, flip the bias
+    variable's fixed flag (a slide may then delete it, and the next frame
+    adds it again) or bind the factors to a new list, and the horizon
+    shrinks at frame draws["shrink_at"]. Every slide is checked against a
+    full scan."""
     rng = np.random.default_rng(draws["seed"])
     horizon = draws["horizon"]
     anchors = [np.array([0.0, 0.0]), np.array([3.0, 0.5]),
@@ -475,9 +518,11 @@ def _graph_history(kind, draws):
     g = FactorGraph()
     g.add_variable("bias", rng.normal(size=2))
     truth = np.zeros(2)
-    for t, (slide, solve) in enumerate(draws["frames"]):
+    for t, (slide, solve, replace, flip, rebind) in enumerate(draws["frames"]):
         step = rng.normal(scale=0.3, size=2)
         truth = truth + step
+        if "bias" not in g.variables:   # fixed and read by no kept factor
+            g.add_variable("bias", rng.normal(size=2))
         if t == 0:
             g.add_variable("p0", truth + rng.normal(scale=0.5, size=2), 0)
         else:
@@ -499,10 +544,34 @@ def _graph_history(kind, draws):
                 rng.normal(size=2), 0.1, kind="vision"))
         g.add_factor(linear_factor(("bias",), [np.eye(2)], np.zeros(2),
                                    10.0, kind="prior"))
+        if replace:
+            v = list(g.variables.values())[
+                int(rng.integers(len(g.variables)))]
+            v.value = v.value + rng.normal(scale=0.1, size=v.dim)
+        if flip:
+            g.variables["bias"].fixed = not g.variables["bias"].fixed
+        if rebind:
+            _slide_keeping_every_variable(g, horizon)
+        if t == draws["shrink_at"]:
+            horizon = max(2, horizon - draws["shrink_by"])
         if slide:
-            g.slide_window(horizon)
+            _slide_as_full_scan(g, horizon)
         if solve:
             yield g
+
+
+def _solve_as_fresh(g):
+    """g.solve(), checked against a fresh graph holding the same values
+    and factors, which has no kept state to reuse: the same report and
+    values, and the same r and J (C-contiguous, zeros off the blocks)."""
+    fresh = _rebuilt(g)
+    assert g.solve() == fresh.solve()
+    assert {vid: v.value.tobytes() for vid, v in g.variables.items()} \
+        == {vid: v.value.tobytes() for vid, v in fresh.variables.items()}
+    assert g._J.flags.c_contiguous
+    assert g._J.shape == fresh._J.shape
+    assert g._J.tobytes() == fresh._J.tobytes()
+    assert g._r.tobytes() == fresh._r.tobytes()
 
 
 def _rebuilt(g):
@@ -520,18 +589,77 @@ def _rebuilt(g):
        draws=st.fixed_dictionaries({
            "seed": st.integers(0, 2**32 - 1),
            "horizon": st.integers(2, 6),
-           "frames": st.lists(st.tuples(st.booleans(), st.booleans()),
+           "shrink_at": st.integers(0, 24),
+           "shrink_by": st.integers(1, 4),
+           "frames": st.lists(st.tuples(*[st.booleans()] * 5),
                               min_size=1, max_size=25)}))
+# the bias is fixed at one solve and free at the next, after every column
+# the first solve had was fixed: the bias prior's rows must come back
+@example(kind="linear", draws={
+    "seed": 0, "horizon": 2, "shrink_at": 0, "shrink_by": 1,
+    "frames": [(False, False, False, False, False)] * 3
+    + [(False, False, False, True, False)] * 4
+    + [(False, True, False, True, False), (False, False, False, True, False),
+       (True, True, False, False, False)]})
+# the bias is fixed at one slide, free at the next and fixed again at the
+# third: the priors added while it was free must go
+@example(kind="linear", draws={
+    "seed": 0, "horizon": 2, "shrink_at": 0, "shrink_by": 1,
+    "frames": [(False, False, False, False, False),
+               (False, False, False, True, False),
+               (True, False, False, False, False),
+               (True, False, False, True, False),
+               (True, False, False, True, False)]})
 def test_kept_evaluations_solve_as_a_fresh_graph(kind, draws):
-    # whatever the history of adds, slides and solves, a graph solves its
-    # window exactly as a fresh graph holding the same values and factors,
-    # which has no evaluation to reuse
+    # whatever the history of adds, slides, solves and caller edits
     for g in _graph_history(kind, draws):
-        fresh = _rebuilt(g)
-        assert g.solve() == fresh.solve()
-        assert {vid: v.value.tobytes() for vid, v in g.variables.items()} \
-            == {vid: v.value.tobytes() for vid, v in fresh.variables.items()}
+        _solve_as_fresh(g)
         assert len(g._evaluations) <= len(g.factors)
+
+
+def test_window_laid_out_afresh_solves_as_a_fresh_graph():
+    # changes that r and J cannot follow by dropping leading blocks and
+    # appending new ones: a column fixed in the middle, a value array of
+    # another length, a residual of another length (also within a solve)
+    # and an id deleted and added again after newer ones
+    def short(x):
+        return x if x[0] < 5.0 else x[:2]
+
+    def short_jac(x):
+        return [np.eye(x.size)[:short(x).size]]
+
+    g = FactorGraph()
+    g.add_variable("b", [0.5])
+    g.add_variable("a", [1.0, 2.0])
+    g.add_variable("s", [1.0, 2.0, 3.0])
+    g.add_factor(Factor(("a", "b"), lambda a, b: np.array([a.sum() - b[0]]),
+                        lambda a, b: [np.ones((1, a.size)), -np.ones((1, 1))],
+                        0.1, kind="sum"))
+    g.add_factor(Factor(("s",), short, short_jac, 0.5, kind="short"))
+    g.add_factor(linear_factor(("b",), [np.eye(1)], [2.0], 1.0))
+    for t in range(3):
+        g.add_variable(f"x{t}", [float(t)], t)
+        g.add_factor(linear_factor((f"x{t}", "b"), [np.eye(1), -np.eye(1)],
+                                   [0.1], 0.2))
+    _solve_as_fresh(g)
+    g.slide_window(2)       # fixes x0, whose link to b stays
+    _solve_as_fresh(g)
+    g.variables["a"].value = np.array([1.0, 2.0, 3.0])
+    _solve_as_fresh(g)
+    g.variables["s"].value = np.array([9.0, 2.0, 3.0])
+    _solve_as_fresh(g)
+
+    h = FactorGraph()
+    h.add_variable("y", [0.0], 0)
+    h.add_factor(linear_factor(("y",), [np.eye(1)], [1.0], 1.0))
+    _solve_as_fresh(h)
+    h.add_variable("z", [0.0], 2)
+    h.slide_window(2)       # fixes y, which no kept factor reads
+    h.add_variable("n", [0.0])
+    h.add_variable("y", [3.0])
+    for vid in ("z", "n", "y"):
+        h.add_factor(linear_factor((vid,), [np.eye(1)], [1.0], 1.0))
+    _solve_as_fresh(h)
 
 
 def _broken(blocks=(np.eye(2),), sigma=1.0):

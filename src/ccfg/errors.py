@@ -53,10 +53,6 @@ class NotReady(CcfgError):
     """Wrench-cone estimate queried before enough samples were ingested."""
 
 
-class InsufficientHistory(CcfgError):
-    """Classifier history buffer is shorter than the required window."""
-
-
 class DuplicateId(CcfgError):
     """A factor-graph variable id was added twice."""
 

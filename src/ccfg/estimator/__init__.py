@@ -3,8 +3,7 @@
 from .classify import (ContactConfiguration, EstimateView, Flush, LabelFilter,
                        ObjectLineHandPoint, ObjectPointHandLine, PointOnLine,
                        WallContact, classify_ground, classify_hand,
-                       classify_slip, classify_wall, flush_vs_point_likelihood,
-                       from_sim_truth, point_feasibility)
+                       classify_slip, classify_wall, from_sim_truth)
 from .friction import (ConeConstraint, ViolationReport, WrenchConeEstimate,
                        check_violation, ingest, new_cone_estimate,
                        violation_threshold)
@@ -26,10 +25,8 @@ __all__ = [
     "classify_hand",
     "classify_slip",
     "classify_wall",
-    "flush_vs_point_likelihood",
     "from_sim_truth",
     "ingest",
     "new_cone_estimate",
-    "point_feasibility",
     "violation_threshold",
 ]

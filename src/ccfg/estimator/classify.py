@@ -18,13 +18,13 @@ means some force besides ground friction has appeared.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..core import (PlanarPose, Wrench2, center_of_pressure, face_normals,
                     hand_normal, hand_tangent)
-from ..errors import DegenerateForce, InsufficientHistory
+from ..errors import DegenerateForce
 from .friction import (WrenchConeEstimate, check_violation,
                        violation_threshold)
 
@@ -34,14 +34,8 @@ DELTA_VERT = 8e-3         # m; COP-to-projected-vertex band
 DELTA_LOWEST = 5e-3       # m; strictly-lowest-vertex margin
 COP_INTERIOR_FRAC = 0.10  # fraction of edge length for flush COP margin
 HYSTERESIS_FRAMES = 3     # consecutive frames before a label switches
-HISTORY_FRAMES = 20       # buffer for flush-vs-point likelihood
-FEASIBILITY_FRAMES = 10   # frames in the kinematic feasibility fit
 SLIP_SPEED_TOL = 1e-4     # m/s below which contacts count as sticking
-COP_SIGMA = 2e-3          # m; expected COP measurement scatter
 SLIP_BOUNDARY_BAND = 0.3  # N; cone-boundary proximity for slip labels
-# Hand poses closer than SLIP_SPEED_TOL and this between frames count as
-# stationary.
-STATIONARY_ANGLE_TOL = 1e-3
 
 
 # -- label types --------------------------------------------------------------
@@ -126,96 +120,40 @@ def _hand_cop_offset(w_meas: Wrench2, hand_pose: PlanarPose,
     return float(t_hat @ (cop.point - center))
 
 
-def point_feasibility(history: Sequence) -> float:
-    """RMS residual of one least-squares fit of a fixed world point that lies
-    on the hand line and explains the measured COP in every frame.
-
-    The model is linear in the point, so a single Gauss-Newton step solves it
-    exactly. history holds (hand_pose, cop_offset) pairs.
-    """
-    frames = list(history)[-FEASIBILITY_FRAMES:]
-    rows, rhs = [], []
-    for pose, s in frames:
-        t_hat = hand_tangent(pose.angle)
-        n_hat = hand_normal(pose.angle)
-        c = pose.position
-        rows.append(n_hat)
-        rhs.append(float(n_hat @ c))
-        rows.append(t_hat)
-        rhs.append(float(t_hat @ c) + float(s))
-    A = np.array(rows)
-    b = np.array(rhs)
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    r = A @ p - b
-    return float(np.sqrt(np.mean(r ** 2)))
-
-
-def flush_feasibility(history: Sequence, face_normal: np.ndarray,
-                      half_length: float) -> float:
-    """RMS misalignment of the hand line with a candidate flush face, scaled
-    by the hand half-length so it compares against point residuals in meters."""
-    frames = list(history)[-FEASIBILITY_FRAMES:]
-    devs = []
-    for pose, _s in frames:
-        n_hat = hand_normal(pose.angle)
-        cosang = float(np.clip(-(n_hat @ face_normal), -1.0, 1.0))
-        devs.append(math.acos(cosang))
-    return float(np.sqrt(np.mean(np.square(devs)))) * half_length
-
-
-def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView,
-                  history: Optional[Sequence] = None):
+def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView):
     """Decision cascade for the hand-side contact geometry.
 
     Force below threshold means no contact; a COP at a hand endpoint means the
-    endpoint presses an object face; a COP at a projected object vertex whose
-    fixed-point fit beats the flush fit means that vertex rides the hand line;
-    anything else is flush against the most anti-parallel face.
+    endpoint presses an object face; a COP at a projected object vertex means
+    that vertex rides the hand line. Anything else, a tangential-only load
+    with no COP included, is flush against the most anti-parallel face if
+    that face lies within 0.1 rad of the hand line, and otherwise the object
+    vertex nearest the hand line.
     """
     if float(np.hypot(*w_meas.force)) < FORCE_THRESHOLD:
         return None
 
-    normals = face_normals(view.vertices)
     n_hat = hand_normal(hand_pose.angle)
-    flush_face = int(np.argmin(normals @ n_hat))
-    flush_ok = float(normals[flush_face] @ n_hat) < -math.cos(0.1)
-
+    gaps = np.abs((view.vertices - hand_pose.position) @ n_hat)
     try:
         s = _hand_cop_offset(w_meas, hand_pose, view.hand_half_length)
     except DegenerateForce:
-        # tangential-only load; no COP to reason from
-        if flush_ok:
-            return Flush(flush_face)
-        return ObjectPointHandLine(_nearest_vertex_to_line(hand_pose, view))
+        pass  # tangential-only load: no COP to reason from
+    else:
+        L = view.hand_half_length
+        if abs(s - L) <= DELTA_EDGE or abs(s + L) <= DELTA_EDGE:
+            return ObjectLineHandPoint(endpoint=1 if s > 0 else -1)
+        t_hat = hand_tangent(hand_pose.angle)
+        offsets = (view.vertices - hand_pose.position) @ t_hat
+        near = np.nonzero(np.abs(offsets - s) <= DELTA_VERT)[0]
+        if len(near):
+            return ObjectPointHandLine(int(near[np.argmin(gaps[near])]))
 
-    L = view.hand_half_length
-    if abs(s - L) <= DELTA_EDGE or abs(s + L) <= DELTA_EDGE:
-        return ObjectLineHandPoint(endpoint=1 if s > 0 else -1)
-
-    t_hat = hand_tangent(hand_pose.angle)
-    offsets = (view.vertices - hand_pose.position) @ t_hat
-    gaps = np.abs((view.vertices - hand_pose.position) @ n_hat)
-    near = np.abs(offsets - s) <= DELTA_VERT
-    if np.any(near):
-        candidates = np.nonzero(near)[0]
-        vertex = int(candidates[np.argmin(gaps[candidates])])
-        accept = True
-        if history is not None and len(history) >= 2:
-            p_res = point_feasibility(history)
-            f_res = flush_feasibility(history, normals[flush_face], L)
-            accept = p_res <= f_res
-        if accept:
-            return ObjectPointHandLine(vertex)
-
-    if flush_ok:
+    normals = face_normals(view.vertices)
+    flush_face = int(np.argmin(normals @ n_hat))
+    if float(normals[flush_face] @ n_hat) < -math.cos(0.1):
         return Flush(flush_face)
-    return ObjectPointHandLine(_nearest_vertex_to_line(hand_pose, view))
-
-
-def _nearest_vertex_to_line(hand_pose: PlanarPose, view: EstimateView) -> int:
-    n_hat = hand_normal(hand_pose.angle)
-    gaps = np.abs((view.vertices - hand_pose.position) @ n_hat)
-    return int(np.argmin(gaps))
+    return ObjectPointHandLine(int(np.argmin(gaps)))
 
 
 # -- ground geometry -----------------------------------------------------------
@@ -303,45 +241,6 @@ def classify_slip(cone: Optional[WrenchConeEstimate], w_meas: Wrench2,
         if v < -SLIP_BOUNDARY_BAND:
             return "stick"
     return "slide_pos" if rel_tangential_speed > 0 else "slide_neg"
-
-
-# -- flush vs point likelihood ---------------------------------------------------
-
-def flush_vs_point_likelihood(history: Sequence, view: EstimateView) -> float:
-    """Log-likelihood ratio; positive favors an object vertex on the hand line.
-
-    Point contact pins the COP to one world point, so its tracking error
-    against the best estimated vertex stays at noise level even as the hand
-    moves. Flush contact lets pressure redistribute, so the COP wanders while
-    the hand is stationary and tracks no vertex.
-    """
-    frames = list(history)
-    if len(frames) < HISTORY_FRAMES:
-        raise InsufficientHistory(
-            f"need {HISTORY_FRAMES} frames, got {len(frames)}")
-
-    poses = [p for p, _ in frames]
-    s = np.array([float(v) for _, v in frames])
-
-    still = []
-    for k in range(1, len(poses)):
-        dp = np.hypot(*(poses[k].position - poses[k - 1].position))
-        da = abs(poses[k].angle - poses[k - 1].angle)
-        if dp < SLIP_SPEED_TOL and da < STATIONARY_ANGLE_TOL:
-            still.append(k)
-    v_still = float(np.var(s[still])) if len(still) >= 3 else COP_SIGMA ** 2
-
-    v_vertex = math.inf
-    for v in view.vertices:
-        errs = []
-        for (pose, sk) in frames:
-            t_hat = hand_tangent(pose.angle)
-            errs.append(float(t_hat @ (v - pose.position)) - float(sk))
-        v_vertex = min(v_vertex, float(np.mean(np.square(errs))))
-
-    floor = (0.1 * COP_SIGMA) ** 2
-    return 0.5 * len(frames) * math.log(max(v_still, floor)
-                                        / max(v_vertex, floor))
 
 
 # -- debouncing ----------------------------------------------------------------

@@ -1,20 +1,18 @@
-"""Contact classification: hand/ground/wall labels, likelihoods, debouncing."""
+"""Contact classification: hand/ground/wall labels, debouncing."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccfg.config import NoiseConfig
 from ccfg.core import (HandModel, PlanarPose, PolygonModel, Wall, WorldModel,
                        Wrench2, hand_normal, hand_tangent)
-from ccfg.errors import InsufficientHistory
 from ccfg.estimator import (ContactConfiguration, EstimateView, Flush,
                             LabelFilter, ObjectLineHandPoint,
                             ObjectPointHandLine, PointOnLine, WallContact,
                             classify_ground, classify_hand, classify_slip,
-                            classify_wall, flush_vs_point_likelihood,
-                            from_sim_truth, ingest, new_cone_estimate)
+                            classify_wall, from_sim_truth, ingest,
+                            new_cone_estimate)
 from ccfg.estimator.classify import FORCE_THRESHOLD, HYSTERESIS_FRAMES
 from ccfg.estimator.friction import ConeConstraint, WrenchConeEstimate
 from ccfg.sim import SimWorld, step
@@ -85,12 +83,26 @@ def test_vertex_under_tilted_hand_matches_sim_truth():
     label = classify_hand(frame.wrench_meas, frame.hand_pose_meas, box_view())
     assert label == ObjectPointHandLine(vertex=2)
 
-    # with a stationary pressing history the point fit still beats flush
-    s = float(t_hat @ (corner - frame.hand_pose_meas.position))
-    history = [(frame.hand_pose_meas, s)] * 12
-    label = classify_hand(frame.wrench_meas, frame.hand_pose_meas, box_view(),
-                          history=history)
-    assert label == ObjectPointHandLine(vertex=2)
+
+def test_corner_press_labels_match_sim_truth():
+    # A flush press near the top face's right end whose commanded torque tips
+    # the hand onto the box's top-right corner. Frames read as no contact are
+    # left out; every other frame must carry sim truth's hand geometry.
+    sw = flat_world(PlanarPose([0.045, 0.08], 0.0))
+    labelled, truths = 0, set()
+    for k in range(150):
+        sw, frame = step(sw, PlanarPose([0.045, 0.076], -0.0002 * k))
+        view = EstimateView(vertices=sw.vertices_world(), ground_height=0.0,
+                            hand_half_length=HALF_LEN)
+        truth = from_sim_truth(frame.truth_label, view).hand_geometry
+        truths.add(truth)
+        label = classify_hand(frame.wrench_meas, frame.hand_pose_meas, view)
+        if label is None:
+            continue
+        assert label == truth, f"step {k}: {label} but truth {truth}"
+        labelled += 1
+    assert truths == {Flush(2), ObjectPointHandLine(2)}
+    assert labelled > 0
 
 
 def test_ground_point_when_one_vertex_clearly_lowest():
@@ -215,32 +227,6 @@ def test_wall_detected_under_low_noise():
     assert truth_step is not None, "drag never reached the wall"
     assert flagged_step is not None, "wall contact never flagged"
     assert abs(flagged_step - truth_step) <= 3
-
-
-def test_likelihood_point_trace_positive():
-    p = np.array([0.02, 0.05])
-    history = []
-    for k in range(25):
-        theta = 0.4 * k / 25
-        s = 0.015 + 0.0008 * k
-        center = p - s * hand_tangent(theta)
-        history.append((PlanarPose(center, theta), s))
-    verts = np.array([[0.02, 0.05], [0.08, -0.01], [-0.05, -0.02]])
-    view = EstimateView(verts, 0.0, HALF_LEN)
-    assert flush_vs_point_likelihood(history, view) > 5.0
-
-
-def test_likelihood_flush_trace_negative():
-    rng = np.random.default_rng(2)
-    pose = PlanarPose([0.0, 0.08], 0.0)
-    history = [(pose, float(rng.uniform(-0.02, 0.02))) for _ in range(25)]
-    assert flush_vs_point_likelihood(history, box_view()) < -5.0
-
-
-def test_likelihood_needs_history():
-    pose = PlanarPose([0.0, 0.08], 0.0)
-    with pytest.raises(InsufficientHistory):
-        flush_vs_point_likelihood([(pose, 0.0)] * 5, box_view())
 
 
 def test_slip_labels_need_motion_and_boundary_load():

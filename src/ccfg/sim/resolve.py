@@ -23,28 +23,29 @@ point contacts at the overlap patch ends, which reproduces the patch torque
 limits through f_n >= 0 at both ends.
 
 All hypotheses of one enumeration pass are solved together by Newton
-iteration with analytic Jacobians: one stacked iterate, one stacked residual
-and Jacobian per iteration, one stacked LU solve per system size.  A member
-leaves the batch when it converges (max |R| <= 1e-10), diverges (a
-non-finite step or a pose step above 0.5) or has taken 40 steps, after which
-its residual is evaluated once more.  Two collinear stick points leave the
-tangential split statically indeterminate and wrench-neutral: those systems,
-and any whose LU step is singular or above 1e8, take minimum-norm (gelsy)
-steps, and the report redistributes the split in proportion to the normal
-forces.
+iteration with analytic Jacobians, one stacked LU solve per system size.  A
+member stops when it converges (max |R| <= 1e-10), diverges (a non-finite
+step or a pose step above 0.5) or has taken 40 steps; its residual is then
+evaluated once more, without the Jacobian.  Two collinear stick points leave
+the tangential split statically indeterminate and wrench-neutral: those
+systems, and any whose LU step is singular or above 1e8, take minimum-norm
+(gelsy) steps, and the report splits it in proportion to the normal forces.
+An iteration costs a few dozen numpy calls at any batch size: what no
+iterate changes is derived once per batch (_Batch), stopped members stay
+until dropping them pays (see _newton), and as every entry of R and J comes
+from the arithmetic of the scalar expression it stands for, each sum adding
+in slot order, R, J and the steps are bit for bit those of a lone member.
 
 Before any block is built, a hypothesis whose contacts all lie on lines of
 the fixed world (ground, walls) is screened: its object x/y balance rows
-and slide rows are linear in the contact forces with constant coefficients,
-since a world line's n and t are never rotated and gravity is constant.
-When their least-squares residual is far above the convergence test (for
-example the all-separate mode, or every contact sliding one way), no iterate
-can converge, and the trial is rejected as no_converge with no Jacobian
-evaluated.  This is exact: a member's Newton trajectory depends only on its
-own iterate (residuals are elementwise, each LU or gelsy solve is per
-member, padding slots add exact zeros), and such a member ends no_converge
-whether it diverges or stalls, so every other trial and every reason come
-out as without the screen.
+and slide rows are linear in the contact forces with constant coefficients
+(a world line's n and t never turn, and gravity is constant).  When their
+least-squares residual is far above the convergence test (the all-separate
+mode, or every contact sliding one way), no iterate can converge, and the
+trial is rejected as no_converge with no Jacobian evaluated.  This is
+exact: a member's Newton trajectory depends only on its own iterate, and
+such a member ends no_converge whether it diverges or stalls, so every
+other trial and every reason come out as without the screen.
 
 A second screen rejects, the same way, a hypothesis with two stick contacts
 that pin points of one body to anchors on one other body at spacings that
@@ -53,18 +54,18 @@ do not fit.  A stick contact's two rows are its gap g = x_p + R_p p -
 such contacts with the same point body and line body, g1 - g2 = R_p (p1 -
 p2) - R_l (a1 - a2), and rotations keep lengths, so |g1| + |g2| >= |g1 -
 g2| >= delta = | |p1 - p2| - |a1 - a2| |.  Hence max |R| >= delta /
-(2 sqrt(2)) at every iterate, and when that bound exceeds 2e-9, twice the
-feasibility test's 1e-9 (which leaves room for rounding), the trial can
-only end no_converge.  The flush-stick patches of a rotated object are the
-case it catches: their anchors sit a hand spacing d apart, the face points
-d / cos(dtheta).
+(2 sqrt(2)) at every iterate in exact arithmetic.  The feasibility test
+passes a trial at max |R| <= 1e-9 only, and rounding moves a stick row and
+delta by a few ulps of the rigs' coordinates, about 1e-16 m; a bound above
+1e-9 + 1e-12 therefore leaves the trial only no_converge.  The flush-stick
+patches of a rotated object are the case it catches: their anchors sit a
+hand spacing d apart, the face points d / cos(dtheta).
 
 Only when no trial of the first pass, over enumerate_modes(sw), is feasible
 does one fallback pass run, over the hypotheses it has not tried with the
 suppressed slide labels restored and the band grown by the commanded reach.
-A member's trial depends only on its own iterate, so a hypothesis comes out
-the same in either pass and in any batch: the fallback finds exactly the
-feasible modes of the wider enumeration.
+A trial comes out the same in either pass and in any batch, so the fallback
+finds exactly the feasible modes of the wider enumeration.
 
 Among the hypotheses that survive all feasibility checks the resolver picks
 the one with minimal slip dissipation (sum of squared tangential relative
@@ -105,7 +106,12 @@ _PB, _LB, _P, _ANCHOR, _N, _BASIS, _LO, _HI, _S, _MU = \
 _NCOL = 22
 
 _SIGN = {"stick": 0, "slide_pos": 1, "slide_neg": -1}
-_WORLD_POSE = np.array([[0.0], [0.0], [1.0], [0.0]])   # x, y, cos, sin
+_WORLD_POSE = np.array([0.0, 0.0, 1.0, 0.0])      # x, y, cos, sin
+# place in _Reference.poses by coordinate (x, y, cos, sin) and body
+_COORDINATE = np.array([[0, 3, 10], [1, 4, 11], [6, 7, 12], [8, 9, 13]])
+# the rows of _system's table of entries slot 0, stick and slide slots write
+_SCATTER_USE = np.repeat([[0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0],
+                          [0, 1, 1], [0, 0, 1]], [2, 2, 12, 2, 2, 6], axis=0) > 0
 _GELSY, _GELSY_LWORK = scipy.linalg.get_lapack_funcs(
     ("gelsy", "gelsy_lwork"), dtype=np.float64)
 _EPS = float(np.finfo(np.float64).eps)
@@ -116,7 +122,7 @@ _NEWTON_MAX_ITER = 40  # steps before an unconverged member is given up
 # input and output against the same bound.
 PENETRATION_TOL = 1e-9
 _FORCE_BOUND = 1e5    # N; beyond this a mode counts as jammed
-_MISFIT_BOUND = 2e-9  # m; least max |R| a misfit stick pair proves
+_MISFIT_BOUND = 1e-9 + 1e-12  # m; a misfit stick pair's least max |R|
 
 
 @dataclass(frozen=True)
@@ -243,85 +249,124 @@ class _ContactRows:
 
 class _Batch:
     """The contact rows of a batch of hypotheses sorted by (min_norm,
-    contact count), padded with empty slots (world on world, all data zero)
-    to C >= 1 slots each, and what the kernel derives from them once: per
-    (object, hand) the incidence of point and line and their sign (+1 on the
-    point's body, -1 on the line's), and the derivative rows over the pose
-    deltas whose translation columns are fixed.  The per-slot data runs over
-    the K = M * C slots, member-major, in one array (dropping members is one
-    gather); counts and min_norm run over the members."""
+    contact count), and what _system derives from them once: per slot (a
+    member's slot 0, for what its sums start from, then its contacts padded
+    with empty ones) the vectors n, t, p, anchor, pin, origin and their +90
+    degree turns, the stick basis and each body's incidence and sign (+1 on
+    the point's body, -1 on the line's); per member the runs of LU members
+    of one size and a template of the entries of R and J no iterate moves."""
 
-    _FIELDS = (("pb", ()), ("lb", ()), ("p", (2,)), ("p_perp", (2,)),
-               ("v", (5, 2)), ("v_perp", (5, 2)), ("basis", (2, 2)),
-               ("lo", ()), ("hi", ()), ("s", ()), ("s_mu", ()),
-               ("on_point", (2,)), ("on_line", (2,)), ("sign", (2,)),
-               ("d_angle", (6,)), ("d_gap", (2, 6)), ("d_lever", (2, 2, 6)),
-               ("stick_rows", (2, 6)))
+    _FIELDS = (("pb", ()), ("lb", ()), ("v", (12,)), ("v_perp", (12,)),
+               ("basis", (2, 2)), ("lo", ()), ("hi", ()), ("s", ()),
+               ("s_mu", ()), ("on_point", (2,)), ("on_line", (2,)),
+               ("sign", (2,)), ("d_angle", (6,)))
+    _LAYOUT = [(name, slice(end - math.prod(shape), end), shape)
+               for (name, shape), end in zip(_FIELDS, itertools.accumulate(
+                   math.prod(shape) for _, shape in _FIELDS))]
 
     def __init__(self, rows: list, min_norm):
-        self.counts = np.array([len(r) for r in rows])
-        self.min_norm = min_norm
+        self.counts, self.min_norm = np.array([len(r) for r in rows]), min_norm
         self.slots = C = max(1, self.counts.max())
-        self.fcol = 6 + 2 * np.arange(C)
-        empty = [((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), None)]
-        col = np.array([row for r in rows for row, _ in r + empty * (C - len(r))],
-                       dtype=float).T
+        M, n = len(rows), 6 + 2 * C
+        # hypotheses share most contacts: convert each distinct row once
+        empty, distinct = ((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), None), {}
+        slot = [distinct.setdefault(id(row), (len(distinct), row))[0]
+                for r in rows for row, _ in [empty] + r + [empty] * (C - len(r))]
+        col = np.array([r for _, r in distinct.values()], dtype=float)[slot].T
         K, ids = col.shape[1], np.array([[_OBJ], [_HAND]])
-        self.data = np.zeros((sum(math.prod(f) for _, f in self._FIELDS), K))
+        self.data = np.zeros((self._LAYOUT[-1][1].stop, K))
         self._views()
-        self.pb[:], self.lb[:], self.p[:] = col[_PB], col[_LB], col[_P:_P + 2]
-        self.v[:] = col[_ANCHOR:_BASIS].reshape(5, 2, K)
-        self.p_perp[:] = -self.p[1], self.p[0]              # rotated +90
-        self.v_perp[:, 0], self.v_perp[:, 1] = -self.v[:, 1], self.v[:, 0]
+        self.pb[:], self.lb[:] = col[_PB], col[_LB]
+        self.v[:4], self.v[4:6] = col[_N:_N + 4], col[_P:_P + 2]
+        self.v[6:8], self.v[8:] = col[_ANCHOR:_N], col[_N + 4:_BASIS]
+        self.v_perp[0::2], self.v_perp[1::2] = -self.v[1::2], self.v[0::2]
         self.basis[:] = col[_BASIS:_LO].reshape(2, 2, K) * (col[_S] == 0)
         self.lo[:], self.hi[:], self.s[:] = col[_LO], col[_HI], col[_S]
         self.s_mu[:] = col[_S] * col[_MU]
         self.on_point[:], self.on_line[:] = col[_PB] == ids, col[_LB] == ids
         self.sign[:] = self.on_point - self.on_line
         self.d_angle[2::3] = self.on_line
-        for i in range(2):
-            self.d_gap[i, i::3] = self.sign
-            self.d_lever[:, i, i::3] = self.on_point - np.eye(2)[..., None]
-        self.stick_rows[:] = self.basis[:, 0, None] * self.d_gap[0] \
-            + self.basis[:, 1, None] * self.d_gap[1]
-        self._views()       # the booleans and indices derived from the rows
+        # the fixed parts of the gap's and the levers' derivatives, once per
+        # kind of slot (the bodies of point and line) and gathered per call
+        self.kind, at = (col[_PB] * 3 + col[_LB]).astype(int), np.zeros(9, int)
+        at[self.kind] = np.arange(K)
+        d_gap, d_lever = np.zeros((2, 6, K)), np.zeros((2, 2, 6, K))
+        d_gap[0, 0::3] = d_gap[1, 1::3] = self.sign
+        d_lever[:, 0, 0::3] = d_lever[:, 1, 1::3] = self.on_point - np.eye(2)[..., None]
+        self.d_gap, self.d_lever = d_gap[..., at], d_lever[..., at]
+        self.template = np.zeros((M, n + n * n + 1))
+        J0 = self.template[:, n:-1].reshape(M, n, n)
+        J0[:, 6:, :6] = (self.basis[:, 0, None] * d_gap[0]
+                         + self.basis[:, 1, None] * d_gap[1]).reshape(
+            2, 6, M, C + 1)[..., 1:].transpose(2, 3, 0, 1).reshape(M, 2 * C, 6)
+        f = 6 + 2 * np.arange(C)
+        J0[:, f + 1, f] = self.s_mu.reshape(M, C + 1)[:, 1:]
+        J0[:, f + 1, f + 1] = np.abs(self.s).reshape(M, C + 1)[:, 1:]
+
+        # in its member's block: where a slot gathers body coordinates (x, y
+        # of its bodies, then the cos and sin turning v) and scatters R and J
+        turn = [1] * 4 + [0] * 2 + [1] * 6      # line, point or line body
+        body = np.array([col[_PB], col[_LB], 0 * col[_PB], 0 * col[_PB] + 1],
+                        dtype=int)[[0, 0, 1, 1, 2, 2, 3, 3] + turn + turn]
+        gather = _COORDINATE[np.array([0, 1] * 4 + [2] * 12 + [3] * 12)[:, None],
+                             body]
+        contact = np.tile(np.arange(-1, C), M)
+        writes = np.where(contact < 0, 0, np.where(col[_S] == 0, 1, 2))
+        base, step = np.array(
+            [(6 + r, 2) for r in (0, 1, 0, 1)]
+            + [(n + (3 * j + q) * n + 6 + v, 2)
+               for j in (0, 1) for v in (0, 1) for q in (0, 1, 2)]
+            + [(n + (6 + r) * n + 3 * j + 2, 2 * n) for r in (0, 1) for j in (0, 1)]
+            + [(n + 6 * n + col, 2 * n) for col in range(6)]).T
+        width, member = n + n * n + 1, np.repeat(np.arange(M), C + 1)
+        self.gather = gather + 14 * member
+        self.scatter = np.where(_SCATTER_USE[:, writes], base[:, None]
+                                + step[:, None] * contact, n + n * n) \
+            + width * member
+        self.totals = np.concatenate([np.arange(6), (n * np.arange(1, 7)[:, None]
+                                      + np.arange(6)).ravel()])[:, None] \
+            + width * np.arange(M)
+        self._views()
 
     def _views(self):
-        K, at = self.data.shape[1], 0
-        for name, shape in self._FIELDS:
-            size = math.prod(shape)
-            setattr(self, name, self.data[at:at + size].reshape(shape + (K,)))
-            at += size
-        self.stick = self.s == 0
-        self.sliding, self.hand_point = ~self.stick, self.pb == _HAND
-        self.member = np.repeat(np.arange(len(self.counts)), self.slots)
-        self.pi = 3 * self.member + self.pb.astype(np.intp)
-        self.li = 3 * self.member + self.lb.astype(np.intp)
+        K = self.data.shape[1]
+        for name, rows, shape in self._LAYOUT:
+            setattr(self, name, self.data[rows].reshape(shape + (K,)))
+        self.hand_point = self.pb == _HAND
+        lu = len(self.counts) - np.count_nonzero(self.min_norm)
+        edges = [0, *(np.flatnonzero(np.diff(self.counts[:lu])) + 1).tolist(), lu]
+        self.runs = [(lo, hi, 6 + 2 * int(self.counts[lo]))
+                     for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
 
     def take(self, keep) -> "_Batch":
         """The members selected by keep (a mask or indices)."""
         idx = np.flatnonzero(keep) if keep.dtype == bool else keep
         out = object.__new__(_Batch)
         out.counts, out.min_norm = self.counts[idx], self.min_norm[idx]
-        C, out.slots, out.fcol = self.slots, self.slots, self.fcol
-        out.data = self.data[:, (C * idx[:, None] + np.arange(C)).ravel()]
+        out.slots, out.template = self.slots, self.template[idx]
+        S, width = self.slots + 1, self.template.shape[1]
+        cols = (S * idx[:, None] + np.arange(S)).ravel()
+        moved = np.repeat(np.arange(len(idx)) - idx, S)    # member index shift
+        out.data, out.kind = self.data[:, cols], self.kind[cols]
+        out.d_gap, out.d_lever = self.d_gap, self.d_lever
+        out.gather = self.gather[:, cols] + 14 * moved
+        out.scatter = self.scatter[:, cols] + width * moved
+        out.totals = self.totals[:, :len(idx)]
         out._views()
         return out
 
-    def place(self, bodies, vectors=5):
-        """Point and line bodies (4, K) for body poses (4, M, 3), the
-        point's offset from its body origin and its world position (2, K),
-        and the first `vectors` of anchor, n, t, pin, origin rotated into
-        the world (vectors, 2, K)."""
-        flat = bodies.reshape(4, -1)
-        pbody, lbody = flat[:, self.pi], flat[:, self.li]
-        offset = pbody[2] * self.p + pbody[3] * self.p_perp
-        turned = lbody[2] * self.v[:vectors] + lbody[3] * self.v_perp[:vectors]
-        return pbody, lbody, offset, pbody[:2] + offset, turned
+    def place(self, poses, vectors, out=None):
+        """x, y of point, line, object and hand body, the cos and sin turning
+        v, and v's first `vectors` turned (p to the point's offset)."""
+        g, k = poses.reshape(-1)[self.gather], 2 * vectors
+        return g[:8], g[8:], np.add(g[8:8 + k] * self.v[:k],
+                                    g[20:20 + k] * self.v_perp[:k], out=out)
 
 
 def _wrap(theta):
     """wrap_angle on an array."""
+    if not (np.abs(theta) >= math.pi).any():
+        return theta            # which fmod would leave as it is
     t = np.fmod(theta, 2.0 * math.pi)
     return np.where(t <= -math.pi, t + 2.0 * math.pi,
                     np.where(t > math.pi, t - 2.0 * math.pi, t))
@@ -331,179 +376,173 @@ class _Reference:
     """The data of one step that every hypothesis shares."""
 
     def __init__(self, sw: SimWorld, target: PlanarPose):
-        self.position = np.stack([sw.object_pose.position,
-                                  sw.hand_pose.position])
-        self.angle = np.array([sw.object_pose.angle, sw.hand_pose.angle])
+        self.pose = np.array([*sw.object_pose.position, sw.object_pose.angle,
+                              *sw.hand_pose.position, sw.hand_pose.angle])
         self.target, self.stiffness = target.as_vector(), sw.stiffness
-        self.weight, self.com = sw.mass * sw.world.gravity, sw.com
+        self.turn = self.target[2] - sw.hand_pose.angle
+        self.weight, self.com = sw.mass * sw.world.gravity, sw.com.tolist()
+        # object force balance and J's pose block before any contact adds
+        self.no_contact = np.array([[0.0], [-self.weight]])
+        self.pose_block = np.diag(np.r_[0, 0, 0, -self.stiffness]).reshape(36, 1)
 
-    def bodies(self, z, wrap=False):
-        """x, y, cos, sin (4, M, 3) of object, hand and world at iterates z."""
-        pose = z[:, :6].reshape(len(z), 2, 3)
-        angle = self.angle + pose[:, :, 2]
-        if wrap:
-            angle = _wrap(angle)
-        out = np.empty((4, len(z), 3))
-        out[:2, :, :2] = (self.position + pose[:, :, :2]).transpose(2, 0, 1)
-        np.cos(angle, out=out[2, :, :2])
-        np.sin(angle, out=out[3, :, :2])
-        out[:, :, _WORLD] = _WORLD_POSE
+    def poses(self, z, wrap=False):
+        """Per member (M, 14): x, y, angle of object and hand, the cosines
+        and the sines of the two angles, and the world's x, y, cos, sin."""
+        out = np.empty((len(z), 14))
+        np.add(z[:, :6], self.pose, out=out[:, :6])
+        angle = _wrap(out[:, 2:6:3]) if wrap else out[:, 2:6:3]
+        np.cos(angle, out=out[:, 6:8])
+        np.sin(angle, out=out[:, 8:10])
+        out[:, 10:] = _WORLD_POSE
         return out
 
 
-def _system(z, ref, b):
-    """Stacked residuals R (M, n) and Jacobians J (M, n, n) at iterates z.
+def _system(z, ref, b, jacobian=True):
+    """Stacked residuals R (M, n) and Jacobians J (M, n, n; None unless
+    jacobian) at iterates z.  Rows: object balance (3), hand balance (3),
+    then two per contact slot.  Columns: object and hand pose deltas, then
+    (f_n, f_t) per slot.  Empty slots have zero residual rows.  Each balance
+    row and pose block entry adds its contacts in slot order from its value
+    in slot 0, like the scalar sum it stands for, all in one accumulate."""
+    (M, n), S = z.shape, b.slots + 1
+    K, poses = M * S, ref.poses(z)
+    # per slot -F_y, F, n, t (slices for the moments), offset and anchor
+    w = np.empty((11, K))
+    g, turns, _ = b.place(poses, 4, out=w[3:])
+    nrm, tan, offset, anchor = w[3:].reshape(4, 2, K)
+    point = g[0:2] + offset
+    gap = point - (g[2:4] + anchor)
+    f = np.zeros((2, M, S))
+    f[:, :, 1:] = z[:, 6:].reshape(M, S - 1, 2).transpose(2, 0, 1)
+    fn, ft = f.reshape(2, K)
+    force = np.add(fn * nrm, ft * tan, out=w[1:3])
 
-    Rows: object balance (3), hand balance (3), then two per contact slot.
-    Columns: object and hand pose deltas, then (f_n, f_t) per slot.  Empty
-    slots have zero residual rows.  Each balance row adds its contacts in
-    slot order, like the scalar sum it stands for.
-    """
-    M, n = z.shape
-    C = (n - 6) // 2
-    K = M * C
-    bodies = ref.bodies(z)
-    pbody, lbody, offset, point, turned = b.place(bodies, vectors=3)
-    nrm, tan = turned[1], turned[2]
-    gap = point - (lbody[:2] + turned[0])
-    fn, ft = z[:, 6::2].ravel(), z[:, 7::2].ravel()
-    vecs = np.empty((3, 2, K))                 # force on the point body, n, t
-    vecs[0] = fn * nrm + ft * tan
-    vecs[1:] = turned[1:3]
-    force = vecs[0]
-
-    # lever from the object and the hand origin to the point; about the hand,
-    # a hand point's lever is its own offset, equal in exact arithmetic and
-    # rounded as the trajectories in tests/data/resolver_regression.json
-    lever = point - bodies[:2, :, :2].transpose(2, 0, 1)[:, :, b.member]
+    # lever from the object and the hand origin to the point; a hand point's
+    # is its offset, rounded as tests/data/resolver_regression.json records
+    lever = point - g[4:8].reshape(2, 2, K)
     np.copyto(lever[1], offset, where=b.hand_point)
-    cross = lever[:, None, 0] * vecs[:, 1] - lever[:, None, 1] * vecs[:, 0]
-    lever_force = lever[:, 0] * force[0] + lever[:, 1] * force[1]
+    moment = lever[:, :, None, None] * w[1:7].reshape(3, 2, K)
+    cross = moment[:, 0, :, 1] - moment[:, 1, :, 0]     # lever x (F, n, t)
+    lever_force = moment[:, 0, 0, 0] + moment[:, 1, 0, 1]
+    # angle columns: p turning with its body, the anchor with the line's
+    th = turns[4:8] * b.v_perp[4:8] - turns[16:20] * b.v[4:8]
+    del g, turns, moment            # the largest arrays, before the next ones
 
-    co, so = bodies[2, :, _OBJ], bodies[3, :, _OBJ]
-    mg, (kx, ky, kth) = ref.weight, ref.stiffness
-    balance = np.empty((6, M))
-    balance[:2] = ((0.0,), (-mg,))
-    balance[2] = -mg * (co * ref.com[0] - so * ref.com[1])
-    balance[3:5] = ref.stiffness[:2, None] \
-        * (ref.target[:2, None] - bodies[:2, :, _HAND])
-    balance[5] = kth * _wrap(ref.target[2] - ref.angle[1] - z[:, 5])
-    wrench = np.empty((2, 3, K))
-    wrench[:, :2] = force
-    wrench[:, 2] = cross[:, 0]
-    wrench *= b.sign[:, None]
-    rows = np.empty((2, K))
-    rows[0] = nrm[0] * gap[0] + nrm[1] * gap[1]
-    rows[1] = ft + b.s_mu * fn
-    np.copyto(rows, b.basis[:, 0] * gap[0] + b.basis[:, 1] * gap[1],
-              where=b.stick)
+    # per slot the sums' terms, the wrench on each body and its derivative
+    # by the pose deltas (6 + 36 rows), and the entries R and J take
+    terms = np.empty((42 if jacobian else 6, K))
+    np.multiply(force, b.sign[:, None], out=terms[:6].reshape(2, 3, K)[:, :2])
+    np.multiply(cross[:, 0], b.sign, out=terms[2:6:3])
+    table = np.empty((26 if jacobian else 4, K))
+    np.add(b.basis[:, 0] * gap[0], b.basis[:, 1] * gap[1], out=table[:2])
+    np.add(nrm[0] * gap[0], nrm[1] * gap[1], out=table[2])
+    np.add(ft, b.s_mu * fn, out=table[3])
+    if jacobian:
+        th_point = th[:2, None] * b.on_point
+        th_gap = th_point - th[2:, None] * b.on_line
+        d_force = table[4:16].reshape(2, 2, 3, K)     # body, n or t, row
+        np.multiply(b.sign[:, None, None], w[3:7].reshape(2, 2, K),
+                    out=d_force[:, :, :2])
+        np.multiply(cross[:, 1:], b.sign[:, None], out=d_force[:, :, 2])
+        np.add(b.basis[:, 0, None] * th_gap[0], b.basis[:, 1, None] * th_gap[1],
+               out=table[16:20].reshape(2, 2, K))
+        d_gap = b.d_gap[..., b.kind]
+        d_gap[:, 2::3] = th_gap
+        perp_gap = nrm[0] * gap[1] - nrm[1] * gap[0]
+        np.add(perp_gap * b.d_angle + nrm[0] * d_gap[0], nrm[1] * d_gap[1],
+               out=table[20:])
 
-    # angle columns: rotating the point's offset and the anchor
-    th_point = (pbody[2] * b.p_perp - pbody[3] * b.p)[:, None] * b.on_point
-    th_gap = th_point - (lbody[2] * b.v_perp[0]
-                         - lbody[3] * b.v[0])[:, None] * b.on_line
-    d_gap = b.d_gap.copy()
-    d_gap[:, 2::3] = th_gap
-    d_lever = b.d_lever.copy()
-    d_lever[:, :, 2::3] = th_point
-    perp_gap = nrm[0] * gap[1] - nrm[1] * gap[0]
-    d_rows = b.stick_rows.copy()
-    d_rows[:, 2::3] = b.basis[:, 0, None] * th_gap[0] \
-        + b.basis[:, 1, None] * th_gap[1]
-    np.copyto(d_rows[0], perp_gap * b.d_angle + nrm[0] * d_gap[0]
-              + nrm[1] * d_gap[1], where=b.sliding)
-    d_wrench = np.empty((2, 3, 6, K))
-    d_wrench[:, :2] = np.stack([-force[1], force[0]])[:, None] * b.d_angle
-    d_wrench[:, 2] = (d_lever[:, 0] * force[1] - d_lever[:, 1] * force[0]
-                      + lever_force[:, None] * b.d_angle)
-    d_wrench *= b.sign[:, None, None]
-    d_force = np.empty((2, 3, 2, K))
-    d_force[:, :2, 0] = nrm
-    d_force[:, :2, 1] = tan
-    d_force[:, 2] = cross[:, 1:]
-    d_force *= b.sign[:, None, None]
+        d_wrench = terms[6:].reshape(2, 3, 6, K)
+        np.negative(force[1], out=w[0])
+        np.multiply(w[:2, None] * b.d_angle, b.sign[:, None, None],
+                    out=d_wrench[:, :2])
+        d_lever = b.d_lever[..., b.kind]
+        d_lever[:, :, 2::3] = th_point
+        np.multiply(d_lever[:, 0] * force[1] - d_lever[:, 1] * force[0]
+                    + lever_force[:, None] * b.d_angle, b.sign[:, None],
+                    out=d_wrench[:, 2])
 
-    J_pose = np.zeros((6, 6, M))
-    J_pose[2, 2] = mg * (so * ref.com[0] + co * ref.com[1])
-    J_pose[3, 3], J_pose[4, 4], J_pose[5, 5] = -kx, -ky, -kth
-    wrench, d_wrench = wrench.reshape(6, M, C), d_wrench.reshape(6, 6, M, C)
-    for c in range(C):
-        balance += wrench[..., c]
-        J_pose += d_wrench[..., c]
-
-    R = np.empty((M, n))
-    R[:, :6] = balance.T
-    R[:, 6:] = rows.reshape(2, M, C).transpose(1, 2, 0).reshape(M, 2 * C)
-    J = np.zeros((M, n, n))
-    J[:, :6, :6] = J_pose.transpose(2, 0, 1)
-    J[:, :6, 6:] = d_force.reshape(6, 2, M, C).transpose(2, 0, 3, 1) \
-        .reshape(M, 6, 2 * C)
-    J[:, 6:, :6] = d_rows.reshape(2, 6, M, C).transpose(2, 3, 0, 1) \
-        .reshape(M, 2 * C, 6)
-    J[:, b.fcol + 1, b.fcol] = b.s_mu.reshape(M, C)
-    J[:, b.fcol + 1, b.fcol + 1] = np.abs(b.s).reshape(M, C)
-    return R, J
+    first = terms.reshape(-1, M, S)[:, :, 0]
+    co, so, (comx, comy) = poses[:, 6], poses[:, 8], ref.com
+    first[:2] = ref.no_contact
+    np.multiply(-ref.weight, co * comx - so * comy, out=first[2])
+    first[3:5] = (ref.stiffness[:2] * (ref.target[:2] - poses[:, 3:5])).T
+    np.multiply(ref.stiffness[2], _wrap(ref.turn - z[:, 5]), out=first[5])
+    if jacobian:
+        first[6:] = ref.pose_block
+        np.multiply(ref.weight, so * comx + co * comy, out=first[6 + 14])
+    out = b.template.copy() if jacobian else np.empty(b.template.shape)
+    flat, sums = out.reshape(-1), terms.reshape(-1, M, S)
+    flat[b.scatter[:len(table)]] = table
+    for s in range(1, S):   # an accumulate would cost a call per short row
+        sums[:, :, 0] += sums[:, :, s]
+    flat[b.totals[:len(terms)]] = sums[:, :, 0]
+    return out[:, :n], out[:, n:-1].reshape(M, n, n) if jacobian else None
 
 
-def _steps(R, J, counts, min_norm):
-    """Newton steps dz with J dz = -R for a batch sorted as _Batch sorts it.
+@functools.lru_cache(maxsize=None)
+def _gelsy_lwork(m):            # gelsy's workspace, as lstsq sizes it
+    return int(_GELSY_LWORK(m, m, 1, _EPS)[0])
 
-    The LU members of each system size are solved in one stack.  The gufunc
-    behind np.linalg.solve marks an exactly singular member with NaN where
-    np.linalg.solve would raise for the whole stack; such members, steps
-    above 1e8 and the min_norm members take a gelsy step instead.
-    """
+
+def _steps(R, J, b, keep):
+    """Newton steps dz with J dz = -R for the members of batch b that keep
+    selects.  Each run of LU members of one size is one stacked solve; its
+    gufunc marks an exactly singular member with NaN where np.linalg.solve
+    would raise.  Such members, steps above 1e8 and the min_norm members
+    take a gelsy step instead."""
     dz = np.zeros_like(R)
-    lu = len(min_norm) - np.count_nonzero(min_norm)
-    gelsy = list(range(lu, len(counts)))
-    edges = [0, *(np.flatnonzero(np.diff(counts[:lu])) + 1).tolist(), lu]
-    for lo, hi in zip(edges[:-1], edges[1:]) if lu else ():
-        m = 6 + 2 * counts[lo]
-        x = _umath_linalg.solve1(J[lo:hi, :m, :m], -R[lo:hi, :m],
-                                 signature="dd->d")
-        dz[lo:hi, :m] = x
-        gelsy += (lo + np.flatnonzero(~(np.abs(x).max(axis=1) <= 1e8))).tolist()
+    for lo, hi, m in b.runs:
+        if keep[lo:hi].any():
+            dz[lo:hi, :m] = _umath_linalg.solve1(
+                J[lo:hi, :m, :m], -R[lo:hi, :m], signature="dd->d")
+    gelsy = np.flatnonzero(
+        keep & (b.min_norm | ~(np.abs(dz).max(axis=1) <= 1e8))).tolist()
+    pivots = np.empty((R.shape[1], 1), dtype=np.int32)
     for i in gelsy:
-        m = 6 + 2 * counts[i]
-        lwork = int(_GELSY_LWORK(m, m, 1, _EPS)[0])    # as lstsq sizes it
-        dz[i, :m] = _GELSY(J[i, :m, :m], -R[i, :m],
-                           np.zeros((m, 1), dtype=np.int32), _EPS, lwork,
-                           False, False)[1]
+        m = 6 + 2 * int(b.counts[i])
+        pivots[:m] = 0      # gelsy leads with the columns marked here
+        dz[i, :m] = _GELSY(J[i, :m, :m], -R[i, :m], pivots[:m], _EPS,
+                           _gelsy_lwork(m), False, False)[1]
     return dz
 
 
 def _newton(ref, batch):
-    """Newton iteration from zero on every member of a batch at once.
-
-    Returns the iterates (N, n), the final max |R| (inf when diverged) and
-    the Jacobian evaluations per member.
-    """
+    """Newton iteration from zero on every member of a batch at once: the
+    iterates (N, n), the final max |R| (inf when diverged) and the Jacobian
+    evaluations per member."""
     N, n = len(batch.counts), 6 + 2 * batch.slots
-    z = np.zeros((N, n))
-    res = np.full(N, math.inf)
-    evaluations = np.zeros(N, dtype=int)
-    live, b = np.arange(N), batch
+    z, res, evaluations = np.zeros((N, n)), np.full(N, math.inf), np.zeros(N, int)
+    # b holds rows `at` of z and evaluations, as zb and count
+    at, b, zb, count = np.arange(N), batch, z, evaluations
+    active = np.ones(N, dtype=bool)
     with np.errstate(all="ignore"):   # non-finite members are dropped below
         for it in range(_NEWTON_MAX_ITER + 1):
-            R, J = _system(z[live], ref, b)
+            R, J = _system(zb, ref, b, jacobian=it < _NEWTON_MAX_ITER)
+            count += active
             r = np.abs(R).max(axis=1)
-            keep = np.isfinite(r)
-            done = keep & (r <= _NEWTON_TOL) \
-                if it < _NEWTON_MAX_ITER else keep
-            res[live[done]] = r[done]
-            keep &= ~done
+            ok = active & np.isfinite(r)
+            done = ok & (r <= _NEWTON_TOL) if J is not None else ok
+            if done.any():
+                res[at[done]] = r[done]
+            keep = ok ^ done
             if keep.any():
-                sub = slice(None) if keep.all() else keep
-                dz = _steps(R[sub], J[sub], b.counts[sub], b.min_norm[sub])
-                good = np.isfinite(dz).all(axis=1) \
-                    & (np.abs(dz[:, :6]).max(axis=1) <= 0.5)
-                keep[keep] = good
-                z[live[keep]] += dz[good]
-            if not keep.all():
-                evaluations[live[~keep]] = it + 1
-                live, b = live[keep], b.take(keep)
-                if not live.size:
-                    break
+                dz = _steps(R, J, b, keep)
+                step = np.abs(dz)
+                keep &= (step[:, :6].max(axis=1) <= 0.5) \
+                    & (step.max(axis=1) < math.inf)
+                np.add(zb, dz, out=zb, where=keep[:, None])
+            del R, J                # before the next evaluation allocates
+            live, active = np.count_nonzero(keep), keep
+            if not live:
+                break
+            # drop stopped members once they are half the batch or 9, about
+            # a take's cost in member iterations (chosen on a cost model)
+            if len(keep) - live >= min(live, 9):
+                z[at], evaluations[at] = zb, count
+                at, b, zb, count, active = at[keep], b.take(keep), zb[keep], \
+                    count[keep], active[keep]
+    z[at], evaluations[at] = zb, count
     return z, res, evaluations
 
 
@@ -533,27 +572,26 @@ def _screen(ref, batch, z, res):
     and slips (C,) per contact slot."""
     reasons = np.where(res > 1e-9, "no_converge", "").astype(object)
     conv = np.flatnonzero(res <= 1e-9)
-    b, zc = batch.take(conv), z[conv]
-    M, C = len(conv), b.slots
-    _, lbody, _, point, turned = b.place(ref.bodies(zc, wrap=True))
-    tan = turned[2]
+    b, zc, M = batch.take(conv), z[conv], len(conv)
+    g, _, turned = b.place(ref.poses(zc, wrap=True), 6)
+    point, tan, S = g[:2] + turned[4:6], turned[2:4], b.slots + 1
 
     def along(start):
-        d = point - (lbody[:2] + start)
+        d = point - (g[2:4] + start)
         return tan[0] * d[0] + tan[1] * d[1]
 
-    slips, extent = along(turned[3]), along(turned[4])
+    slips, extent = along(turned[8:10]), along(turned[10:12])
     off = (extent < b.lo - 1e-9) | (extent > b.hi + 1e-9)
-    bad = (off | (slips * b.s < -1e-9)).reshape(M, C)
-    first = np.arange(M) * C + bad.argmax(axis=1)
+    bad = (off | (slips * b.s < -1e-9)).reshape(M, S)
+    first = np.arange(M) * S + bad.argmax(axis=1)
     late = np.where(~off[first], "slip_direction",
                     np.where(b.lb[first] == _HAND, "off_segment", "off_face"))
     early = np.where((zc[:, 6::2] < -1e-9).any(axis=1), "negative_normal",
                      np.where(bad.any(axis=1), late, ""))
     reasons[conv] = early
-    point = point.reshape(2, M, C).transpose(1, 2, 0)
-    directions = turned[1:3].reshape(2, 2, M, C).transpose(2, 3, 0, 1)
-    slips = slips.reshape(M, C)
+    point = point.reshape(2, M, S)[:, :, 1:].transpose(1, 2, 0)
+    directions = turned[:4].reshape(2, 2, M, S)[..., 1:].transpose(2, 3, 0, 1)
+    slips = slips.reshape(M, S)[:, 1:]
     return reasons, {int(i): (point[k], directions[k], slips[k])
                      for k, i in enumerate(conv) if not early[k]}
 

@@ -1,5 +1,6 @@
 """Package exports and imports: every name in a package's __all__ resolves
-on it, and every module uses what it imports."""
+on it, every module uses what it imports, and every private module-level
+name is read somewhere in the package."""
 
 import ast
 import importlib
@@ -44,3 +45,37 @@ def test_modules_use_their_imports():
     unused = [u for path in sorted(root.rglob("*.py"))
               if path.name != "__init__.py" for u in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """Private names (one leading underscore) a module binds at its top
+    level: defs, classes and assignment targets, tuples unpacked."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) \
+            else []
+        for target in targets:
+            names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_private_names_are_read():
+    # a helper, constant or table that a refactor leaves behind shows up
+    # here: nothing under src/ccfg reads it
+    root = Path(ccfg.__file__).parent
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(root.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{path.parent.name}/{path.name} {name}"
+                    for path, tree in trees.items()
+                    for name in _private_definitions(tree) - read)
+    assert unread == []

@@ -522,7 +522,7 @@ def _newton(ref, batch):
             count += active
             r = np.abs(R).max(axis=1)
             ok = active & np.isfinite(r)
-            done = ok & (r <= _NEWTON_TOL) if J is not None else ok
+            done = ok & (r <= _NEWTON_TOL) if it < _NEWTON_MAX_ITER else ok
             if done.any():
                 res[at[done]] = r[done]
             keep = ok ^ done

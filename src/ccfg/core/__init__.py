@@ -1,6 +1,6 @@
 """Planar geometry and contact-mechanics primitives shared by the whole toolkit."""
 
-from .hull import convex_hull, noisy_convex_hull
+from .hull import convex_hull
 from .mechanics import FrictionResidual, friction_complementarity_residual
 from .polygon import PolygonModel, face_normals
 from .pose import (PlanarPose, cross2, hand_normal, hand_tangent, rotate,
@@ -28,7 +28,6 @@ __all__ = [
     "gravity_torque",
     "hand_normal",
     "hand_tangent",
-    "noisy_convex_hull",
     "rotate",
     "rotation",
     "transform_torque",

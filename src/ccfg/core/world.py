@@ -16,6 +16,8 @@ class Wall:
     def __post_init__(self):
         if self.facing not in (-1, 1):
             raise ValueError("wall facing must be +1 or -1")
+        if not -math.inf < self.x < math.inf:
+            raise ValueError("wall x must be finite")
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,9 @@ class WorldModel:
         walls = tuple(self.walls)
         if len(walls) > 2:
             raise ValueError("at most two walls supported")
+        if not (-math.inf < self.ground_height < math.inf
+                and -math.inf < self.gravity < math.inf):
+            raise ValueError("ground_height and gravity must be finite")
         object.__setattr__(self, "walls", walls)
 
 
@@ -40,8 +45,8 @@ class HandModel:
     half_length: float
 
     def __post_init__(self):
-        if not (self.half_length > 0):
-            raise ValueError("hand half_length must be positive")
+        if not 0 < self.half_length < math.inf:
+            raise ValueError("hand half_length must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ class NegativeNormalForce(CcfgError):
     """A contact normal force was negative (separating) where compression was required."""
 
 
-class TooFewPoints(CcfgError):
-    """Not enough points to run the noisy-hull heuristic."""
-
-
 class NoFeasibleMode(CcfgError):
     """No enumerated contact-mode hypothesis passed the feasibility checks."""
 

@@ -98,14 +98,31 @@ class ContactConfiguration:
 class EstimateView:
     """The slice of a kinematic estimate the classifier needs.
 
-    vertices are the estimated object vertices in the world frame, CCW; walls
-    are the world's wall planes (empty tuple when the scene has none).
+    vertices are the estimated object vertices in the world frame, CCW, as
+    an (n >= 3, 2) array; walls are the world's wall planes (empty tuple when
+    the scene has none). Every number must be finite and the half-length
+    positive: a NaN vertex or height would otherwise come back as a
+    confident label.
     """
 
     vertices: np.ndarray
     ground_height: float
     hand_half_length: float
     walls: tuple = ()
+
+    def __post_init__(self):
+        # checks only: the vertices are neither copied nor altered
+        shape = np.shape(self.vertices)
+        if (len(shape) != 2 or shape[0] < 3 or shape[1] != 2
+                or not np.isfinite(self.vertices).all()):
+            raise ValueError("estimate vertices must be a finite (n >= 3, 2) "
+                             "array")
+        # plain comparisons, false for NaN
+        if not -math.inf < self.ground_height < math.inf:
+            raise ValueError("estimate ground_height must be finite")
+        if not 0 < self.hand_half_length < math.inf:
+            raise ValueError("estimate hand_half_length must be positive "
+                             "and finite")
 
 
 # -- hand geometry -------------------------------------------------------------
@@ -233,7 +250,10 @@ def classify_wall(w_meas: Wrench2, ground_cone: WrenchConeEstimate,
 def classify_slip(cone: Optional[WrenchConeEstimate], w_meas: Wrench2,
                   rel_tangential_speed: float) -> str:
     """Slide labels need both measured relative motion and a load near the
-    friction-cone boundary; everything else is sticking."""
+    friction-cone boundary; everything else is sticking. The speed must be
+    finite."""
+    if not -math.inf < rel_tangential_speed < math.inf:
+        raise ValueError("relative tangential speed must be finite")
     if abs(rel_tangential_speed) < SLIP_SPEED_TOL:
         return "stick"
     if cone is not None and cone.ready:

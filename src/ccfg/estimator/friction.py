@@ -32,9 +32,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..config import FrictionEstConfig
-# noisy_convex_hull is unused here; perfbench/tracing.py rebinds it by name
-from ..core import Wrench2, noisy_convex_hull  # noqa: F401
+from ..core import Wrench2
 from ..errors import NotReady
+
+# Nothing here calls it; the traced pass of perfbench/tracing.py still wraps
+# and rebinds this name.
+noisy_convex_hull = None
 
 # Ring buffer of scaled wrenches the cone is fit from, and the lifetime
 # sample count before the first fit.

@@ -1,6 +1,9 @@
 """Contact classification: hand/ground/wall labels, debouncing."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +45,33 @@ def flat_world(hand_pose):
                     world=WorldModel(ground_height=0.0),
                     mass=0.5, com=np.zeros(2), mu_hand=0.9, mu_ground=0.25,
                     mu_wall=0.3, stiffness=np.array([600.0, 600.0, 20.0]))
+
+
+def test_estimate_view_rejects_nonfinite_or_misshaped_inputs():
+    # A NaN vertex or ground height would otherwise come back from
+    # classify_hand and classify_ground as a confident label.
+    verts = box_view().vertices
+    bad_verts = verts.copy()
+    bad_verts[2, 1] = math.nan
+    for kwargs in (dict(vertices=bad_verts),
+                   dict(vertices=np.where(verts > 0, math.inf, verts)),
+                   dict(vertices=verts[:2]),
+                   dict(vertices=verts.ravel()),
+                   dict(vertices=np.c_[verts, verts[:, :1]]),
+                   dict(ground_height=math.nan),
+                   dict(ground_height=math.inf),
+                   dict(hand_half_length=0.0),
+                   dict(hand_half_length=-HALF_LEN),
+                   dict(hand_half_length=math.inf),
+                   dict(hand_half_length=math.nan)):
+        args = dict(vertices=verts, ground_height=0.0,
+                    hand_half_length=HALF_LEN) | kwargs
+        with pytest.raises(ValueError):
+            EstimateView(**args)
+    # a valid view keeps the caller's array as it is
+    view = EstimateView(vertices=verts, ground_height=0.0,
+                        hand_half_length=HALF_LEN)
+    assert view.vertices is verts and verts.flags.writeable
 
 
 def test_low_force_means_no_hand_contact():
@@ -241,6 +271,9 @@ def test_slip_labels_need_motion_and_boundary_load():
     assert classify_slip(cone, boundary, 3e-3) == "slide_pos"
     assert classify_slip(cone, boundary, -3e-3) == "slide_neg"
     assert classify_slip(None, boundary, 3e-3) == "slide_pos"
+    # a NaN speed would otherwise read as "slide_neg"
+    with pytest.raises(ValueError):
+        classify_slip(None, boundary, float("nan"))
 
 
 def test_label_filter_debounces_single_frame_blips():

@@ -1,9 +1,11 @@
 """Package exports and imports: every name in a package's __all__ resolves
-on it, every module uses what it imports, and every private module-level
-name is read somewhere in the package."""
+on it, every module uses what it imports, every private module-level name is
+read somewhere in the package, and every program name the benchmark's traced
+pass rebinds exists."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -20,17 +22,11 @@ def test_all_names_resolve(package):
 
 
 def _unused_imports(path):
-    """Names the module at path imports and never reads, except those on an
-    import statement marked `# noqa: F401`."""
-    text = path.read_text()
-    lines = text.splitlines()
-    tree = ast.parse(text)
+    """Names the module at path imports and never reads."""
+    tree = ast.parse(path.read_text())
     imported = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        span = lines[node.lineno - 1:node.end_lineno]
-        if any("# noqa: F401" in line for line in span):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
@@ -79,3 +75,16 @@ def test_private_names_are_read():
                     for path, tree in trees.items()
                     for name in _private_definitions(tree) - read)
     assert unread == []
+
+
+def test_benchmark_rebinds_name_program_attributes():
+    # perfbench/tracing.py replaces these module attributes by name during a
+    # traced run; a deleted or renamed one would fail only that run
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    rebinds = tracing.Api(tracing.Tracer()).rebinds
+    assert len(rebinds) > 1
+    missing = [f"{mod.__name__}.{name}" for mod, name, _ in rebinds
+               if not hasattr(mod, name)]
+    assert missing == []

@@ -1,4 +1,5 @@
-"""Poses, polygons, world model, and the gravity-torque parameterization."""
+"""Poses, polygons, convex hulls, world model, and the gravity-torque
+parameterization."""
 
 import math
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ccfg.core import (GravityParams, HandModel, PlanarPose, PolygonModel,
-                       Wall, WorldModel, cross2, gravity_torque, hand_normal,
-                       hand_tangent, rotate, rotation, wrap_angle)
+                       Wall, WorldModel, convex_hull, cross2, gravity_torque,
+                       hand_normal, hand_tangent, rotate, rotation, wrap_angle)
 
 
 def test_wrap_angle_range():
@@ -95,7 +96,6 @@ def test_polygon_area_and_centroid():
 @example(raw=[(0.0, 0.0)] * 4 + [(0.0, 4.93e-70), (1.0, 0.0)])
 @example(raw=[(0.0, 0.0)] * 4 + [(0.0, 1.0), (1e-15, 0.0)])
 def test_polygon_from_hull_satisfies_face_invariants(raw):
-    from ccfg.core import convex_hull
     hull = convex_hull(np.array(raw))
     if len(hull) < 3:
         return
@@ -106,6 +106,39 @@ def test_polygon_from_hull_satisfies_face_invariants(raw):
         assert abs(poly.all_face_residuals(b)[i]) < 1e-9
 
 
+def shoelace_area(verts):
+    n = len(verts)
+    return 0.5 * sum(verts[i][0] * verts[(i + 1) % n][1]
+                     - verts[i][1] * verts[(i + 1) % n][0] for i in range(n))
+
+
+def is_ccw_convex(verts):
+    n = len(verts)
+    if n < 3:
+        return False
+    for i in range(n):
+        e1 = verts[(i + 1) % n] - verts[i]
+        e2 = verts[(i + 2) % n] - verts[(i + 1) % n]
+        if cross2(e1, e2) <= 0:
+            return False
+    return True
+
+
+def test_convex_hull_square_with_interior():
+    pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
+                    [0.5, 0.5], [0.2, 0.7], [0.5, 0.0]])
+    hull = convex_hull(pts)
+    assert len(hull) == 4
+    assert is_ccw_convex(hull)
+    assert shoelace_area(hull) == pytest.approx(1.0)
+
+
+def test_convex_hull_collinear_degenerate():
+    pts = np.array([[i, 0.0] for i in range(10)])
+    hull = convex_hull(pts)
+    assert len(hull) == 2
+
+
 def test_world_model_validation():
     assert WorldModel(walls=[Wall(0.5, -1)]).walls == (Wall(0.5, -1),)
     with pytest.raises(ValueError):
@@ -114,6 +147,14 @@ def test_world_model_validation():
         Wall(0.0, 2)
     with pytest.raises(ValueError):
         HandModel(0.0)
+    # A NaN wall would be ignored by step, and a NaN gravity would surface
+    # only later, as NoFeasibleMode.
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in (lambda: Wall(bad, -1), lambda: HandModel(bad),
+                     lambda: WorldModel(ground_height=bad),
+                     lambda: WorldModel(gravity=bad)):
+            with pytest.raises(ValueError):
+                make()
 
 
 def test_gravity_params_trivial_cases():

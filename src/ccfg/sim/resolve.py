@@ -30,6 +30,9 @@ evaluated once more, without the Jacobian.  Two collinear stick points leave
 the tangential split statically indeterminate and wrench-neutral: those
 systems, and any whose LU step is singular or above 1e8, take minimum-norm
 (gelsy) steps, and the report splits it in proportion to the normal forces.
+gelsy is LAPACK's, called through scipy's compiled scipy/linalg/_flapack,
+which is loaded from its file: importing scipy.linalg for it would cost most
+of the time it takes to import ccfg.sim.
 An iteration costs a few dozen numpy calls at any batch size: what no
 iterate changes is derived once per batch (_Batch), stopped members stay
 until dropping them pays (see _newton), and as every entry of R and J comes
@@ -78,13 +81,16 @@ pass found nothing), and a pass has at most one flush candidate per face.
 """
 
 import functools
+import importlib.util
 import itertools
 import math
+import os
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
 
 import numpy as np
-import scipy.linalg
 from numpy.linalg import _umath_linalg
 
 from ..core import PlanarPose, Wrench2, cross2, wrap_angle
@@ -112,8 +118,27 @@ _COORDINATE = np.array([[0, 3, 10], [1, 4, 11], [6, 7, 12], [8, 9, 13]])
 # the rows of _system's table of entries slot 0, stick and slide slots write
 _SCATTER_USE = np.repeat([[0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0],
                           [0, 1, 1], [0, 0, 1]], [2, 2, 12, 2, 2, 6], axis=0) > 0
-_GELSY, _GELSY_LWORK = scipy.linalg.get_lapack_funcs(
-    ("gelsy", "gelsy_lwork"), dtype=np.float64)
+
+
+def _load_gelsy():
+    """LAPACK's dgelsy and its workspace query, from scipy's compiled
+    scipy/linalg/_flapack loaded as ccfg.sim._flapack, which runs no
+    scipy/linalg/__init__.py."""
+    where = os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    found = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)) \
+        .find_spec("_flapack")
+    if found is None:
+        raise ImportError(f"no _flapack extension in {where} "
+                          f"(suffixes tried: {', '.join(EXTENSION_SUFFIXES)})")
+    spec = importlib.util.spec_from_file_location(f"{__package__}._flapack",
+                                                  found.origin)
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgelsy, flapack.dgelsy_lwork
+
+
+_GELSY, _GELSY_LWORK = _load_gelsy()
 _EPS = float(np.finfo(np.float64).eps)
 _SLOTS = 512          # contact slots per batch; keeps its arrays near 1 MB
 _NEWTON_TOL = 1e-10   # max |R| at which a Newton member has converged

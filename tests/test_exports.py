@@ -1,10 +1,15 @@
 """Package exports and imports: every name in a package's __all__ resolves
 on it, every module uses what it imports, every private module-level name is
-read somewhere in the package, and every program name the benchmark's traced
-pass rebinds exists."""
+read somewhere in the package, every program name the benchmark's traced
+pass rebinds exists, and importing and running the packages leaves
+scipy.linalg unimported."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -88,3 +93,41 @@ def test_benchmark_rebinds_name_program_attributes():
     missing = [f"{mod.__name__}.{name}" for mod, name, _ in rebinds
                if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_packages_run_without_importing_scipy_linalg():
+    # resolve.py loads gelsy from scipy/linalg/_flapack's file; importing
+    # scipy.linalg (and scipy._lib._util under it) would be most of the time
+    # it takes to import ccfg.sim. A fresh interpreter imports the packages
+    # and resolves a flush-stick step, whose Newton solve takes gelsy steps.
+    script = """
+import json, sys
+import numpy as np
+import ccfg.core, ccfg.estimator, ccfg.graph, ccfg.sim
+import ccfg.sim.resolve as resolve
+from ccfg.core import HandModel, PlanarPose, PolygonModel, WorldModel
+from ccfg.sim import SimWorld, resolve_mode
+
+calls, gelsy = [], resolve._GELSY
+resolve._GELSY = lambda *args: calls.append(1) or gelsy(*args)
+sw = SimWorld(
+    polygon=PolygonModel([[-0.06, -0.04], [0.06, -0.04], [0.06, 0.04],
+                          [-0.06, 0.04]]),
+    object_pose=PlanarPose([0.0, 0.04], 0.0),
+    hand_pose=PlanarPose([0.0, 0.08], 0.0), hand=HandModel(half_length=0.05),
+    world=WorldModel(ground_height=0.0), mass=0.5, com=np.zeros(2),
+    mu_hand=0.9, mu_ground=0.25, mu_wall=0.3,
+    stiffness=np.array([600.0, 600.0, 20.0]))
+sol = resolve_mode(sw, PlanarPose([0.0, 0.079], 0.0))
+print(json.dumps({"mode": sol.hypothesis.hand_mode, "gelsy_calls": len(calls),
+                  "loaded": [m for m in ("scipy.linalg", "scipy._lib._util")
+                             if m in sys.modules]}))
+"""
+    src = Path(ccfg.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    assert out["mode"] == "stick_flush" and out["gelsy_calls"] > 0
+    assert out["loaded"] == []

@@ -7,12 +7,16 @@ back from the solver.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import ccfg.sim.engine as engine
@@ -609,6 +613,76 @@ def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
         assert np.linalg.norm(J[i] @ dz[i] + on_range) \
             <= 1e-10 * np.linalg.norm(R[i])
         assert np.abs(dz[i]).max() < 1e3
+
+def gelsy_draws(rng, m, count):
+    """Seeded systems (J, -R) of size m: regular ones, exactly
+    rank-deficient ones (a repeated row or column) and ill-conditioned ones."""
+    for k in range(count):
+        J = rng.normal(size=(m, m))
+        if k % 3 == 1:
+            i, j = rng.choice(m, 2, replace=False)
+            if k % 2:
+                J[i] = J[j]
+            else:
+                J[:, i] = J[:, j]
+        elif k % 3 == 2:
+            u, _, vt = np.linalg.svd(J)
+            J = u @ np.diag(np.logspace(0, -rng.uniform(10, 20), m)) @ vt
+        yield J, -rng.normal(size=m)
+
+
+def test_gelsy_is_scipys_routine():
+    # the gelsy loaded from scipy/linalg/_flapack's file is scipy.linalg's:
+    # byte-equal solution, pivots and rank on every draw, called as _steps
+    # calls it, and the same workspace at every system size
+    gelsy, gelsy_lwork = scipy.linalg.get_lapack_funcs(
+        ("gelsy", "gelsy_lwork"), dtype=np.float64)
+    rng = np.random.default_rng(21)
+    deficient = 0
+    for m in range(6, 18, 2):
+        lwork = resolve._gelsy_lwork(m)
+        assert lwork == int(gelsy_lwork(m, m, 1, resolve._EPS)[0])
+        for J, b in gelsy_draws(rng, m, 60):
+            ours, theirs = (
+                f(J, b[:, None], np.zeros((m, 1), np.int32), resolve._EPS,
+                  lwork, False, False) for f in (resolve._GELSY, gelsy))
+            assert ours[4] == theirs[4] == 0
+            assert ours[1].tobytes() == theirs[1].tobytes()
+            assert ours[2].tobytes() == theirs[2].tobytes()
+            assert ours[3] == theirs[3]
+            deficient += ours[3] < m
+    # the 20 repeated rows or columns per size, and some ill-conditioned
+    # draws, come out rank-deficient
+    assert deficient > 6 * 20
+
+
+def test_gelsy_loads_after_scipy_linalg():
+    # scipy.linalg imported first has loaded _flapack under its own name;
+    # loading it again as ccfg.sim._flapack must still give scipy's routine
+    script = """
+import numpy as np, scipy.linalg
+import ccfg.sim.resolve as resolve
+gelsy = scipy.linalg.get_lapack_funcs(("gelsy",), dtype=np.float64)[0]
+J = np.random.default_rng(3).normal(size=(8, 8))
+J[1] = J[0]
+b = np.arange(8.0)[:, None]
+print(resolve._GELSY is not gelsy,
+      *(f(J, b, np.zeros((8, 1), np.int32), resolve._EPS,
+          resolve._gelsy_lwork(8), False, False)[1].tobytes().hex()
+        for f in (resolve._GELSY, gelsy)))
+"""
+    src = Path(resolve.__file__).parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert len(out) == 3 and out[0] == "True" and out[1] == out[2]
+
+
+def test_missing_flapack_names_the_search():
+    with mock.patch.object(resolve, "EXTENSION_SUFFIXES", [".missing.so"]):
+        with pytest.raises(ImportError, match=r"linalg.*\.missing\.so"):
+            resolve._load_gelsy()
 
 WORLD_LABELS = ("separate",) + ACTIVE_LABELS
 

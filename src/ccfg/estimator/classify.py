@@ -304,7 +304,11 @@ class LabelFilter:
 
 def from_sim_truth(label: dict, view: EstimateView) -> ContactConfiguration:
     """Map a simulator truth label record onto a ContactConfiguration so
-    predictions and truth share one vocabulary for confusion matrices."""
+    predictions and truth share one vocabulary for confusion matrices.
+
+    A hand in contact whose hand_contact is missing, of an unknown kind or
+    without the key its kind needs raises ValueError.
+    """
 
     def slip_of(name: str) -> str:
         if name.startswith("slide_pos"):
@@ -319,13 +323,16 @@ def from_sim_truth(label: dict, view: EstimateView) -> ContactConfiguration:
         hand_slip = slip_of(label["hand"])
         hc = label.get("hand_contact") or {}
         kind = hc.get("kind")
-        if kind == "tip":
-            hand_geometry = ObjectLineHandPoint(int(hc.get("tip", 1)) or 1)
-        elif kind == "vertex":
-            hand_geometry = ObjectPointHandLine(int(hc.get("vertex", 0)))
-        else:
+        if kind == "tip" and hc.get("tip") in (-1, 1):
+            hand_geometry = ObjectLineHandPoint(int(hc["tip"]))
+        elif kind == "vertex" and "vertex" in hc:
+            hand_geometry = ObjectPointHandLine(int(hc["vertex"]))
+        elif kind in ("flush", "pair") and "face" in hc:
             # flush and transitional two-point contacts share the flush shape
-            hand_geometry = Flush(int(hc.get("face", 0)))
+            hand_geometry = Flush(int(hc["face"]))
+        else:
+            raise ValueError(f"hand mode {label['hand']!r} has malformed "
+                             f"hand_contact {label.get('hand_contact')!r}")
 
     active = [(int(v), lab) for v, lab in (label or {}).get("ground", [])
               if lab != "separate"]

@@ -18,7 +18,7 @@ from ccfg.estimator import (ContactConfiguration, EstimateView, Flush,
                             new_cone_estimate)
 from ccfg.estimator.classify import FORCE_THRESHOLD, HYSTERESIS_FRAMES
 from ccfg.estimator.friction import ConeConstraint, WrenchConeEstimate
-from ccfg.sim import SimWorld, step
+from ccfg.sim import ContactModeHypothesis, HandContact, SimWorld, step
 
 BOX = PolygonModel([[-0.06, -0.04], [0.06, -0.04], [0.06, 0.04], [-0.06, 0.04]])
 HALF_LEN = 0.05
@@ -323,6 +323,33 @@ def test_from_sim_truth_mapping():
     assert cfg.hand_geometry is None
     assert cfg.wall_contact is None
     assert isinstance(cfg.ground_geometry, PointOnLine)
+
+
+@pytest.mark.parametrize("contact,geometry", [
+    (HandContact(kind="tip", face=2, tip=-1), ObjectLineHandPoint(-1)),
+    (HandContact(kind="tip", face=0, tip=1), ObjectLineHandPoint(1)),
+    (HandContact(kind="vertex", vertex=3), ObjectPointHandLine(3)),
+    (HandContact(kind="flush", face=2,
+                 anchors=((-0.01, -0.06, 0.04), (0.01, 0.06, 0.04))), Flush(2)),
+    (HandContact(kind="pair", face=1, tip=1, vertex=2), Flush(1))])
+def test_from_sim_truth_maps_each_hand_contact_kind(contact, geometry):
+    label = ContactModeHypothesis("slide_pos", contact,
+                                  ((0, "stick"), (1, "stick"))).to_json()
+    cfg = from_sim_truth(label, box_view())
+    assert cfg.hand_geometry == geometry
+    assert cfg.hand_slip == "slide_pos"
+
+
+@pytest.mark.parametrize("hand_contact", [
+    None, {}, {"kind": "tip", "face": 2}, {"kind": "tip", "face": 2, "tip": 0},
+    {"kind": "vertex"}, {"kind": "flush", "anchors": []},
+    {"kind": "pair", "tip": 1, "vertex": 3}, {"kind": "patch", "face": 1}])
+def test_from_sim_truth_rejects_malformed_hand_contact(hand_contact):
+    # each would otherwise read as some contact the sim never reported
+    label = {"hand": "stick_point", "hand_contact": hand_contact,
+             "ground": [[0, "stick"], [1, "stick"]], "walls": []}
+    with pytest.raises(ValueError):
+        from_sim_truth(label, box_view())
 
 
 @settings(max_examples=80, deadline=None)

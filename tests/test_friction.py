@@ -1,6 +1,7 @@
 """Wrench-cone estimation: fitting, freezing, violation checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from ccfg.errors import NotReady
 from ccfg.estimator import (ConeConstraint, WrenchConeEstimate,
                             check_violation, ingest, new_cone_estimate,
                             violation_threshold)
-from ccfg.estimator.friction import BUFFER_SIZE, MIN_SAMPLES
+from ccfg.estimator.friction import (BUFFER_SIZE, MAD_TO_SIGMA, MIN_SAMPLES,
+                                    NOISE_FLOOR_REL, RAY_FORCE_EPS)
 
 SCALE = 0.05  # m, hand half-length used as the torque normalizer
 
@@ -183,3 +185,184 @@ def test_fit_properties_random_streams(seed, n, mu):
     for c in force_facets:
         assert np.all(scaled @ c.normal - c.offset <= slack)
         assert np.min(np.abs(rays @ c.normal[:2])) <= 1e-12
+
+
+def reference_refit(buf):
+    """The full refit of a ring buffer: (facet normals, noise_sigma).
+
+    This is how the cone was fit before ingest kept a fit state, and the
+    state must reproduce it bit for bit.
+    """
+    force_scale = float(np.median(np.hypot(buf[:, 0], buf[:, 1])))
+    floor = NOISE_FLOOR_REL * force_scale
+    if len(buf) < 2:
+        sigma = floor
+    else:
+        diffs = np.abs(np.diff(buf, axis=0))
+        sigma = MAD_TO_SIGMA * float(np.median(diffs, axis=0).max()) \
+            / np.sqrt(2.0)
+        sigma = max(sigma, floor)
+
+    F = buf[:, :2]
+    mags = np.hypot(F[:, 0], F[:, 1])
+    keep = mags > RAY_FORCE_EPS
+    if np.count_nonzero(keep) < 2:
+        return [], sigma
+    rays = F[keep] / mags[keep, None]
+    ratios = buf[keep, 2] / mags[keep]
+    mean_dir = rays.mean(axis=0)
+    nm = float(np.hypot(*mean_dir))
+    if nm < 1e-12:
+        return [], sigma
+    mean_dir = mean_dir / nm
+    angles = np.arctan2(mean_dir[0] * rays[:, 1] - mean_dir[1] * rays[:, 0],
+                        rays @ mean_dir)
+    lo = rays[int(np.argmin(angles))]
+    hi = rays[int(np.argmax(angles))]
+    lo, hi = lo / np.linalg.norm(lo), hi / np.linalg.norm(hi)
+    normals = [np.array([lo[1], -lo[0], 0.0]), np.array([-hi[1], hi[0], 0.0])]
+    t_hi = float(ratios.max())
+    t_lo = float(ratios.min())
+    for n in (np.array([-t_hi * mean_dir[0], -t_hi * mean_dir[1], 1.0]),
+              np.array([t_lo * mean_dir[0], t_lo * mean_dir[1], -1.0])):
+        normals.append(n / np.linalg.norm(n))
+    return normals, sigma
+
+
+class ReferenceCone:
+    """The buffer and sample count that ingest keeps, refit in full."""
+
+    def __init__(self, samples=None, count=0):
+        self.buf = np.zeros((0, 3)) if samples is None else samples
+        self.count = count
+
+    def ingest(self, w):
+        row = np.array([w.force[0], w.force[1], w.torque / SCALE])
+        self.buf = np.vstack([self.buf, row[None, :]])[-BUFFER_SIZE:]
+        self.count += 1
+
+    def assert_matches(self, est):
+        """Equal bits: samples, each facet normal and offset, noise_sigma."""
+        assert est.sample_count == self.count
+        assert est.samples.shape == self.buf.shape
+        assert est.samples.tobytes() == self.buf.tobytes()
+        if self.count < MIN_SAMPLES:
+            normals, sigma = [], 0.0
+        else:
+            normals, sigma = reference_refit(self.buf)
+        assert len(est.constraints) == len(normals)
+        for c, n in zip(est.constraints, normals):
+            assert c.normal.tobytes() == n.tobytes()
+            assert c.offset == 0.0
+        assert type(est.noise_sigma) is type(sigma)
+        assert np.float64(est.noise_sigma).tobytes() == \
+            np.float64(sigma).tobytes()
+
+
+def oracle_stream(rng, n, repeat=0.04):
+    """Cone wrenches interleaved with the inputs that stress an incremental
+    fit: forces at or below RAY_FORCE_EPS, signed zeros, and runs of one
+    repeated wrench, which tie the medians of |F| and of |dw|.
+
+    repeat is the chance that a wrench starts a run of 1-5 repeats. At 0.6
+    most |dw| are zero, so noise_sigma is its floor, set by the median |F|.
+    """
+    base = cone_wrenches(rng, n, float(rng.uniform(0.1, 1.0)),
+                         sigma_force=float(rng.choice([0.0, 0.05])),
+                         sigma_torque=0.005)
+    out = []
+    for w in base:
+        u = rng.uniform()
+        if u < 0.05:
+            w = Wrench2([0.0, 0.0], float(rng.choice([0.0, -0.0, 0.01])))
+        elif u < 0.08:
+            w = Wrench2([RAY_FORCE_EPS * rng.uniform(-0.7, 0.7),
+                         RAY_FORCE_EPS * rng.uniform(-0.7, 0.7)], 0.0)
+        elif u < 0.10:
+            w = Wrench2([-0.0, w.force[1]], -0.0)
+        out.append(w)
+        if rng.uniform() < repeat:
+            out.extend([w] * int(rng.integers(1, 6)))
+    return out[:n]
+
+
+def _replay(stream, est=None, ref=None):
+    est = new_cone_estimate("ground", SCALE) if est is None else est
+    ref = ReferenceCone() if ref is None else ref
+    for w in stream:
+        est = ingest(est, w, "ground", external_contact_allowed=False)
+        ref.ingest(w)
+        ref.assert_matches(est)
+    return est, ref
+
+
+@pytest.mark.parametrize("seed,n,repeat", [
+    (0, 80, 0.04), (1, 80, 0.6), (2, 300, 0.04),
+    (3, BUFFER_SIZE + 300, 0.04), (4, BUFFER_SIZE + 100, 0.6)])
+def test_ingest_matches_full_refit_bit_for_bit(seed, n, repeat):
+    # the long streams run evictions past a full buffer
+    _replay(oracle_stream(np.random.default_rng(seed), n, repeat))
+
+
+def test_ingest_matches_full_refit_on_cancelling_rays():
+    # opposite rays sum to exactly zero: no wedge describes them
+    push = Wrench2([1.0, 0.0], 0.01)
+    pull = Wrench2([-1.0, 0.0], -0.01)
+    est, _ = _replay([push, pull] * MIN_SAMPLES)
+    assert est.sample_count == 2 * MIN_SAMPLES
+    assert not est.ready
+    est, _ = _replay([push], est, ReferenceCone(est.samples, est.sample_count))
+    assert est.ready
+
+
+@pytest.mark.parametrize("repeat", [0.04, 0.6])
+def test_ingest_children_are_independent_of_parent_and_siblings(repeat):
+    rng = np.random.default_rng(21)
+    parent, ref = _replay(oracle_stream(rng, 40, repeat))
+    snapshot = (parent.samples.copy(), parent.constraints, parent.noise_sigma)
+    first = oracle_stream(rng, 25, repeat)
+    second = oracle_stream(rng, 25, repeat)
+    a, b = parent, parent
+    ref_a, ref_b = (ReferenceCone(ref.buf, ref.count) for _ in range(2))
+    for wa, wb in zip(first, second):
+        a = ingest(a, wa, "ground", False)
+        b = ingest(b, wb, "ground", False)
+        ref_a.ingest(wa)
+        ref_b.ingest(wb)
+        ref_a.assert_matches(a)
+        ref_b.assert_matches(b)
+    assert parent.samples.tobytes() == snapshot[0].tobytes()
+    assert parent.constraints is snapshot[1]
+    assert parent.noise_sigma == snapshot[2]
+    # the parent still ingests as it would have before its children
+    _replay(first, parent, ReferenceCone(ref.buf, ref.count))
+
+
+def test_estimate_built_with_samples_ingests_like_an_ingested_one():
+    rng = np.random.default_rng(22)
+    stream = oracle_stream(rng, BUFFER_SIZE + 10)
+    grown, ref = _replay(stream[:60])
+    tail = stream[60:90]
+    built = WrenchConeEstimate(context="ground", scale_length=SCALE,
+                               samples=grown.samples.copy(),
+                               sample_count=grown.sample_count)
+    _replay(tail, built, ReferenceCone(ref.buf, ref.count))
+    # new samples through replace are refit from, not the old fit state
+    swapped = replace(grown, samples=grown.samples[::-1].copy())
+    _replay(tail, swapped, ReferenceCone(swapped.samples, ref.count))
+    # a directly built buffer longer than the ring keeps its newest samples
+    rows = np.array([[*w.force, w.torque / SCALE] for w in stream])
+    long = WrenchConeEstimate(context="ground", scale_length=SCALE,
+                              samples=rows, sample_count=len(rows))
+    _replay(tail, long, ReferenceCone(rows, len(rows)))
+
+
+def test_ingest_rejects_a_context_other_than_the_estimates():
+    est = new_cone_estimate("ground", SCALE)
+    with pytest.raises(ValueError):
+        ingest(est, Wrench2([0.0, 5.0], 0.0), "hand", False)
+    # the freeze call too: it would relabel the frozen estimate
+    with pytest.raises(ValueError):
+        ingest(est, Wrench2([0.0, 5.0], 0.0), "hand", True)
+    est = ingest(est, Wrench2([0.0, 5.0], 0.0), "ground", False)
+    assert est.context == "ground" and est.sample_count == 1

@@ -7,7 +7,12 @@ from here. Every other tunable is a constant in the one module that reads
 it, next to that module's other constants.
 """
 
+import math
 from dataclasses import dataclass, replace
+
+
+_SIGMAS = ("sigma_force", "sigma_torque", "sigma_hand_pos",
+           "sigma_hand_angle", "sigma_vision")
 
 
 @dataclass(frozen=True)
@@ -21,13 +26,15 @@ class NoiseConfig:
     sigma_vision: float = 5e-3      # m, per vertex coordinate
     vision_period: int = 10         # steps between vision frames
 
+    def __post_init__(self):
+        # plain comparisons, false for NaN, as in Wall and HandModel
+        if not all(0 <= getattr(self, f) < math.inf for f in _SIGMAS):
+            raise ValueError("noise sigmas must be non-negative and finite")
+        if not isinstance(self.vision_period, int) or self.vision_period < 0:
+            raise ValueError("vision_period must be a non-negative int")
+
     def scaled(self, factor: float) -> "NoiseConfig":
-        return replace(self,
-                       sigma_force=self.sigma_force * factor,
-                       sigma_torque=self.sigma_torque * factor,
-                       sigma_hand_pos=self.sigma_hand_pos * factor,
-                       sigma_hand_angle=self.sigma_hand_angle * factor,
-                       sigma_vision=self.sigma_vision * factor)
+        return replace(self, **{f: getattr(self, f) * factor for f in _SIGMAS})
 
 
 ZERO_NOISE = NoiseConfig(0.0, 0.0, 0.0, 0.0, 0.0, 10)

@@ -32,6 +32,8 @@ class PolygonModel:
 
     def __init__(self, vertices):
         verts = np.array(vertices, dtype=float)
+        if not np.isfinite(verts).all():
+            raise ValueError("polygon vertices must be finite")
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
             raise ValueError("polygon needs at least 3 planar vertices")
         n = len(verts)

@@ -1,6 +1,6 @@
 """Estimation stack: friction cones, contact classification, kinematics."""
 
-from .classify import (ContactConfiguration, EstimateView, Flush, LabelFilter,
+from .classify import (ContactConfiguration, EstimateView, Flush,
                        ObjectLineHandPoint, ObjectPointHandLine, PointOnLine,
                        WallContact, classify_ground, classify_hand,
                        classify_slip, classify_wall, from_sim_truth)
@@ -13,7 +13,6 @@ __all__ = [
     "ContactConfiguration",
     "EstimateView",
     "Flush",
-    "LabelFilter",
     "ObjectLineHandPoint",
     "ObjectPointHandLine",
     "PointOnLine",

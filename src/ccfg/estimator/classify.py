@@ -6,7 +6,8 @@ hand endpoint on an object face, an object vertex on the hand line), what the
 ground touches (a vertex or a whole face), whether a wall is engaged, and
 whether each interface sticks or slides. The downstream estimator uses these
 labels to pick which kinematic factors to add, so the classifier prefers
-being conservative and debounced over being fast.
+being conservative over being fast. from_sim_truth maps the simulator's
+resolved contact mode onto the same labels.
 
 Hand-side decisions run on the measured center of pressure along the hand
 line. Ground-side decisions use the estimated polygon's lowest vertices and a
@@ -33,7 +34,6 @@ DELTA_EDGE = 5e-3         # m; COP-to-hand-endpoint band
 DELTA_VERT = 8e-3         # m; COP-to-projected-vertex band
 DELTA_LOWEST = 5e-3       # m; strictly-lowest-vertex margin
 COP_INTERIOR_FRAC = 0.10  # fraction of edge length for flush COP margin
-HYSTERESIS_FRAMES = 3     # consecutive frames before a label switches
 SLIP_SPEED_TOL = 1e-4     # m/s below which contacts count as sticking
 SLIP_BOUNDARY_BAND = 0.3  # N; cone-boundary proximity for slip labels
 
@@ -263,95 +263,38 @@ def classify_slip(cone: Optional[WrenchConeEstimate], w_meas: Wrench2,
     return "slide_pos" if rel_tangential_speed > 0 else "slide_neg"
 
 
-# -- debouncing ----------------------------------------------------------------
-
-class LabelFilter:
-    """Per-field hysteresis: a changed label must persist for a run of frames
-    before it is emitted, suppressing single-frame chatter."""
-
-    FIELDS = ("hand_geometry", "ground_geometry", "wall_contact",
-              "hand_slip", "ground_slip")
-
-    def __init__(self):
-        self.emitted: Optional[ContactConfiguration] = None
-        self._pending = {f: (None, 0) for f in self.FIELDS}
-
-    def update(self, raw: ContactConfiguration) -> ContactConfiguration:
-        if self.emitted is None:
-            self.emitted = raw
-            return raw
-        out = {}
-        for f in self.FIELDS:
-            new = getattr(raw, f)
-            cur = getattr(self.emitted, f)
-            if new == cur:
-                self._pending[f] = (None, 0)
-                out[f] = cur
-                continue
-            cand, count = self._pending[f]
-            count = count + 1 if new == cand else 1
-            if count >= HYSTERESIS_FRAMES:
-                self._pending[f] = (None, 0)
-                out[f] = new
-            else:
-                self._pending[f] = (new, count)
-                out[f] = cur
-        self.emitted = ContactConfiguration(**out)
-        return self.emitted
-
-
 # -- sim truth adapter -----------------------------------------------------------
 
-def from_sim_truth(label: dict, view: EstimateView) -> ContactConfiguration:
-    """Map a simulator truth label record onto a ContactConfiguration so
-    predictions and truth share one vocabulary for confusion matrices.
+def from_sim_truth(mode, view: EstimateView) -> ContactConfiguration:
+    """Map the simulator's resolved contact mode (SimWorld.contact_mode, a
+    sim ContactModeHypothesis) onto a ContactConfiguration so predictions and
+    truth share one vocabulary for confusion matrices. None, the mode of a
+    world no step has resolved yet, raises ValueError."""
+    if mode is None:
+        raise ValueError("no resolved step, so no sim truth to map")
+    hc = mode.hand_contact
+    if mode.hand_label == "none":
+        hand_geometry = None
+    elif hc.kind == "tip":
+        hand_geometry = ObjectLineHandPoint(hc.tip)
+    elif hc.kind == "vertex":
+        hand_geometry = ObjectPointHandLine(hc.vertex)
+    else:
+        # flush and transitional two-point contacts share the flush shape
+        hand_geometry = Flush(hc.face)
+    hand_slip = "stick" if mode.hand_label == "none" else mode.hand_label
 
-    A hand in contact whose hand_contact is missing, of an unknown kind or
-    without the key its kind needs raises ValueError.
-    """
-
-    def slip_of(name: str) -> str:
-        if name.startswith("slide_pos"):
-            return "slide_pos"
-        if name.startswith("slide_neg"):
-            return "slide_neg"
-        return "stick"
-
-    hand_geometry = None
-    hand_slip = "stick"
-    if label and label.get("hand") and label["hand"] != "no_contact":
-        hand_slip = slip_of(label["hand"])
-        hc = label.get("hand_contact") or {}
-        kind = hc.get("kind")
-        if kind == "tip" and hc.get("tip") in (-1, 1):
-            hand_geometry = ObjectLineHandPoint(int(hc["tip"]))
-        elif kind == "vertex" and "vertex" in hc:
-            hand_geometry = ObjectPointHandLine(int(hc["vertex"]))
-        elif kind in ("flush", "pair") and "face" in hc:
-            # flush and transitional two-point contacts share the flush shape
-            hand_geometry = Flush(int(hc["face"]))
-        else:
-            raise ValueError(f"hand mode {label['hand']!r} has malformed "
-                             f"hand_contact {label.get('hand_contact')!r}")
-
-    active = [(int(v), lab) for v, lab in (label or {}).get("ground", [])
-              if lab != "separate"]
-    if len(active) >= 2:
-        verts = sorted(v for v, _ in active)
-        n = len(view.vertices)
-        face = verts[-1] if verts[0] == 0 and verts[-1] == n - 1 else verts[0]
-        ground_geometry = Flush(face)
-    elif len(active) == 1:
+    active = [(v, lab) for v, lab in mode.ground if lab != "separate"]
+    if len(active) == 2:
+        # an active pair shares a face; vertices 0 and n - 1 share the last
+        a, b = sorted(v for v, _ in active)
+        ground_geometry = Flush(b if b - a > 1 else a)
+    elif active:
         ground_geometry = PointOnLine(active[0][0])
     else:
         ground_geometry = PointOnLine(int(np.argmin(view.vertices[:, 1])))
-    ground_slip = slip_of(active[0][1]) if active else "stick"
-
-    wall_contact = None
-    for wid, v, lab in (label or {}).get("walls", []):
-        if lab != "separate":
-            wall_contact = WallContact(int(wid), int(v))
-            break
-
+    ground_slip = active[0][1] if active else "stick"
+    wall_contact = next((WallContact(wid, v) for wid, v, lab in mode.walls
+                         if lab != "separate"), None)
     return ContactConfiguration(hand_geometry, ground_geometry, wall_contact,
                                 hand_slip, ground_slip)

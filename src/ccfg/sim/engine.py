@@ -39,8 +39,7 @@ def step(sw: SimWorld, impedance_target: PlanarPose,
         sol.object_pose, sol.hand_pose,
         t_index=sw.t_index + 1,
         hand_wrench=sol.hand_wrench,
-        env_wrench=sol.env_wrench,
-        contact_label=sol.hypothesis.to_json(),
+        contact_mode=sol.hypothesis,
     )
     _check_invariants(sw, sol, new_world)
 

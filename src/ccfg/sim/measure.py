@@ -20,7 +20,10 @@ class MeasurementFrame:
     wrench_meas: Wrench2
     vision_vertices: Optional[np.ndarray]
     truth_world: SimWorld
-    truth_label: Optional[dict]
+
+    @property
+    def truth_label(self) -> Optional[dict]:
+        return self.truth_world.contact_label
 
     def to_json(self) -> dict:
         truth = self.truth_world
@@ -96,5 +99,4 @@ def synthesize_measurements(sw: SimWorld,
         wrench_meas=wrench_meas,
         vision_vertices=vision,
         truth_world=sw,
-        truth_label=sw.contact_label,
     )

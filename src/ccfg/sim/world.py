@@ -14,8 +14,8 @@ from ..core import (HandModel, PlanarPose, PolygonModel, WorldModel, Wrench2,
 class SimWorld:
     """Complete simulator state: geometry, poses, materials, spring stiffness.
 
-    The wrench and label fields describe the most recent resolved step; they
-    start empty and are refreshed by each step.
+    hand_wrench and contact_mode (a ContactModeHypothesis) describe the last
+    resolved step and are None before it; contact_label is its to_json().
     """
 
     polygon: PolygonModel
@@ -31,8 +31,7 @@ class SimWorld:
     stiffness: np.ndarray                # diagonal of K: (N/m, N/m, N*m/rad)
     t_index: int = 0
     hand_wrench: Optional[Wrench2] = None       # on object, about hand center
-    env_wrench: Optional[Wrench2] = None        # ground+wall on object, about hand center
-    contact_label: Optional[dict] = None        # resolved mode of the last step
+    contact_mode: Optional[object] = None       # ContactModeHypothesis of the last step
 
     def __post_init__(self):
         # plain comparisons, false for NaN: with_poses runs this per trial
@@ -53,6 +52,10 @@ class SimWorld:
                    for mu in (self.mu_hand, self.mu_ground, self.mu_wall)):
             raise ValueError("friction coefficients must be non-negative "
                              "and finite")
+
+    @property
+    def contact_label(self) -> Optional[dict]:
+        return self.contact_mode and self.contact_mode.to_json()
 
     # -- derived geometry ---------------------------------------------------
 

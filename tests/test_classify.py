@@ -1,4 +1,4 @@
-"""Contact classification: hand/ground/wall labels, debouncing."""
+"""Contact classification: hand/ground/wall/slip labels, sim truth mapping."""
 
 import math
 
@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from ccfg.config import NoiseConfig
 from ccfg.core import (HandModel, PlanarPose, PolygonModel, Wall, WorldModel,
                        Wrench2, hand_normal, hand_tangent)
-from ccfg.estimator import (ContactConfiguration, EstimateView, Flush,
-                            LabelFilter, ObjectLineHandPoint,
+from ccfg.estimator import (EstimateView, Flush, ObjectLineHandPoint,
                             ObjectPointHandLine, PointOnLine, WallContact,
                             classify_ground, classify_hand, classify_slip,
                             classify_wall, from_sim_truth, ingest,
                             new_cone_estimate)
-from ccfg.estimator.classify import FORCE_THRESHOLD, HYSTERESIS_FRAMES
+from ccfg.estimator.classify import FORCE_THRESHOLD
 from ccfg.estimator.friction import ConeConstraint, WrenchConeEstimate
 from ccfg.sim import ContactModeHypothesis, HandContact, SimWorld, step
 
@@ -124,7 +123,7 @@ def test_corner_press_labels_match_sim_truth():
         sw, frame = step(sw, PlanarPose([0.045, 0.076], -0.0002 * k))
         view = EstimateView(vertices=sw.vertices_world(), ground_height=0.0,
                             hand_half_length=HALF_LEN)
-        truth = from_sim_truth(frame.truth_label, view).hand_geometry
+        truth = from_sim_truth(sw.contact_mode, view).hand_geometry
         truths.add(truth)
         label = classify_hand(frame.wrench_meas, frame.hand_pose_meas, view)
         if label is None:
@@ -276,49 +275,26 @@ def test_slip_labels_need_motion_and_boundary_load():
         classify_slip(None, boundary, float("nan"))
 
 
-def test_label_filter_debounces_single_frame_blips():
-    filt = LabelFilter()
-    a = ContactConfiguration(Flush(2), Flush(0), None, "stick", "stick")
-    b = ContactConfiguration(None, Flush(0), WallContact(0, 1), "stick",
-                             "slide_pos")
-    assert filt.update(a) == a
-    for _ in range(HYSTERESIS_FRAMES - 1):
-        assert filt.update(b) == a      # discrepant, not yet long enough
-    assert filt.update(a) == a          # blip cancelled
-    for _ in range(HYSTERESIS_FRAMES - 1):
-        assert filt.update(b) == a
-    out = filt.update(b)                # the run is long enough: switches
-    assert out == b
-
-
-def test_label_filter_fields_switch_independently():
-    filt = LabelFilter()
-    a = ContactConfiguration(Flush(2), Flush(0), None, "stick", "stick")
-    c = ContactConfiguration(Flush(2), Flush(0), WallContact(0, 1),
-                             "slide_neg", "stick")
-    filt.update(a)
-    for _ in range(HYSTERESIS_FRAMES):
-        out = filt.update(c)
-    assert out.wall_contact == WallContact(0, 1)
-    assert out.hand_slip == "slide_neg"
-    assert out.hand_geometry == Flush(2)
-
-
 def test_from_sim_truth_mapping():
     view = box_view()
-    label = {"hand": "slide_neg_point",
-             "hand_contact": {"kind": "tip", "face": 2, "tip": -1},
-             "ground": [[0, "stick"], [1, "stick"]],
-             "walls": [[0, 1, "slide_pos"]]}
-    cfg = from_sim_truth(label, view)
+    mode = ContactModeHypothesis(
+        "slide_neg", HandContact(kind="tip", face=2, tip=-1),
+        ground=((0, "stick"), (1, "stick")), walls=((0, 1, "slide_pos"),))
+    cfg = from_sim_truth(mode, view)
     assert cfg.hand_geometry == ObjectLineHandPoint(endpoint=-1)
     assert cfg.ground_geometry == Flush(face=0)
     assert cfg.wall_contact == WallContact(0, 1)
     assert cfg.hand_slip == "slide_neg"
     assert cfg.ground_slip == "stick"
 
-    quiet = {"hand": "no_contact", "hand_contact": None,
-             "ground": [[0, "separate"], [1, "separate"]], "walls": []}
+    # vertices 3 and 0 share face 3, the last one
+    wrap = ContactModeHypothesis("none", None,
+                                 ground=((3, "slide_pos"), (0, "slide_pos")))
+    assert from_sim_truth(wrap, view).ground_geometry == Flush(face=3)
+    assert from_sim_truth(wrap, view).ground_slip == "slide_pos"
+
+    quiet = ContactModeHypothesis("none", None,
+                                  ground=((0, "separate"), (1, "separate")))
     cfg = from_sim_truth(quiet, view)
     assert cfg.hand_geometry is None
     assert cfg.wall_contact is None
@@ -333,23 +309,18 @@ def test_from_sim_truth_mapping():
                  anchors=((-0.01, -0.06, 0.04), (0.01, 0.06, 0.04))), Flush(2)),
     (HandContact(kind="pair", face=1, tip=1, vertex=2), Flush(1))])
 def test_from_sim_truth_maps_each_hand_contact_kind(contact, geometry):
-    label = ContactModeHypothesis("slide_pos", contact,
-                                  ((0, "stick"), (1, "stick"))).to_json()
-    cfg = from_sim_truth(label, box_view())
+    mode = ContactModeHypothesis("slide_pos", contact,
+                                 ((0, "stick"), (1, "stick")))
+    cfg = from_sim_truth(mode, box_view())
     assert cfg.hand_geometry == geometry
     assert cfg.hand_slip == "slide_pos"
 
 
-@pytest.mark.parametrize("hand_contact", [
-    None, {}, {"kind": "tip", "face": 2}, {"kind": "tip", "face": 2, "tip": 0},
-    {"kind": "vertex"}, {"kind": "flush", "anchors": []},
-    {"kind": "pair", "tip": 1, "vertex": 3}, {"kind": "patch", "face": 1}])
-def test_from_sim_truth_rejects_malformed_hand_contact(hand_contact):
-    # each would otherwise read as some contact the sim never reported
-    label = {"hand": "stick_point", "hand_contact": hand_contact,
-             "ground": [[0, "stick"], [1, "stick"]], "walls": []}
+def test_from_sim_truth_needs_a_resolved_step():
+    # the mode of a world no step has resolved: there is no truth to map,
+    # and a default configuration would be scored as if there were
     with pytest.raises(ValueError):
-        from_sim_truth(label, box_view())
+        from_sim_truth(None, box_view())
 
 
 @settings(max_examples=80, deadline=None)

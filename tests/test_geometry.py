@@ -83,6 +83,17 @@ def test_polygon_rejects_clockwise_and_nonconvex():
         PolygonModel([(0, 0), (1, 1)])                    # too few
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("coord", [0, 1])
+def test_polygon_rejects_nonfinite_vertices(bad, coord):
+    # a NaN vertex would otherwise pass every check and yield NaN normals,
+    # and an infinite one fail as "duplicate consecutive vertices"
+    verts = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
+    verts[2][coord] = bad
+    with pytest.raises(ValueError, match="polygon vertices must be finite"):
+        PolygonModel(verts)
+
+
 def test_polygon_area_and_centroid():
     poly = PolygonModel([(0, 0), (2, 0), (2, 1), (0, 1)])
     assert poly.area() == pytest.approx(2.0)

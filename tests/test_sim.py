@@ -731,6 +731,30 @@ def test_measurement_determinism():
     np.testing.assert_array_equal(f1.vision_vertices, f2.vision_vertices)
 
 
+@pytest.mark.parametrize("field", ["sigma_force", "sigma_torque",
+                                   "sigma_hand_pos", "sigma_hand_angle",
+                                   "sigma_vision"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
+def test_noise_config_rejects_bad_sigmas(field, bad):
+    # a NaN sigma would otherwise come back as NaN measurements, no error
+    with pytest.raises(ValueError):
+        NoiseConfig(**{field: bad})
+
+
+def test_noise_config_rejects_bad_vision_periods_and_factors():
+    for period in (2.5, -1, None):
+        with pytest.raises(ValueError):
+            NoiseConfig(vision_period=period)
+    with pytest.raises(ValueError):
+        NoiseConfig().scaled(-1.0)
+    with pytest.raises(ValueError):
+        NoiseConfig().scaled(float("nan"))
+    # the settings the tests and the benchmark run stay valid
+    assert NoiseConfig().scaled(0.2).vision_period == 10
+    assert ZERO_NOISE.scaled(3.0) == ZERO_NOISE
+    assert dataclasses.replace(NoiseConfig(), vision_period=0).vision_period == 0
+
+
 def test_zero_noise_reproduces_truth():
     sw = resting_world()
     f = synthesize_measurements(sw, 0, ZERO_NOISE)
@@ -776,12 +800,18 @@ def test_observation_strips_truth():
 
 def test_step_advances_and_labels():
     sw = flush_world(0.0805)
+    assert sw.contact_mode is None and sw.contact_label is None
     nw, frame = step(sw, PlanarPose([0.0, 0.079], 0.0), rng=0)
     assert nw.t_index == 1
     assert frame.t_index == 1
     assert frame.t == pytest.approx(0.01)
     assert nw.contact_label["hand"] == "stick_flush"
     assert nw.contact_label["ground"] == [[0, "stick"], [1, "stick"]]
+    # the stored truth is the resolved hypothesis; its JSON record is read
+    # through, the same on the world, the frame and the frame's log record
+    assert nw.contact_label == nw.contact_mode.to_json()
+    assert frame.truth_label == nw.contact_label
+    assert frame.to_json()["truth"]["label"] == nw.contact_label
     assert nw.penetration_depth() >= -1e-9
     # second press step from the settled state changes nothing
     nw2, _ = step(nw, PlanarPose([0.0, 0.079], 0.0), rng=1)

@@ -22,22 +22,27 @@ closed and ties f_t to -s * mu * f_n.  A face seated on the hand is two
 point contacts at the overlap patch ends, which reproduces the patch torque
 limits through f_n >= 0 at both ends.
 
-All hypotheses of one enumeration pass are solved together by Newton
-iteration with analytic Jacobians, one stacked LU solve per system size.  A
-member stops when it converges (max |R| <= 1e-10), diverges (a non-finite
-step or a pose step above 0.5) or has taken 40 steps; its residual is then
-evaluated once more, without the Jacobian.  Two collinear stick points leave
-the tangential split statically indeterminate and wrench-neutral: those
-systems, and any whose LU step is singular or above 1e8, take minimum-norm
-(gelsy) steps, and the report splits it in proportion to the normal forces.
-gelsy is LAPACK's, called through scipy's compiled scipy/linalg/_flapack,
-which is loaded from its file: importing scipy.linalg for it would cost most
-of the time it takes to import ccfg.sim.
+The hypotheses of one enumeration pass stream through stacked Newton
+iteration with analytic Jacobians, one stacked LU solve per system size, at
+most _SLOTS contact slots at a time.  A member stops when it converges (max
+|R| <= 1e-10), diverges (a non-finite step or a pose step above 0.5) or has
+taken 40 steps; its residual is then evaluated once more, without the
+Jacobian.  Two collinear stick points leave the tangential split statically
+indeterminate and wrench-neutral: those systems, and any whose LU step is
+singular or above 1e8, take minimum-norm (gelsy) steps, and the report
+splits it in proportion to the normal forces.  gelsy is LAPACK's, called
+through scipy's compiled scipy/linalg/_flapack, which is loaded from its
+file: importing scipy.linalg for it would cost most of the time it takes to
+import ccfg.sim.
 An iteration costs a few dozen numpy calls at any batch size: what no
 iterate changes is derived once per batch (_Batch), stopped members stay
-until dropping them pays (see _newton), and as every entry of R and J comes
-from the arithmetic of the scalar expression it stands for, each sum adding
-in slot order, R, J and the steps are bit for bit those of a lone member.
+until dropping them pays (see _newton), and the members still running when
+their batch is half empty join the next batch with their iterates and step
+counts instead of iterating on alone (see _solve_pass).  As every entry of R
+and J comes from the arithmetic of the scalar expression it stands for, each
+sum adding in slot order, R, J and the steps are bit for bit those of a lone
+member, and each member counts its own steps: a trial comes out the same in
+any batch, whenever it joins one.
 
 Before any block is built, a hypothesis whose contacts all lie on lines of
 the fixed world (ground, walls) is screened: its object x/y balance rows
@@ -140,7 +145,10 @@ def _load_gelsy():
 
 _GELSY, _GELSY_LWORK = _load_gelsy()
 _EPS = float(np.finfo(np.float64).eps)
-_SLOTS = 512          # contact slots per batch; keeps its arrays near 1 MB
+_SLOTS = 512   # contact slots per batch, carried members included; ~1 MB
+# share of _SLOTS that a block's running members fill at most when they are
+# handed off to the next block; bounds the batches built (see _solve_pass)
+_HANDOFF = 0.5
 _NEWTON_TOL = 1e-10   # max |R| at which a Newton member has converged
 _NEWTON_MAX_ITER = 40  # steps before an unconverged member is given up
 # m; deepest penetration a resolved state may keep. engine.step checks its
@@ -175,6 +183,7 @@ class ModeSolution:
     residual_norm: float
     trials: int
     newton_iterations: int     # Jacobian evaluations summed over all trials
+    stacked_evaluations: int   # _system calls over all passes, one per batch
     rejections: dict           # reason -> count over the infeasible trials
     screened: int              # no_converge trials rejected before Newton
 
@@ -532,22 +541,35 @@ def _steps(R, J, b, keep):
     return dz
 
 
-def _newton(ref, batch):
-    """Newton iteration from zero on every member of a batch at once: the
-    iterates (N, n), the final max |R| (inf when diverged) and the Jacobian
-    evaluations per member."""
-    N, n = len(batch.counts), 6 + 2 * batch.slots
-    z, res, evaluations = np.zeros((N, n)), np.full(N, math.inf), np.zeros(N, int)
-    # b holds rows `at` of z and evaluations, as zb and count
-    at, b, zb, count = np.arange(N), batch, z, evaluations
+def _newton(ref, batch, z, count, handoff):
+    """Newton iteration on every member of a batch at once, from iterates z
+    (N, n) after count Jacobian evaluations per member (zero for a member
+    that has not run yet); both are updated in place.  A member's count is
+    its iteration index, so its trajectory does not depend on when it joined
+    the batch: its 41st evaluation skips the Jacobian and ends it.  Returns
+    the final max |R| per member (inf when diverged or still running), which
+    members are still running and the number of _system calls.  Iteration
+    stops when no more than `handoff` members are running."""
+    N = len(batch.counts)
+    res, running = np.full(N, math.inf), np.zeros(N, dtype=bool)
+    # b holds rows `at` of z and count, as zb and cb
+    at, b, zb, cb = np.arange(N), batch, z, count
     active = np.ones(N, dtype=bool)
+    # no count exceeds oldest, so below _NEWTON_MAX_ITER no member is on its
+    # last evaluation and none needs a mask
+    oldest, calls = int(count.max()), 0
     with np.errstate(all="ignore"):   # non-finite members are dropped below
-        for it in range(_NEWTON_MAX_ITER + 1):
-            R, J = _system(zb, ref, b, jacobian=it < _NEWTON_MAX_ITER)
-            count += active
+        while True:
+            last = cb >= _NEWTON_MAX_ITER \
+                if oldest >= _NEWTON_MAX_ITER else None
+            R, J = _system(zb, ref, b, jacobian=last is None
+                           or bool((active & ~last).any()))
+            cb += active
             r = np.abs(R).max(axis=1)
             ok = active & np.isfinite(r)
-            done = ok & (r <= _NEWTON_TOL) if it < _NEWTON_MAX_ITER else ok
+            done = ok & (r <= _NEWTON_TOL)
+            if last is not None:
+                done |= ok & last
             if done.any():
                 res[at[done]] = r[done]
             keep = ok ^ done
@@ -558,17 +580,18 @@ def _newton(ref, batch):
                     & (step.max(axis=1) < math.inf)
                 np.add(zb, dz, out=zb, where=keep[:, None])
             del R, J                # before the next evaluation allocates
-            live, active = np.count_nonzero(keep), keep
-            if not live:
+            live, active, oldest, calls = np.count_nonzero(keep), keep, \
+                oldest + 1, calls + 1
+            if live <= handoff:
                 break
             # drop stopped members once they are half the batch or 9, about
             # a take's cost in member iterations (chosen on a cost model)
             if len(keep) - live >= min(live, 9):
-                z[at], evaluations[at] = zb, count
-                at, b, zb, count, active = at[keep], b.take(keep), zb[keep], \
-                    count[keep], active[keep]
-    z[at], evaluations[at] = zb, count
-    return z, res, evaluations
+                z[at], count[at] = zb, cb
+                at, b, zb, cb, active = at[keep], b.take(keep), zb[keep], \
+                    cb[keep], active[keep]
+    z[at], count[at], running[at] = zb, cb, active
+    return res, running, calls
 
 
 def _segment_face_crossing(sw: SimWorld) -> bool:
@@ -732,14 +755,27 @@ def _inconsistent(weight, lines) -> bool:
 
 
 def _solve_pass(sw, target, hyps):
-    """Solve and screen one enumeration pass, one trial per hypothesis.
+    """Solve and screen one enumeration pass: one trial per hypothesis, and
+    the number of _system calls.
 
     Hypotheses whose world contacts cannot balance the weight, and those
     with a misfit stick pair, are rejected as no_converge before Newton
-    runs.  The rest are sorted by (min_norm, contact count), so that each
-    system size is one run and padding stays small, and batched in blocks
-    of at most _SLOTS contact slots, which keeps the stacked arrays to a
-    few MB when a wall brings hundreds of hypotheses.
+    runs.  The rest stream, in (min_norm, contact count) order, so that each
+    system size is one run and padding stays small, through blocks of at
+    most _SLOTS contact slots, which keeps the stacked arrays to a few MB
+    when a wall brings hundreds of hypotheses.  Once the members still
+    running in a block fill no more than _HANDOFF of the slots and
+    hypotheses are left, they are handed off with their iterates and counts
+    to the next block, which the next hypotheses in order fill up: a block's
+    slowest members ride along with fresh ones instead of iterating alone,
+    each iteration a _system call whatever the batch size.
+
+    A hand-off builds a batch (_Batch) that a fixed partition into blocks
+    would not.  As each admits at least 1 - _HANDOFF of the slots anew, a
+    pass builds at most 1 / (1 - _HANDOFF) times as many batches, twice at
+    one half, while each hand-off spares a tail of up to 40 calls; a larger
+    share hands off blocks that are still nearly full, each admitting a few
+    hypotheses for the cost of a build.
     """
     build, ref = _ContactRows(sw), _Reference(sw, target)
     rows = [build(h) for h in hyps]
@@ -748,26 +784,37 @@ def _solve_pass(sw, target, hyps):
     # wrench neutral, a null space a plain solve would blow up on
     min_norm = np.array([len(st) != len(set(st)) for st in (
         [iface for _, (iface, label) in r if label == "stick"] for r in rows)])
-    trials = [None] * len(hyps)
-    blocks, width = [], 1
+    trials, queue = [None] * len(hyps), []
     for i in np.lexsort((counts, min_norm)).tolist():
         if _unbalanced(rows[i], ref.weight) or _misfit(rows[i]):
             trials[i] = _Trial(hyps[i], "no_converge", 0, None)
-            continue
-        width = max(width, counts[i])
-        if not blocks or (len(blocks[-1]) + 1) * width > _SLOTS:
-            blocks.append([])
-            width = max(1, counts[i])
-        blocks[-1].append(i)
-    for block in blocks:
+        else:
+            queue.append(i)
+    # block: the members handed off, with their iterates z and counts
+    block, z, count, calls, pos = [], np.zeros((0, 6)), np.zeros(0, int), 0, 0
+    while pos < len(queue):
+        width, carried = max((counts[i] for i in block), default=1), len(block)
+        while pos < len(queue):
+            w = max(width, counts[queue[pos]])
+            if len(block) > carried and (len(block) + 1) * w > _SLOTS:
+                break
+            block.append(queue[pos])
+            width, pos = w, pos + 1
         batch = _Batch([rows[i] for i in block], min_norm[block])
-        z, res, evaluations = _newton(ref, batch)
-        reasons, geometry = _screen(ref, batch, z, res)
-        for j, i in enumerate(block):
+        zb = np.zeros((len(block), 6 + 2 * batch.slots))
+        cb = np.zeros(len(block), int)
+        zb[:carried, :z.shape[1]], cb[:carried] = z[:, :zb.shape[1]], count
+        handoff = int(_HANDOFF * _SLOTS) // max(width, counts[queue[pos]]) \
+            if pos < len(queue) else 0
+        res, running, block_calls = _newton(ref, batch, zb, cb, handoff)
+        calls += block_calls
+        reasons, geometry = _screen(ref, batch, zb, res)
+        for j in np.flatnonzero(~running).tolist():
+            i = block[j]
             k, reason, sol = len(rows[i]), reasons[j], None
             if not reason:
                 reason, passed = _check_trial(sw, hyps[i], rows[i],
-                                              z[j, :6 + 2 * k])
+                                              zb[j, :6 + 2 * k])
             if not reason:
                 slips = geometry[j][2][:k].tolist()
                 sol = {"rows": rows[i], "passed": passed,
@@ -776,11 +823,13 @@ def _solve_pass(sw, target, hyps):
                        "dissipation": float(sum(
                            sl ** 2 for sl, (row, _) in zip(slips, rows[i])
                            if row[_S] != 0))}
-            trials[i] = _Trial(hyps[i], reason, int(evaluations[j]), sol)
-    return trials
+            trials[i] = _Trial(hyps[i], reason, int(cb[j]), sol)
+        block = [block[j] for j in np.flatnonzero(running).tolist()]
+        z, count = zb[running], cb[running]
+    return trials, calls
 
 
-def _finish(sw, chosen, trials) -> ModeSolution:
+def _finish(sw, chosen, trials, stacked) -> ModeSolution:
     sol = chosen.solution
     (forces, end), (points, directions, _) = sol["passed"], sol["geometry"]
     center = end.hand_pose.position
@@ -791,10 +840,12 @@ def _finish(sw, chosen, trials) -> ModeSolution:
         F = fn * nrm + ft * tan         # on the point's body
         if row[_LB] == _OBJ:
             F = -F
+        # a stick contact's rows pin its slip to zero: what is left of it is
+        # the Newton residual, which residual_norm reports
         records.append(ContactForce(
             iface=iface, label=label, point=tuple(point), force=tuple(F),
             f_normal=float(fn), f_tangent=float(ft),
-            slip=float(sol["slips"][i])))
+            slip=float(sol["slips"][i]) if row[_S] != 0 else 0.0))
         if iface == "hand":
             hand_F += F
             hand_tau += cross2(point - center, F)
@@ -809,6 +860,7 @@ def _finish(sw, chosen, trials) -> ModeSolution:
         dissipation=sol["dissipation"], residual_norm=sol["residual"],
         trials=len(trials),
         newton_iterations=sum(t.evaluations for t in trials),
+        stacked_evaluations=stacked,
         rejections=dict(sorted(Counter(t.reason for t in trials
                                        if t.reason).items())),
         # Newton evaluates every member it runs at least once
@@ -818,7 +870,7 @@ def _finish(sw, chosen, trials) -> ModeSolution:
 def resolve_mode(sw: SimWorld, target: PlanarPose) -> ModeSolution:
     """Pick and solve the contact mode for one impedance target."""
     hyps = enumerate_modes(sw)
-    trials = _solve_pass(sw, target, hyps)
+    trials, stacked = _solve_pass(sw, target, hyps)
     ok = [t for t in trials if not t.reason]
     if not ok:
         # a flush candidate may suppress the slide label the command needs,
@@ -831,10 +883,11 @@ def resolve_mode(sw: SimWorld, target: PlanarPose) -> ModeSolution:
             verts - verts.mean(axis=0), axis=1)))
         reach = dp + dth * (sw.hand.half_length + 2.0 * radius)
         seen = set(hyps)
-        trials += _solve_pass(sw, target, [
+        more, calls = _solve_pass(sw, target, [
             h for h in enumerate_modes(sw, ACTIVATION_BAND + reach,
                                        suppress_overlaps=False)
             if h not in seen])
+        trials, stacked = trials + more, stacked + calls
         ok = [t for t in trials if not t.reason]
     if not ok:
         diag = [{"mode": t.hyp.to_json(), "reason": t.reason} for t in trials]
@@ -852,4 +905,4 @@ def resolve_mode(sw: SimWorld, target: PlanarPose) -> ModeSolution:
                   if t.solution["dissipation"] <= best_d + 1e-13),
                  key=lambda t: (-t.hyp.stick_count(), t.hyp.active_count(),
                                 repr(t.hyp.to_json())))
-    return _finish(sw, chosen, trials)
+    return _finish(sw, chosen, trials, stacked)

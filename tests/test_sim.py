@@ -330,7 +330,7 @@ def test_corner_handoff_during_long_drag(monkeypatch):
         assert len(hyps) == sol.trials
         feasible, rejected = 0, Counter()
         for h in hyps:
-            [trial] = resolve._solve_pass(before, tgt, [h])
+            [trial], _ = resolve._solve_pass(before, tgt, [h])
             if trial.reason:
                 rejected[trial.reason] += 1
             else:
@@ -522,7 +522,7 @@ def test_screened_hypotheses_never_converge():
         hyps = [h for h in enumerate_modes(sw)
                 if resolve._unbalanced(build(h), WEIGHT)]
         assert all(h.hand_label == "none" for h in hyps)
-        trials = unscreened(lambda: resolve._solve_pass(sw, target, hyps))
+        trials, _ = unscreened(lambda: resolve._solve_pass(sw, target, hyps))
         assert all(t.reason == "no_converge" and t.evaluations > 0
                    for t in trials)
         screened += len(hyps)
@@ -547,7 +547,8 @@ def test_misfit_stick_pairs_stay_above_the_bound():
         if not hyps:
             continue
         with mock.patch.object(resolve, "_system", recorded):
-            trials = unscreened(lambda: resolve._solve_pass(sw, target, hyps))
+            trials, _ = unscreened(
+                lambda: resolve._solve_pass(sw, target, hyps))
         assert all(t.reason == "no_converge" and t.evaluations > 0
                    for t in trials)
         screened += len(hyps)
@@ -556,34 +557,98 @@ def test_misfit_stick_pairs_stay_above_the_bound():
 
 
 
+def trial_outcome(trial):
+    """A trial's reason and evaluation count, and for a feasible one the
+    bytes of its forces and end poses."""
+    if trial.solution is None:
+        return trial.reason, trial.evaluations
+    forces, end = trial.solution["passed"]
+    return (trial.reason, trial.evaluations, np.asarray(forces).tobytes(),
+            end.object_pose.as_vector().tobytes(),
+            end.hand_pose.as_vector().tobytes())
+
+
 def test_trial_does_not_depend_on_its_batch():
     # a member's Newton trajectory depends only on its own iterate (module
     # docstring), which the screens and the lazy compaction rest on: each
     # hypothesis comes out byte for byte the same solved in one batch, in
     # reverse order in blocks of 24 slots, and (on every third state, which
     # keeps this test near 25 s) one hypothesis per call
-    def outcome(trial):
-        if trial.solution is None:
-            return trial.reason, trial.evaluations
-        forces, end = trial.solution["passed"]
-        return (trial.reason, trial.evaluations, np.asarray(forces).tobytes(),
-                end.object_pose.as_vector().tobytes(),
-                end.hand_pose.as_vector().tobytes())
-
     feasible = alone = 0
     for i, (sw, target) in enumerate(drag_states()[::4] + wall_states()[::2]):
         hyps = enumerate_modes(sw)
         with mock.patch.object(resolve, "_SLOTS", 10 ** 6):
-            whole = [outcome(t) for t in resolve._solve_pass(sw, target, hyps)]
+            whole = [trial_outcome(t)
+                     for t in resolve._solve_pass(sw, target, hyps)[0]]
         with mock.patch.object(resolve, "_SLOTS", 24):
-            rev = [outcome(t) for t in resolve._solve_pass(sw, target, hyps[::-1])]
+            rev = [trial_outcome(t)
+                   for t in resolve._solve_pass(sw, target, hyps[::-1])[0]]
         assert whole == rev[::-1]
         if i % 3 == 0:
-            assert whole == [outcome(resolve._solve_pass(sw, target, [h])[0])
-                             for h in hyps]
+            assert whole == [
+                trial_outcome(resolve._solve_pass(sw, target, [h])[0][0])
+                for h in hyps]
             alone += len(hyps)
         feasible += sum(len(o) > 2 for o in whole)
     assert feasible > 100 and alone > 5000
+
+
+def test_handoff_carries_trials_unchanged():
+    # with blocks of 64 slots, members still running when their block is
+    # half empty ride into the next block with their iterates and counts:
+    # hand-offs happen, each carried trial is byte for byte its solo solve,
+    # and every hypothesis of the pass gets exactly one trial
+    batches, owner = [], {}
+
+    class Named(_ContactRows):
+        def __call__(self, hyp):
+            out = super().__call__(hyp)
+            owner[id(out)] = hyp
+            return out
+
+    class Recorded(_Batch):
+        def __init__(self, rows, min_norm):
+            batches.append([owner[id(r)] for r in rows])
+            super().__init__(rows, min_norm)
+
+    carried_total = 0
+    for sw, target in wall_states()[::12]:
+        hyps = enumerate_modes(sw)
+        batches.clear()
+        owner.clear()
+        with mock.patch.object(resolve, "_SLOTS", 64), \
+                mock.patch.object(resolve, "_ContactRows", Named), \
+                mock.patch.object(resolve, "_Batch", Recorded):
+            trials, _ = resolve._solve_pass(sw, target, hyps)
+        assert [t.hyp for t in trials] == hyps
+        seen = Counter(h for batch in batches for h in batch)
+        carried = [i for i, h in enumerate(hyps) if seen[h] > 1]
+        for i in carried:
+            [alone], _ = resolve._solve_pass(sw, target, [hyps[i]])
+            assert trial_outcome(trials[i]) == trial_outcome(alone)
+        carried_total += len(carried)
+    assert carried_total > 0
+
+
+def test_stacked_evaluations_count_system_calls():
+    # ModeSolution.stacked_evaluations is the number of _system calls the
+    # step made over its passes, never more than the members' evaluations;
+    # the wall states include four that reach the fallback pass
+    system, calls = resolve._system, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return system(*args, **kwargs)
+
+    fallback = 0
+    for sw, target in drag_states()[::16] + wall_states()[33::5]:
+        calls.clear()
+        with mock.patch.object(resolve, "_system", counted):
+            sol = resolve_mode(sw, target)
+        assert sol.stacked_evaluations == len(calls) > 0
+        assert sol.stacked_evaluations <= sol.newton_iterations
+        fallback += sol.trials > len(enumerate_modes(sw))
+    assert fallback == 4
 
 
 def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
@@ -709,10 +774,10 @@ def test_screen_rejects_only_what_newton_cannot_balance(
     hyp = ContactModeHypothesis("none", None, tuple(ground),
                                 tuple((0, v, lab) for v, lab in walls))
     target = sw.hand_pose
-    [trial] = resolve._solve_pass(sw, target, [hyp])
+    [trial], _ = resolve._solve_pass(sw, target, [hyp])
     if trial.evaluations == 0:
         assert trial.reason == "no_converge"
-        [full] = unscreened(lambda: resolve._solve_pass(sw, target, [hyp]))
+        [full], _ = unscreened(lambda: resolve._solve_pass(sw, target, [hyp]))
         assert full.reason == "no_converge" and full.evaluations > 0
 
 
@@ -1026,6 +1091,7 @@ def test_raised_vertex_between_supports_is_not_paired(seed, n):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-0.003, 0.003), st.floats(-0.003, 0.001),
        st.floats(-0.02, 0.02))
+@example(-0.0017335808181532443, -0.002735139242432411, 0.0078125)
 def test_random_flush_commands_stay_physical(dx, dy, dth):
     assert_flush_command_physical(PlanarPose([dx, 0.0802 + dy], dth))
 
@@ -1036,7 +1102,7 @@ def test_flush_rotation_needs_the_fallback_pass():
     # mode, and the fallback finds the tip sliding along the top face
     target = PlanarPose([0.003, 0.0802], -0.02)
     sw = flush_world(0.0802)
-    first = resolve._solve_pass(sw, target, enumerate_modes(sw))
+    first, _ = resolve._solve_pass(sw, target, enumerate_modes(sw))
     assert all(t.reason for t in first)
     sol = assert_flush_command_physical(target)
     assert sol.hypothesis.hand_mode == "slide_neg_point"

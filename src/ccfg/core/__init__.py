@@ -7,10 +7,9 @@ from .pose import (PlanarPose, cross2, hand_normal, hand_tangent, rotate,
                    rotation, wrap_angle)
 from .world import (GRAVITY_ACCEL, GravityParams, HandModel, Wall, WorldModel,
                     gravity_torque)
-from .wrench import CopResult, Wrench2, center_of_pressure, transform_torque
+from .wrench import Wrench2, center_of_pressure, transform_torque
 
 __all__ = [
-    "CopResult",
     "FrictionResidual",
     "GRAVITY_ACCEL",
     "GravityParams",

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,36 +60,35 @@ def transform_torque(w: Wrench2, new_reference) -> Wrench2:
     return Wrench2(w.force, tau, new_ref)
 
 
-class CopResult(NamedTuple):
-    point: np.ndarray
-    gamma: float
-
-
-def center_of_pressure(G, H, w: Wrench2) -> CopResult:
+def center_of_pressure(G, H, w: Wrench2):
     """Center of pressure of a line contact patch with endpoints G and H.
 
-    Returns the point Q = gamma*G + (1-gamma)*H on the patch line about which
-    the wrench has zero torque. gamma is deliberately left unclamped: a value
-    outside [0, 1] means the zero-torque point falls beyond the physical patch,
-    which callers use to detect infeasible contact geometries.
+    G and H are (x, y) pairs. Returns ((x, y), gamma): the point
+    Q = gamma*G + (1-gamma)*H on the patch line about which the wrench has
+    zero torque, and gamma, as floats. gamma is deliberately left
+    unclamped: a value outside [0, 1] means the zero-torque point falls
+    beyond the physical patch, which callers use to detect infeasible
+    contact geometries.
 
     Raises DegenerateForce when the force component normal to the patch is too
     small for the zero-torque point to be well defined (or when G == H).
     """
-    G = np.asarray(G, dtype=float)
-    H = np.asarray(H, dtype=float)
-    chord = G - H
-    span = float(np.hypot(chord[0], chord[1]))
+    (gx, gy), (hx, hy) = G, H
+    fx, fy = w.force.tolist()
+    cx, cy = gx - hx, gy - hy
+    span = math.hypot(cx, cy)
     if span <= COP_FORCE_EPS:
         raise DegenerateForce("contact patch endpoints coincide")
     # Normal force component across the patch equals |t x F|.
-    f_normal = cross2(chord, w.force) / span
+    chord_x_f = cx * fy - cy * fx
+    f_normal = chord_x_f / span
     if abs(f_normal) <= COP_FORCE_EPS:
         raise DegenerateForce(
             f"normal force {f_normal:.3e} N too small for a center of pressure")
-    tau_H = transform_torque(w, H).torque
-    gamma = tau_H / cross2(chord, w.force)
+    # torque about H: transform_torque(w, H).torque
+    rx, ry = w.reference.tolist()
+    tau_H = w.torque + ((rx - hx) * fy - (ry - hy) * fx)
+    gamma = tau_H / chord_x_f
     # H + gamma*(G - H), not gamma*G + (1 - gamma)*H: for |gamma| >> 1 the
     # two large terms of the latter cancel and lose the point's low bits
-    point = H + gamma * chord
-    return CopResult(point, float(gamma))
+    return (hx + gamma * cx, hy + gamma * cy), gamma

@@ -15,6 +15,14 @@ weightless center of pressure on the bottom edge. Wall detection compares the
 measured wrench against the frozen ground-phase wrench cone; a violation
 above the cone's own noise-scaled threshold (friction.violation_threshold)
 means some force besides ground friction has appeared.
+
+classify_hand and classify_ground run every frame on one wrench and a few
+vertices. At that size numpy's fixed cost per call, about a microsecond, is
+most of the work, so they read those numbers once (.tolist()) and decide on
+Python floats, with the formulas numpy evaluated. The last bit of a dot
+product or a hypot can differ from numpy's (BLAS may fuse a multiply-add;
+np.hypot is libm's), which moves a label only when a value lies within
+rounding of a band edge or of a tie. Exact ties go to the lowest index.
 """
 
 import math
@@ -23,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import (PlanarPose, Wrench2, center_of_pressure, face_normals,
-                    hand_normal, hand_tangent)
+from ..core import PlanarPose, Wrench2, center_of_pressure
 from ..errors import DegenerateForce
 from .friction import (WrenchConeEstimate, check_violation,
                        violation_threshold)
@@ -127,16 +134,6 @@ class EstimateView:
 
 # -- hand geometry -------------------------------------------------------------
 
-def _hand_cop_offset(w_meas: Wrench2, hand_pose: PlanarPose,
-                     half_length: float) -> float:
-    t_hat = hand_tangent(hand_pose.angle)
-    center = hand_pose.position
-    tip_a = center - half_length * t_hat
-    tip_b = center + half_length * t_hat
-    cop = center_of_pressure(tip_a, tip_b, w_meas)
-    return float(t_hat @ (cop.point - center))
-
-
 def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView):
     """Decision cascade for the hand-side contact geometry.
 
@@ -145,32 +142,48 @@ def classify_hand(w_meas: Wrench2, hand_pose: PlanarPose, view: EstimateView):
     that vertex rides the hand line. Anything else, a tangential-only load
     with no COP included, is flush against the most anti-parallel face if
     that face lies within 0.1 rad of the hand line, and otherwise the object
-    vertex nearest the hand line.
+    vertex nearest the hand line. Of equally near vertices or equally
+    anti-parallel faces, the lowest index wins.
     """
-    if float(np.hypot(*w_meas.force)) < FORCE_THRESHOLD:
+    fx, fy = w_meas.force.tolist()
+    if math.hypot(fx, fy) < FORCE_THRESHOLD:
         return None
 
-    n_hat = hand_normal(hand_pose.angle)
-    gaps = np.abs((view.vertices - hand_pose.position) @ n_hat)
+    px, py = hand_pose.position.tolist()
+    # hand_tangent and hand_normal of the hand angle
+    tx, ty = math.cos(hand_pose.angle), math.sin(hand_pose.angle)
+    nx, ny = ty, -tx
+    verts = view.vertices.tolist()
+    rel = [(x - px, y - py) for x, y in verts]
+    gaps = [abs(dx * nx + dy * ny) for dx, dy in rel]
+    L = view.hand_half_length
     try:
-        s = _hand_cop_offset(w_meas, hand_pose, view.hand_half_length)
+        (qx, qy), _ = center_of_pressure((px - L * tx, py - L * ty),
+                                         (px + L * tx, py + L * ty), w_meas)
     except DegenerateForce:
         pass  # tangential-only load: no COP to reason from
     else:
-        L = view.hand_half_length
+        s = (qx - px) * tx + (qy - py) * ty
         if abs(s - L) <= DELTA_EDGE or abs(s + L) <= DELTA_EDGE:
             return ObjectLineHandPoint(endpoint=1 if s > 0 else -1)
-        t_hat = hand_tangent(hand_pose.angle)
-        offsets = (view.vertices - hand_pose.position) @ t_hat
-        near = np.nonzero(np.abs(offsets - s) <= DELTA_VERT)[0]
-        if len(near):
-            return ObjectPointHandLine(int(near[np.argmin(gaps[near])]))
+        near = [i for i, (dx, dy) in enumerate(rel)
+                if abs(dx * tx + dy * ty - s) <= DELTA_VERT]
+        if near:
+            return ObjectPointHandLine(min(near, key=gaps.__getitem__))
 
-    normals = face_normals(view.vertices)
-    flush_face = int(np.argmin(normals @ n_hat))
-    if float(normals[flush_face] @ n_hat) < -math.cos(0.1):
-        return Flush(flush_face)
-    return ObjectPointHandLine(int(np.argmin(gaps)))
+    # face_normals . n_hat: face i runs from vertex i to vertex i + 1
+    dots = []
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = bx - ax, by - ay
+        length = math.hypot(ex, ey)
+        if not length:
+            break  # coincident vertices: no normal, so no flush face
+        dots.append(ey / length * nx - ex / length * ny)
+    else:
+        flush_face = dots.index(min(dots))
+        if dots[flush_face] < -math.cos(0.1):
+            return Flush(flush_face)
+    return ObjectPointHandLine(gaps.index(min(gaps)))
 
 
 # -- ground geometry -----------------------------------------------------------
@@ -184,15 +197,15 @@ def classify_ground(view: EstimateView, w_meas: Wrench2):
     vertex nearest that COP. The weightless COP is where the ground reaction
     would act if it balanced the hand wrench alone: the object's weight is
     left out, so a sideways push can move it off a face that is flush.
+    Vertices of equal height rank by index.
     """
-    verts = view.vertices
-    ys = verts[:, 1]
-    order = np.argsort(ys)
-    lowest, second = int(order[0]), int(order[1])
+    verts = view.vertices.tolist()
+    n = len(verts)
+    ys = [y for _, y in verts]
+    lowest, second = sorted(range(n), key=ys.__getitem__)[:2]
     if ys[second] - ys[lowest] > DELTA_LOWEST:
         return PointOnLine(lowest)
 
-    n = len(verts)
     if (lowest + 1) % n == second:
         face = lowest
     elif (second + 1) % n == lowest:
@@ -200,24 +213,24 @@ def classify_ground(view: EstimateView, w_meas: Wrench2):
     else:
         # two near-level vertices that do not share an edge: stay on the point
         return PointOnLine(lowest)
-    a, b = verts[face], verts[(face + 1) % n]
+    ax, bx = verts[face][0], verts[(face + 1) % n][0]
 
-    F = w_meas.force
-    c = w_meas.reference
+    fx, fy = w_meas.force.tolist()
+    cx, cy = w_meas.reference.tolist()
     h = view.ground_height
-    if float(np.hypot(*F)) < 1e-9:
+    if math.hypot(fx, fy) < 1e-9:
         return Flush(face)
-    if abs(F[1]) < 1e-9:
-        near = face if abs(a[0] - c[0]) < abs(b[0] - c[0]) else (face + 1) % n
+    if abs(fy) < 1e-9:
+        near = face if abs(ax - cx) < abs(bx - cx) else (face + 1) % n
         return PointOnLine(near)
 
     # torque balance about (x*, h) with ground reaction -F acting there
-    x_star = c[0] - ((c[1] - h) * F[0] - w_meas.torque) / F[1]
-    x_lo, x_hi = min(a[0], b[0]), max(a[0], b[0])
+    x_star = cx - ((cy - h) * fx - w_meas.torque) / fy
+    x_lo, x_hi = min(ax, bx), max(ax, bx)
     margin = COP_INTERIOR_FRAC * (x_hi - x_lo)
     if x_lo + margin <= x_star <= x_hi - margin:
         return Flush(face)
-    near = face if abs(a[0] - x_star) < abs(b[0] - x_star) else (face + 1) % n
+    near = face if abs(ax - x_star) < abs(bx - x_star) else (face + 1) % n
     return PointOnLine(near)
 
 

@@ -72,16 +72,16 @@ def test_wrench_rejects_nonfinite_field(field, bad):
 
 def test_cop_midpoint_symmetry():
     w = Wrench2((0, -5), 0.0, (1, 0))
-    got = center_of_pressure((0, 0), (2, 0), w)
-    np.testing.assert_allclose(got.point, [1, 0], atol=1e-12)
-    assert got.gamma == pytest.approx(0.5)
+    point, gamma = center_of_pressure((0, 0), (2, 0), w)
+    np.testing.assert_allclose(point, [1, 0], atol=1e-12)
+    assert gamma == pytest.approx(0.5)
 
 
 def test_cop_offset_torque_example():
     w = Wrench2((0, 10), 2.0, (1, 0))
-    got = center_of_pressure((0, 0), (2, 0), w)
-    np.testing.assert_allclose(got.point, [1.2, 0], atol=1e-12)
-    assert got.gamma == pytest.approx(bisect_cop_gamma((0, 0), (2, 0), w), abs=1e-9)
+    point, gamma = center_of_pressure((0, 0), (2, 0), w)
+    np.testing.assert_allclose(point, [1.2, 0], atol=1e-12)
+    assert gamma == pytest.approx(bisect_cop_gamma((0, 0), (2, 0), w), abs=1e-9)
 
 
 def test_cop_tangential_only_force_degenerate():
@@ -106,16 +106,17 @@ def test_cop_matches_bisection_oracle(gx, gy, hx, hy, fx, fy, tau, cx, cy):
     w = Wrench2((fx, fy), tau, (cx, cy))
     if abs(cross2(chord, w.force)) / span < 1e-3:
         return
-    got = center_of_pressure(G, H, w)
+    point, gamma = center_of_pressure((gx, gy), (hx, hy), w)
+    assert all(type(v) is float for v in (*point, gamma))
     # Zero torque at the returned point.
-    assert abs(transform_torque(w, got.point).torque) < 1e-9 * max(1, abs(tau))
+    assert abs(transform_torque(w, point).torque) < 1e-9 * max(1, abs(tau))
     # Barycentric identity.
-    np.testing.assert_allclose(got.point, got.gamma * G + (1 - got.gamma) * H,
+    np.testing.assert_allclose(point, gamma * G + (1 - gamma) * H,
                                atol=1e-12)
     # Independent bisection oracle. The relative term covers near-tangential
     # forces, where the zero-torque point sits thousands of patch lengths out
     # and its conditioning scales like 1/f_normal.
-    assert got.gamma == pytest.approx(bisect_cop_gamma(G, H, w),
+    assert gamma == pytest.approx(bisect_cop_gamma(G, H, w),
                                       rel=1e-8, abs=1e-8)
 
 

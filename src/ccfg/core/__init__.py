@@ -1,5 +1,6 @@
 """Planar geometry and contact-mechanics primitives shared by the whole toolkit."""
 
+from .contact import PointOnLine, point_on_line
 from .hull import convex_hull
 from .mechanics import FrictionResidual, friction_complementarity_residual
 from .polygon import PolygonModel, face_normals
@@ -15,6 +16,7 @@ __all__ = [
     "GravityParams",
     "HandModel",
     "PlanarPose",
+    "PointOnLine",
     "PolygonModel",
     "Wall",
     "WorldModel",
@@ -27,6 +29,7 @@ __all__ = [
     "gravity_torque",
     "hand_normal",
     "hand_tangent",
+    "point_on_line",
     "rotate",
     "rotation",
     "transform_torque",

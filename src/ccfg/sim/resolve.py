@@ -34,15 +34,20 @@ splits it in proportion to the normal forces.  gelsy is LAPACK's, called
 through scipy's compiled scipy/linalg/_flapack, which is loaded from its
 file: importing scipy.linalg for it would cost most of the time it takes to
 import ccfg.sim.
-An iteration costs a few dozen numpy calls at any batch size: what no
-iterate changes is derived once per batch (_Batch), stopped members stay
+A stacked iteration costs a few dozen numpy calls at any batch size: what
+no iterate changes is derived once per batch (_Batch), stopped members stay
 until dropping them pays (see _newton), and the members still running when
 their batch is half empty join the next batch with their iterates and step
-counts instead of iterating on alone (see _solve_pass).  As every entry of R
-and J comes from the arithmetic of the scalar expression it stands for, each
-sum adding in slot order, R, J and the steps are bit for bit those of a lone
-member, and each member counts its own steps: a trial comes out the same in
-any batch, whenever it joins one.
+counts instead of iterating on alone (see _solve_pass).  In a pass's last
+block those calls outweigh the arithmetic once few members are left: the
+last _TAIL running members are finished one by one on Python floats
+(_Alone, built on core.point_on_line), with _system's operations.  As every
+entry of R and J comes from the arithmetic of the scalar expression it
+stands for, each sum adding in slot order, R, J and the steps are bit for
+bit those of a lone member, stacked or alone (but for the sign of a zero R
+entry, which a padding slot's +0.0 turns from -0.0 to +0.0 and no step or
+stop reads), and each member counts its own steps: a trial comes out the
+same in any batch, whenever it joins one.
 
 Before any block is built, a hypothesis whose contacts all lie on lines of
 the fixed world (ground, walls) is screened: its object x/y balance rows
@@ -90,6 +95,7 @@ import importlib.util
 import itertools
 import math
 import os
+import struct
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
@@ -98,7 +104,7 @@ from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ..core import PlanarPose, Wrench2, cross2, wrap_angle
+from ..core import PlanarPose, Wrench2, cross2, point_on_line, wrap_angle
 from ..errors import JammedConfiguration, NoFeasibleMode
 from .modes import ACTIVATION_BAND, ContactModeHypothesis, enumerate_modes
 from .world import SimWorld
@@ -151,6 +157,17 @@ _SLOTS = 512   # contact slots per batch, carried members included; ~1 MB
 _HANDOFF = 0.5
 _NEWTON_TOL = 1e-10   # max |R| at which a Newton member has converged
 _NEWTON_MAX_ITER = 40  # steps before an unconverged member is given up
+# running members that a pass's last block finishes one by one on floats
+# (_newton_alone) rather than stacked.  Cost model, 2-vCPU host: a stacked
+# call (_system and _steps) takes 178 us plus 2.9 us per slot of its batch,
+# a 3-contact member's scalar iteration 38 us (16 us for R alone).  Replayed
+# on the recorded passes of the drag states, the Newton time per step falls
+# from 11.1 ms stacked to 8.8, 8.6, 8.5 and 8.7 ms at 4, 6, 8 and 12; the
+# wall states' last blocks are flat from 4 to 16.
+_TAIL = 8
+# |z| up to which _Alone's terms are all finite: past it (no trial gets
+# there) it hands the iterate to _system
+_FAITHFUL = 1e100
 # m; deepest penetration a resolved state may keep. engine.step checks its
 # input and output against the same bound.
 PENETRATION_TOL = 1e-9
@@ -183,7 +200,9 @@ class ModeSolution:
     residual_norm: float
     trials: int
     newton_iterations: int     # Jacobian evaluations summed over all trials
-    stacked_evaluations: int   # _system calls over all passes, one per batch
+    # _system calls over all passes, one per stacked iteration of a batch;
+    # the members a pass's last block finishes alone (_TAIL) add none
+    stacked_evaluations: int
     rejections: dict           # reason -> count over the infeasible trials
     screened: int              # no_converge trials rejected before Newton
 
@@ -299,7 +318,8 @@ class _Batch:
                    math.prod(shape) for _, shape in _FIELDS))]
 
     def __init__(self, rows: list, min_norm):
-        self.counts, self.min_norm = np.array([len(r) for r in rows]), min_norm
+        self.rows, self.min_norm = rows, min_norm
+        self.counts = np.array([len(r) for r in rows])
         self.slots = C = max(1, self.counts.max())
         M, n = len(rows), 6 + 2 * C
         # hypotheses share most contacts: convert each distinct row once
@@ -376,6 +396,7 @@ class _Batch:
         """The members selected by keep (a mask or indices)."""
         idx = np.flatnonzero(keep) if keep.dtype == bool else keep
         out = object.__new__(_Batch)
+        out.rows = [self.rows[i] for i in idx.tolist()]
         out.counts, out.min_norm = self.counts[idx], self.min_norm[idx]
         out.slots, out.template = self.slots, self.template[idx]
         S, width = self.slots + 1, self.template.shape[1]
@@ -388,6 +409,10 @@ class _Batch:
         out.totals = self.totals[:, :len(idx)]
         out._views()
         return out
+
+    def alone(self, i) -> "_Batch":
+        """A batch of member i alone, with no padding slot."""
+        return _Batch([self.rows[i]], self.min_norm[i:i + 1])
 
     def place(self, poses, vectors, out=None):
         """x, y of point, line, object and hand body, the cos and sin turning
@@ -519,6 +544,14 @@ def _gelsy_lwork(m):            # gelsy's workspace, as lstsq sizes it
     return int(_GELSY_LWORK(m, m, 1, _EPS)[0])
 
 
+def _gelsy_step(J, minus_R):
+    """gelsy's minimum-norm solution of J dz = minus_R, one (m, m) system."""
+    m = len(minus_R)
+    # zero pivots: gelsy leads with no column
+    return _GELSY(J, minus_R, np.zeros((m, 1), dtype=np.int32), _EPS,
+                  _gelsy_lwork(m), False, False)[1]
+
+
 def _steps(R, J, b, keep):
     """Newton steps dz with J dz = -R for the members of batch b that keep
     selects.  Each run of LU members of one size is one stacked solve; its
@@ -530,15 +563,223 @@ def _steps(R, J, b, keep):
         if keep[lo:hi].any():
             dz[lo:hi, :m] = _umath_linalg.solve1(
                 J[lo:hi, :m, :m], -R[lo:hi, :m], signature="dd->d")
-    gelsy = np.flatnonzero(
-        keep & (b.min_norm | ~(np.abs(dz).max(axis=1) <= 1e8))).tolist()
-    pivots = np.empty((R.shape[1], 1), dtype=np.int32)
-    for i in gelsy:
+    for i in np.flatnonzero(
+            keep & (b.min_norm | ~(np.abs(dz).max(axis=1) <= 1e8))).tolist():
         m = 6 + 2 * int(b.counts[i])
-        pivots[:m] = 0      # gelsy leads with the columns marked here
-        dz[i, :m] = _GELSY(J[i, :m, :m], -R[i, :m], pivots[:m], _EPS,
-                           _gelsy_lwork(m), False, False)[1]
+        dz[i, :m] = _gelsy_step(J[i, :m, :m], -R[i, :m])
     return dz
+
+
+def _max_abs(values):
+    """max |v| as np.abs(values).max() gives it: NaN when any v is NaN,
+    which Python's max() skips unless it comes first."""
+    return math.nan if any(map(math.isnan, values)) \
+        else max(map(abs, values))
+
+
+class _Alone:
+    """Member i of batch b as plain floats, to finish its Newton iteration
+    without the batch.
+
+    system(z) gives the member's R and J as _system(z, ref, batch) gives
+    them for a batch of this member alone, which has no padding slot: the
+    contact geometry from core.point_on_line, the cosines and sines from
+    _Reference.poses, and every entry from the same floating-point
+    operations in the same order, each balance row and pose block entry
+    adding its contacts in slot order from its slot 0 value.  The one
+    difference is in the pose block: of the terms _system adds there, those
+    that are a product with 0.0 for a contact's bodies (a world line's, or
+    those in the columns of a body the contact does not move) are left out.
+    A finite zero changes a sum only when the sum is -0.0, and in
+    round-to-nearest a sum is -0.0 only when both of its terms are; so the
+    sums that start from +0.0 or from a nonzero entry never are, and only
+    J[2, 2], whose gravity term may start it at -0.0, adds all its terms.
+    Every term is finite while no |z| exceeds _FAITHFUL (see system).
+    Slots are of the three kinds _ContactRows builds: an object point on
+    the hand line, a hand point on an object face and an object point on a
+    world line."""
+
+    def __init__(self, ref, b, i):
+        count, n = int(b.counts[i]), 6 + 2 * b.slots
+        self.m = m = 6 + 2 * count
+        self.ref, self.min_norm, self.lone = ref, bool(b.min_norm[i]), (b, i)
+        self.template = b.template[i, n:-1].reshape(n, n)[:m, :m].ravel().tolist()
+        at = {name: rows.start for name, rows, _ in _Batch._LAYOUT}
+        S, v = b.slots + 1, at["v"]
+        self.contacts = []
+        for f, col in enumerate(
+                b.data[:, S * i + 1:S * i + 1 + count].T.tolist()):
+            f, pb, lb = 6 + 2 * f, int(col[at["pb"]]), int(col[at["lb"]])
+            self.contacts.append((
+                (pb, lb), pb, lb, col[v + 4:v + 6], col[v + 6:v + 8],
+                col[v:v + 2], col[v + 2:v + 4],
+                *col[at["basis"]:at["basis"] + 4], col[at["s"]] == 0,
+                col[at["s_mu"]], *col[at["sign"]:at["sign"] + 2],
+                *col[at["on_point"]:at["on_point"] + 2],
+                *col[at["on_line"]:at["on_line"] + 2], f, f * m, (f + 1) * m))
+        self.first_J = ref.pose_block.ravel().tolist()
+        self.stiffness, self.target = ref.stiffness.tolist(), ref.target.tolist()
+        self.turn = float(ref.turn)
+
+    def system(self, z, jacobian=True):
+        """R (a list) and J (an (m, m) array, None unless jacobian) at
+        iterate z (a list).  An iterate with some |z| above _FAITHFUL is
+        evaluated by _system itself, on a batch of this member alone."""
+        ref, m = self.ref, self.m
+        if max(map(abs, z)) > _FAITHFUL:
+            b, i = self.lone
+            R, J = _system(np.array([z]), ref, b.alone(i), jacobian=jacobian)
+            return R[0].tolist(), J[0] if jacobian else None
+        P = ref.poses(np.array([z[:6]]))[0].tolist()
+        body = ((P[0], P[1], P[6], P[8]), (P[3], P[4], P[7], P[9]),
+                (P[10], P[11], P[12], P[13]))
+        xo, yo, xh, yh, co, so = P[0], P[1], P[3], P[4], P[6], P[8]
+        (comx, comy), weight, (k0, k1, k2) = ref.com, ref.weight, self.stiffness
+        # slot 0: the balance rows and the pose block before any contact
+        r0, r1, r2 = 0.0, -weight, -weight * (co * comx - so * comy)
+        r3, r4 = k0 * (self.target[0] - xh), k1 * (self.target[1] - yh)
+        r5 = k2 * wrap_angle(self.turn - z[5])
+        R = [0.0] * m
+        if jacobian:
+            js = self.first_J[:]            # J[r, c] at js[6 r + c]
+            js[14] = weight * (so * comx + co * comy)
+            J = self.template[:]
+        for (kind, pb, lb, p, anchor, nv, tv, b00, b01, b10, b11, stick, s_mu,
+             s0, s1, op0, op1, ol0, ol1, f, fm, f1m) in self.contacts:
+            (px, py), (ox, oy), (nx, ny), (tx, ty), (gx, gy), normal_gap, _, \
+                (th0, th1), (th2, th3) = point_on_line(
+                    body[pb], body[lb], p, anchor, nv, tv)
+            fn, ft = z[f], z[f + 1]
+            Fx, Fy = fn * nx + ft * tx, fn * ny + ft * ty
+            l0x, l0y = px - xo, py - yo
+            l1x, l1y = (ox, oy) if pb == _HAND else (px - xh, py - yh)
+            r0 += Fx * s0
+            r1 += Fy * s0
+            r2 += (l0x * Fy - l0y * Fx) * s0
+            r3 += Fx * s1
+            r4 += Fy * s1
+            r5 += (l1x * Fy - l1y * Fx) * s1
+            if stick:
+                R[f], R[f + 1] = b00 * gx + b01 * gy, b10 * gx + b11 * gy
+            else:
+                R[f], R[f + 1] = normal_gap, ft + s_mu * fn
+            if not jacobian:
+                continue
+            # the balance rows by the contact's forces
+            J[f], J[m + f], J[2 * m + f] = \
+                s0 * nx, s0 * ny, (l0x * ny - l0y * nx) * s0
+            J[f + 1], J[m + f + 1], J[2 * m + f + 1] = \
+                s0 * tx, s0 * ty, (l0x * ty - l0y * tx) * s0
+            J[3 * m + f], J[4 * m + f], J[5 * m + f] = \
+                s1 * nx, s1 * ny, (l1x * ny - l1y * nx) * s1
+            J[3 * m + f + 1], J[4 * m + f + 1], J[5 * m + f + 1] = \
+                s1 * tx, s1 * ty, (l1x * ty - l1y * tx) * s1
+            # the contact rows by the angles: the gap turns with either body
+            # (a slide slot's basis is zero, which its second row takes)
+            tp00, tp10, tp01, tp11 = th0 * op0, th1 * op0, th0 * op1, th1 * op1
+            tg00, tg10 = tp00 - th2 * ol0, tp10 - th3 * ol0
+            tg01, tg11 = tp01 - th2 * ol1, tp11 - th3 * ol1
+            J[f1m + 2], J[f1m + 5] = \
+                b10 * tg00 + b11 * tg10, b10 * tg01 + b11 * tg11
+            if stick:
+                J[fm + 2], J[fm + 5] = \
+                    b00 * tg00 + b01 * tg10, b00 * tg01 + b01 * tg11
+            else:
+                perp = nx * gy - ny * gx
+                J[fm:fm + 6] = (
+                    (perp * 0.0 + nx * s0) + ny * 0.0,
+                    (perp * 0.0 + nx * 0.0) + ny * s0,
+                    (perp * ol0 + nx * tg00) + ny * tg10,
+                    (perp * 0.0 + nx * s1) + ny * 0.0,
+                    (perp * 0.0 + nx * 0.0) + ny * s1,
+                    (perp * ol1 + nx * tg01) + ny * tg11)
+            # the pose block: the force turns with the line's body (its
+            # angle column), each lever moves with both bodies
+            lf0 = l0x * Fx + l0y * Fy
+            js[14] += ((tp00 * Fy - tp10 * Fx) + lf0 * ol0) * s0
+            if kind == (_OBJ, _HAND):
+                # J[0:5, 5], the force turning with the hand, and row 5, the
+                # hand's moment, by every column
+                lf1, X = l1x * Fx + l1y * Fy, th0 * Fy - th1 * Fx
+                js[5] += -Fy
+                js[11] += Fx
+                js[17] += lf0
+                js[23] += Fy
+                js[29] += -Fx
+                js[30] += -Fy
+                js[31] += Fx
+                js[32] += -X
+                js[33] += Fy
+                js[34] += -Fx
+                js[35] += -lf1
+            elif kind == (_HAND, _OBJ):
+                # J[:, 2], the force turning with the object, row 2, the
+                # object's moment, by every column, and J[5, 5]: the hand's
+                # lever is the point's offset, which turns with the hand
+                lf1, X = l1x * Fx + l1y * Fy, th0 * Fy - th1 * Fx
+                js[2] += Fy
+                js[8] += -Fx
+                js[12] += Fy
+                js[13] += -Fx
+                js[15] += -Fy
+                js[16] += Fx
+                js[17] += -X
+                js[20] += -Fy
+                js[26] += Fx
+                js[32] += lf1
+                js[35] += X
+            elif kind != (_OBJ, _WORLD):
+                raise ValueError(f"no scalar rows for bodies {kind}")
+        R[:6] = r0, r1, r2, r3, r4, r5
+        if not jacobian:
+            return R, None
+        for r in range(6):
+            J[r * m:r * m + 6] = js[6 * r:6 * r + 6]
+        return R, np.frombuffer(_packer(m)[1](*J)).reshape(m, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _packer(m):
+    """Packers of m and m * m floats into the bytes of a float64 array."""
+    return struct.Struct(f"{m}d").pack, struct.Struct(f"{m * m}d").pack
+
+
+def _step_alone(R, J, min_norm):
+    """One member's Newton step (a list), routed as _steps routes it: LU,
+    or gelsy for a min_norm member, an exactly singular J or a step above
+    1e8."""
+    minus_R = np.frombuffer(_packer(len(R))[0](*[-x for x in R]))
+    if not min_norm:
+        dz = _umath_linalg.solve1(J, minus_R, signature="dd->d").tolist()
+        if all(abs(d) <= 1e8 for d in dz):
+            return dz
+    return _gelsy_step(J, minus_R).tolist()
+
+
+def _newton_alone(ref, b, i, z, count):
+    """Finish member i of batch b on its own, from iterate z (its row,
+    updated in place) after count evaluations, with _newton's steps and
+    stops: _steps' LU or gelsy step, the 41st evaluation without J.
+    Returns the final max |R| (inf when diverged) and the count."""
+    alone = _Alone(ref, b, i)
+    zl, res = z[:alone.m].tolist(), math.inf
+    while True:
+        last = count >= _NEWTON_MAX_ITER
+        R, J = alone.system(zl, jacobian=not last)
+        count += 1
+        r = _max_abs(R)
+        if not r < math.inf:                # non-finite: dropped
+            break
+        if r <= _NEWTON_TOL or last:
+            res = r
+            break
+        dz = _step_alone(R, J, alone.min_norm)
+        if not (all(abs(d) <= 0.5 for d in dz[:6])
+                and all(abs(d) < math.inf for d in dz)):
+            break                           # diverged
+        zl = [a + d for a, d in zip(zl, dz)]
+    z[:alone.m] = zl
+    return res, count
 
 
 def _newton(ref, batch, z, count, handoff):
@@ -548,18 +789,23 @@ def _newton(ref, batch, z, count, handoff):
     its iteration index, so its trajectory does not depend on when it joined
     the batch: its 41st evaluation skips the Jacobian and ends it.  Returns
     the final max |R| per member (inf when diverged or still running), which
-    members are still running and the number of _system calls.  Iteration
-    stops when no more than `handoff` members are running."""
+    members are still running and the number of _system calls.  Stacked
+    iteration stops when no more than `handoff` members are running.  In
+    the last block of a pass (handoff 0) it stops at _TAIL, and
+    _newton_alone finishes the members still running one by one: a stacked
+    call costs about five times a member's scalar iteration and grows
+    slowly with the batch, while the tail costs the sum of its members'
+    remaining iterations."""
     N = len(batch.counts)
     res, running = np.full(N, math.inf), np.zeros(N, dtype=bool)
     # b holds rows `at` of z and count, as zb and cb
     at, b, zb, cb = np.arange(N), batch, z, count
-    active = np.ones(N, dtype=bool)
+    active, live, limit = np.ones(N, dtype=bool), N, handoff or _TAIL
     # no count exceeds oldest, so below _NEWTON_MAX_ITER no member is on its
     # last evaluation and none needs a mask
     oldest, calls = int(count.max()), 0
     with np.errstate(all="ignore"):   # non-finite members are dropped below
-        while True:
+        while live > limit:
             last = cb >= _NEWTON_MAX_ITER \
                 if oldest >= _NEWTON_MAX_ITER else None
             R, J = _system(zb, ref, b, jacobian=last is None
@@ -582,14 +828,16 @@ def _newton(ref, batch, z, count, handoff):
             del R, J                # before the next evaluation allocates
             live, active, oldest, calls = np.count_nonzero(keep), keep, \
                 oldest + 1, calls + 1
-            if live <= handoff:
-                break
             # drop stopped members once they are half the batch or 9, about
             # a take's cost in member iterations (chosen on a cost model)
-            if len(keep) - live >= min(live, 9):
+            if live > limit and len(keep) - live >= min(live, 9):
                 z[at], count[at] = zb, cb
                 at, b, zb, cb, active = at[keep], b.take(keep), zb[keep], \
                     cb[keep], active[keep]
+        if not handoff:
+            for j in np.flatnonzero(active).tolist():
+                res[at[j]], cb[j] = _newton_alone(ref, b, j, zb[j], int(cb[j]))
+            active = np.zeros_like(active)
     z[at], count[at], running[at] = zb, cb, active
     return res, running, calls
 

@@ -1,15 +1,17 @@
-"""Poses, polygons, convex hulls, world model, and the gravity-torque
-parameterization."""
+"""Poses, polygons, convex hulls, world model, the gravity-torque
+parameterization and the point-on-line contact primitive."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccfg.core import (GravityParams, HandModel, PlanarPose, PolygonModel,
                        Wall, WorldModel, convex_hull, cross2, gravity_torque,
-                       hand_normal, hand_tangent, rotate, rotation, wrap_angle)
+                       hand_normal, hand_tangent, point_on_line, rotate,
+                       rotation, wrap_angle)
+from ccfg.graph import Factor, jacobian_check
 
 
 def test_wrap_angle_range():
@@ -194,3 +196,85 @@ def test_gravity_params_match_direct_moment(mass, dx, dy, theta):
     oracle = cross2(lever, np.array([0.0, -mass * 9.81]))
     assert gravity_torque(gp, theta) == pytest.approx(oracle, abs=1e-9)
     assert gp.mgl == pytest.approx(mass * 9.81 * math.hypot(dx, dy), rel=1e-12)
+
+
+# ------------------------------------------------------ point-on-line contact
+
+BOX = PolygonModel([[-0.06, -0.04], [0.06, -0.04], [0.06, 0.04], [-0.06, 0.04]])
+HALF = 0.05     # the hand's half length
+
+
+def contact_data(kind, index):
+    """(p, anchor, normal, tangent) of one contact, as the simulator lays
+    them out: an object vertex on the hand line, a hand tip on an object
+    face, or an object vertex on the ground or a wall (facing -x at x =
+    0.2)."""
+    if kind == "vertex on hand":
+        return tuple(BOX.vertices[index]), (0.01, 0.0), (0.0, -1.0), (1.0, 0.0)
+    if kind == "tip on face":
+        a, b = BOX.face_endpoints(index)
+        e = (b - a) / np.hypot(*(b - a))
+        return ((HALF if index % 2 else -HALF, 0.0), tuple(a),
+                tuple(BOX.normals[index]), tuple(-e))
+    if kind == "vertex on ground":
+        return tuple(BOX.vertices[index]), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)
+    return tuple(BOX.vertices[index]), (0.2, 0.03), (-1.0, 0.0), (0.0, 1.0)
+
+
+def as_body(q):
+    return (float(q[0]), float(q[1]), math.cos(q[2]), math.sin(q[2]))
+
+
+def contact_factor(kind, index):
+    """The primitive's gap x, gap y, normal gap and tangent gap as a factor
+    of the point body's pose and, unless the line is the world's, the line
+    body's pose (x, y, angle)."""
+    data = contact_data(kind, index)
+    if kind in ("vertex on ground", "vertex on wall"):
+        def at(q):
+            return point_on_line(as_body(q), (0.0, 0.0, 1.0, 0.0), *data)
+        return Factor(("p",), lambda q: gap_rows(at(q)),
+                      lambda q: [np.array(at(q).jacobian())[:, :3]], 1.0)
+
+    def both(q, w):
+        return point_on_line(as_body(q), as_body(w), *data)
+    return Factor(("p", "l"), lambda q, w: gap_rows(both(q, w)),
+                  lambda q, w: np.hsplit(np.array(both(q, w).jacobian()), 2),
+                  1.0)
+
+
+def gap_rows(c):
+    return np.array([*c.gap, c.normal_gap, c.tangent_gap])
+
+
+POSES = st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                  st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["vertex on hand", "tip on face", "vertex on ground",
+                        "vertex on wall"]), st.integers(0, 3), POSES, POSES)
+def test_point_on_line_derivatives_match_central_differences(
+        kind, index, point_pose, line_pose):
+    # the analytic derivatives of the gap vector, the normal gap and the
+    # tangential coordinate by both poses, against central differences
+    factor = contact_factor(kind, index)
+    values = [np.array(point_pose), np.array(line_pose)][:len(factor.var_ids)]
+    assert jacobian_check(factor, values) < 1e-7
+
+
+@given(st.sampled_from(["vertex on hand", "tip on face", "vertex on wall"]),
+       st.integers(0, 3), POSES, POSES)
+def test_point_on_line_geometry(kind, index, point_pose, line_pose):
+    # the point is its body's transform of p, the gap is measured from the
+    # line body's transform of the anchor, and the two gaps are its
+    # components along the turned normal and tangent
+    p, anchor, n, t = contact_data(kind, index)
+    c = point_on_line(as_body(point_pose), as_body(line_pose), p, anchor, n, t)
+    body, line = (PlanarPose(q[:2], q[2]) for q in (point_pose, line_pose))
+    gap = body.transform(p) - line.transform(anchor)
+    np.testing.assert_allclose(c.point, body.transform(p), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(c.gap, gap, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        [c.normal_gap, c.tangent_gap],
+        [line.rotation @ n @ gap, line.rotation @ t @ gap], rtol=0, atol=1e-15)

@@ -7,6 +7,7 @@ back from the solver.
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -532,29 +533,45 @@ def test_screened_hypotheses_never_converge():
 def test_misfit_stick_pairs_stay_above_the_bound():
     # every hypothesis the misfit screen rejects on the drag, wall and pivot
     # rigs, run through full Newton: max |R| stays above 1e-9 at every
-    # iterate of every member, and each trial ends no_converge
-    system, worst = resolve._system, []
+    # iterate of every member, stacked (_system) or finished alone
+    # (_Alone.system), and each trial ends no_converge.  A stacked call also
+    # evaluates the stopped members riding along, whose iterate no longer
+    # moves; a running one moves at every step, as its R is not zero.
+    system, alone_system = resolve._system, resolve._Alone.system
+    worst, last_iterate = [], {}
 
-    def recorded(z, ref, batch, **kwargs):
-        R, J = system(z, ref, batch, **kwargs)
-        worst.append(float(np.abs(R).max(axis=1).min()))
+    def stacked(z, ref, batch, jacobian=True):
+        R, J = system(z, ref, batch, jacobian=jacobian)
+        for i, rows in enumerate(batch.rows):
+            iterate = z[i, :6 + 2 * len(rows)].tobytes()
+            if last_iterate.get(id(rows), (rows, None))[1] != iterate:
+                last_iterate[id(rows)] = rows, iterate
+                worst.append(float(np.abs(R[i]).max()))
         return R, J
 
-    screened = 0
+    def alone(self, z, jacobian=True):
+        R, J = alone_system(self, z, jacobian)
+        worst.append(resolve._max_abs(R))
+        return R, J
+
+    screened = evaluations = 0
     for sw, target in drag_states() + wall_states() + pivot_states():
         build = _ContactRows(sw)
         hyps = [h for h in enumerate_modes(sw) if resolve._misfit(build(h))]
         if not hyps:
             continue
-        with mock.patch.object(resolve, "_system", recorded):
+        last_iterate.clear()
+        with mock.patch.object(resolve, "_system", stacked), \
+                mock.patch.object(resolve._Alone, "system", alone):
             trials, _ = unscreened(
                 lambda: resolve._solve_pass(sw, target, hyps))
         assert all(t.reason == "no_converge" and t.evaluations > 0
                    for t in trials)
         screened += len(hyps)
+        evaluations += sum(t.evaluations for t in trials)
     assert screened == 80 * 10 + 4
+    assert len(worst) == evaluations
     assert min(worst) > 1e-9
-
 
 
 def trial_outcome(trial):
@@ -572,10 +589,11 @@ def test_trial_does_not_depend_on_its_batch():
     # a member's Newton trajectory depends only on its own iterate (module
     # docstring), which the screens and the lazy compaction rest on: each
     # hypothesis comes out byte for byte the same solved in one batch, in
-    # reverse order in blocks of 24 slots, and (on every third state, which
-    # keeps this test near 25 s) one hypothesis per call
+    # reverse order in blocks of 24 slots, and one hypothesis per call,
+    # which finishes it alone on floats from its first iteration (35-42 s
+    # on a 2-vCPU host, a third of the suite)
     feasible = alone = 0
-    for i, (sw, target) in enumerate(drag_states()[::4] + wall_states()[::2]):
+    for sw, target in drag_states()[::4] + wall_states()[::2]:
         hyps = enumerate_modes(sw)
         with mock.patch.object(resolve, "_SLOTS", 10 ** 6):
             whole = [trial_outcome(t)
@@ -584,13 +602,12 @@ def test_trial_does_not_depend_on_its_batch():
             rev = [trial_outcome(t)
                    for t in resolve._solve_pass(sw, target, hyps[::-1])[0]]
         assert whole == rev[::-1]
-        if i % 3 == 0:
-            assert whole == [
-                trial_outcome(resolve._solve_pass(sw, target, [h])[0][0])
-                for h in hyps]
-            alone += len(hyps)
+        assert whole == [
+            trial_outcome(resolve._solve_pass(sw, target, [h])[0][0])
+            for h in hyps]
+        alone += len(hyps)
         feasible += sum(len(o) > 2 for o in whole)
-    assert feasible > 100 and alone > 5000
+    assert feasible > 100 and alone > 15000
 
 
 def test_handoff_carries_trials_unchanged():
@@ -632,23 +649,27 @@ def test_handoff_carries_trials_unchanged():
 
 def test_stacked_evaluations_count_system_calls():
     # ModeSolution.stacked_evaluations is the number of _system calls the
-    # step made over its passes, never more than the members' evaluations;
-    # the wall states include four that reach the fallback pass
+    # step made over its passes, never more than the members' evaluations,
+    # and none when no more than _TAIL hypotheses reach Newton, which then
+    # all run alone; the wall states include four that reach the fallback
+    # pass, and one drag state runs three hypotheses
     system, calls = resolve._system, []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return system(*args, **kwargs)
 
-    fallback = 0
+    fallback = alone = 0
     for sw, target in drag_states()[::16] + wall_states()[33::5]:
         calls.clear()
         with mock.patch.object(resolve, "_system", counted):
             sol = resolve_mode(sw, target)
-        assert sol.stacked_evaluations == len(calls) > 0
+        assert sol.stacked_evaluations == len(calls)
         assert sol.stacked_evaluations <= sol.newton_iterations
+        assert (len(calls) > 0) == (sol.trials - sol.screened > resolve._TAIL)
         fallback += sol.trials > len(enumerate_modes(sw))
-    assert fallback == 4
+        alone += not calls
+    assert fallback == 4 and alone == 1
 
 
 def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
@@ -670,6 +691,9 @@ def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
     assert np.abs(np.linalg.solve(ill, -R[2])).max() > 1e8
     with np.errstate(invalid="ignore"):    # solve1 flags the singular one
         dz = _steps(R, J, batch, np.ones(3, bool))
+        # the scalar tail routes a lone member's step the same way
+        alone = [resolve._step_alone(R[i].tolist(), J[i], False)
+                 for i in range(3)]
     assert dz[0].tobytes() == np.linalg.solve(regular, -R[0]).tobytes()
     for i in (1, 2):
         u, sv, _ = np.linalg.svd(J[i])
@@ -678,6 +702,113 @@ def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
         assert np.linalg.norm(J[i] @ dz[i] + on_range) \
             <= 1e-10 * np.linalg.norm(R[i])
         assert np.abs(dz[i]).max() < 1e3
+    assert [np.array(a).tobytes() for a in alone] == [d.tobytes() for d in dz]
+
+def test_scalar_member_matches_system_bit_for_bit():
+    # every iterate of every member on the drag, wall and pivot rigs, with
+    # every pass stacked to its end: _Alone.system gives the member's rows
+    # of _system byte for byte, R alone on the 41st evaluation.  Where the
+    # batch's padding slots add +0.0 to a sum of -0.0 (R[2] of a box whose
+    # com is its origin, at zero forces), the two differ in that zero's
+    # sign only, and _Alone.system gives _system's on the member alone.
+    system, passes = resolve._system, resolve._solve_pass
+    members, seen, compared, trials = {}, set(), Counter(), []
+
+    def checked(z, ref, batch, jacobian=True):
+        R, J = system(z, ref, batch, jacobian=jacobian)
+        for i, rows in enumerate(batch.rows):
+            m = 6 + 2 * len(rows)
+            key = (id(rows), z[i, :m].tobytes(), jacobian)
+            if key in seen:         # a stopped member riding along
+                continue
+            seen.add(key)
+            if (id(rows), id(ref)) not in members:
+                members[id(rows), id(ref)] = \
+                    rows, ref, resolve._Alone(ref, batch, i)
+            got_R, got_J = members[id(rows), id(ref)][2].system(
+                z[i, :m].tolist(), jacobian)
+            got = [np.array(got_R)] + ([got_J] if jacobian else [])
+            want = [R[i, :m]] + ([J[i, :m, :m]] if jacobian else [])
+            if [g.tobytes() for g in got] != [w.tobytes() for w in want]:
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                lone = system(z[i:i + 1, :m], ref, batch.alone(i),
+                              jacobian=jacobian)
+                assert [g.tobytes() for g in got] == [
+                    w[0].tobytes() for w in lone[:len(got)]]
+                compared["signed zero"] += 1
+            compared["R and J" if jacobian else "R"] += 1
+        return R, J
+
+    def recorded(*args):
+        out = passes(*args)
+        trials.extend(out[0])
+        return out
+
+    with mock.patch.object(resolve, "_TAIL", 0), \
+            mock.patch.object(resolve, "_system", checked), \
+            mock.patch.object(resolve, "_solve_pass", recorded):
+        for sw, target in drag_states() + wall_states()[::2] + pivot_states():
+            members.clear()
+            seen.clear()
+            resolve_mode(sw, target)
+    assert compared["R and J"] + compared["R"] >= sum(
+        t.evaluations for t in trials) > 150000
+    # members that reach the R-only evaluation, and members that diverge
+    assert compared["R"] > 0
+    assert sum(t.reason == "no_converge" and 0 < t.evaluations <= 40
+               for t in trials) > 1000
+    assert 0 < compared["signed zero"] < compared["R and J"] / 50
+
+
+def test_max_abs_is_numpys():
+    # NaN anywhere gives NaN, as np.abs(R).max() does; Python's max() keeps
+    # the first NaN only
+    nan, inf = math.nan, math.inf
+    for values in ([1.0, -2.0, 0.5], [nan, 1.0], [1.0, nan, 3.0],
+                   [2.0, 1.0, nan], [-inf, 1.0], [1.0, inf, nan],
+                   [-0.0, 0.0], [1e308, -1e308]):
+        got, want = resolve._max_abs(values), np.abs(values).max()
+        assert np.array([got]).tobytes() == np.array([want]).tobytes() \
+            or (math.isnan(got) and math.isnan(want))
+    assert max([1.0, nan]) == 1.0 and math.isnan(max([nan, 1.0]))
+
+
+def test_tail_ends_members_as_the_stacked_loop_does():
+    # the last block of a pass run stacked to its end (_TAIL 0) and finished
+    # alone from the start: the same final max |R|, evaluation count and
+    # iterate bytes for members that converge, diverge, stop at their 41st
+    # evaluation, or whose iterate overflowed (an infinite force, past
+    # _FAITHFUL, where _Alone hands the iterate to _system)
+    w = WorldModel(ground_height=0.0, walls=(Wall(0.0605, -1),))
+    sw = make_world(PlanarPose([0.0, 0.04], 0.0),
+                    PlanarPose([0.03, 0.0805], 0.0), world=w)
+    build, ref = _ContactRows(sw), _Reference(sw, PlanarPose([0.032, 0.079],
+                                                            0.01))
+    rows = [build(h) for h in enumerate_modes(sw, suppress_overlaps=False)]
+    rows = [r for r in rows if r]
+    batch = _Batch(rows, np.zeros(len(rows), bool))
+    rng = np.random.default_rng(3)
+    n = 6 + 2 * batch.slots
+    z = np.zeros((len(rows), n))
+    for i, r in enumerate(rows):
+        z[i, 6:6 + 2 * len(r)] = rng.normal(0.0, 3.0, 2 * len(r))
+    z[0, 6] = math.inf
+    count = rng.integers(0, 41, len(rows))
+    count[:3] = 0
+    runs = []
+    for tail in (0, 10 ** 6):
+        zt, ct = z.copy(), count.copy()
+        with mock.patch.object(resolve, "_TAIL", tail):
+            res, running, calls = resolve._newton(ref, batch, zt, ct, 0)
+        assert not running.any() and (calls > 0) == (tail == 0)
+        runs.append((res.tobytes(), ct.tobytes(), zt.tobytes()))
+    assert runs[0] == runs[1]
+    res = np.frombuffer(runs[0][0])
+    ends = np.frombuffer(runs[0][1], dtype=count.dtype)
+    assert (res <= 1e-10).any() and (ends == 41).any()
+    assert (ends[res == math.inf] < 41).sum() > 1
+    assert res[0] == math.inf and ends[0] == 1
+
 
 def gelsy_draws(rng, m, count):
     """Seeded systems (J, -R) of size m: regular ones, exactly

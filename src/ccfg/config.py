@@ -1,10 +1,12 @@
 """The settings that more than one caller sets or reads.
 
 NoiseConfig is set per run: the benchmark runs two noise levels.
-EstimatorConfig.horizon and FrictionEstConfig.violation_sigma_factor are
-read both by the program and by the benchmark, which shares their values
-from here. Every other tunable is a constant in the one module that reads
-it, next to that module's other constants.
+FrictionEstConfig.violation_sigma_factor is read both by the program and by
+the benchmark, which shares its value from here. EstimatorConfig.horizon,
+the factor-graph window's length, is read only by the benchmark: the
+program has no estimator window yet, and FactorGraph.slide_window takes
+the horizon as an argument. Every other tunable is a constant in the one
+module that reads it, next to that module's other constants.
 """
 
 import math

@@ -223,12 +223,13 @@ class _Axis:
 
 def jacobian_check(factor: Factor, values: Sequence[np.ndarray],
                    h: float = 1e-6) -> float:
-    """Max relative error between analytic and central-difference Jacobians."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    """Max relative error between analytic and central-difference Jacobians;
+    NaN when either holds a NaN, so that no `< tol` test passes."""
+    if not 0.0 < h < math.inf:
+        raise ValueError("step h must be positive and finite")
     vals = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
     analytic = factor.jacobian(*vals)
-    worst = 0.0
+    errors = [0.0]
     for vi, J in enumerate(analytic):
         fd = np.zeros_like(J)
         for j in range(vals[vi].size):
@@ -239,8 +240,9 @@ def jacobian_check(factor: Factor, values: Sequence[np.ndarray],
             lo = factor.residual(*(vals[:vi] + [bump] + vals[vi + 1:]))
             fd[:, j] = (hi - lo) / (2 * h)
         scale = max(1.0, float(np.abs(fd).max()))
-        worst = max(worst, float(np.abs(J - fd).max()) / scale)
-    return worst
+        errors.append(float(np.abs(J - fd).max()) / scale)
+    # np.max, not max(), which keeps its first argument over a later NaN
+    return float(np.max(errors))
 
 
 class FactorGraph:
@@ -331,8 +333,8 @@ class FactorGraph:
         oldest odometry factor. A deleted variable is gone: `get` and
         `add_factor` no longer know its id.
         """
-        if horizon < 2:
-            raise ValueError("horizon must be at least 2")
+        if not isinstance(horizon, int) or horizon < 2:
+            raise ValueError("horizon must be an int of at least 2")
         variables = self.variables
         newest = max([v.time_index for v in variables.values()
                       if v.time_index is not None], default=None)

@@ -126,9 +126,6 @@ _SIGN = {"stick": 0, "slide_pos": 1, "slide_neg": -1}
 _WORLD_POSE = np.array([0.0, 0.0, 1.0, 0.0])      # x, y, cos, sin
 # place in _Reference.poses by coordinate (x, y, cos, sin) and body
 _COORDINATE = np.array([[0, 3, 10], [1, 4, 11], [6, 7, 12], [8, 9, 13]])
-# the rows of _system's table of entries slot 0, stick and slide slots write
-_SCATTER_USE = np.repeat([[0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0],
-                          [0, 1, 1], [0, 0, 1]], [2, 2, 12, 2, 2, 6], axis=0) > 0
 
 
 def _load_gelsy():
@@ -195,7 +192,6 @@ class ModeSolution:
     hand_pose: PlanarPose
     contacts: tuple
     hand_wrench: Wrench2
-    env_wrench: Wrench2
     dissipation: float
     residual_norm: float
     trials: int
@@ -303,11 +299,11 @@ class _ContactRows:
 class _Batch:
     """The contact rows of a batch of hypotheses sorted by (min_norm,
     contact count), and what _system derives from them once: per slot (a
-    member's slot 0, for what its sums start from, then its contacts padded
-    with empty ones) the vectors n, t, p, anchor, pin, origin and their +90
-    degree turns, the stick basis and each body's incidence and sign (+1 on
-    the point's body, -1 on the line's); per member the runs of LU members
-    of one size and a template of the entries of R and J no iterate moves."""
+    member's contacts, padded with empty ones to `slots`) the vectors n, t,
+    p, anchor, pin, origin and their +90 degree turns, the stick basis and
+    each body's incidence and sign (+1 on the point's body, -1 on the
+    line's); per member the runs of LU members of one size and a template
+    of the entries of J no iterate moves."""
 
     _FIELDS = (("pb", ()), ("lb", ()), ("v", (12,)), ("v_perp", (12,)),
                ("basis", (2, 2)), ("lo", ()), ("hi", ()), ("s", ()),
@@ -325,7 +321,7 @@ class _Batch:
         # hypotheses share most contacts: convert each distinct row once
         empty, distinct = ((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), None), {}
         slot = [distinct.setdefault(id(row), (len(distinct), row))[0]
-                for r in rows for row, _ in [empty] + r + [empty] * (C - len(r))]
+                for r in rows for row, _ in r + [empty] * (C - len(r))]
         col = np.array([r for _, r in distinct.values()], dtype=float)[slot].T
         K, ids = col.shape[1], np.array([[_OBJ], [_HAND]])
         self.data = np.zeros((self._LAYOUT[-1][1].stop, K))
@@ -348,38 +344,22 @@ class _Batch:
         d_gap[0, 0::3] = d_gap[1, 1::3] = self.sign
         d_lever[:, 0, 0::3] = d_lever[:, 1, 1::3] = self.on_point - np.eye(2)[..., None]
         self.d_gap, self.d_lever = d_gap[..., at], d_lever[..., at]
-        self.template = np.zeros((M, n + n * n + 1))
-        J0 = self.template[:, n:-1].reshape(M, n, n)
+        self.template = J0 = np.zeros((M, n, n))
         J0[:, 6:, :6] = (self.basis[:, 0, None] * d_gap[0]
                          + self.basis[:, 1, None] * d_gap[1]).reshape(
-            2, 6, M, C + 1)[..., 1:].transpose(2, 3, 0, 1).reshape(M, 2 * C, 6)
+            2, 6, M, C).transpose(2, 3, 0, 1).reshape(M, 2 * C, 6)
         f = 6 + 2 * np.arange(C)
-        J0[:, f + 1, f] = self.s_mu.reshape(M, C + 1)[:, 1:]
-        J0[:, f + 1, f + 1] = np.abs(self.s).reshape(M, C + 1)[:, 1:]
+        J0[:, f + 1, f] = self.s_mu.reshape(M, C)
+        J0[:, f + 1, f + 1] = np.abs(self.s).reshape(M, C)
 
-        # in its member's block: where a slot gathers body coordinates (x, y
-        # of its bodies, then the cos and sin turning v) and scatters R and J
+        # where a slot gathers body coordinates in _Reference.poses: x, y of
+        # its bodies, then the cos and sin turning v
         turn = [1] * 4 + [0] * 2 + [1] * 6      # line, point or line body
         body = np.array([col[_PB], col[_LB], 0 * col[_PB], 0 * col[_PB] + 1],
                         dtype=int)[[0, 0, 1, 1, 2, 2, 3, 3] + turn + turn]
         gather = _COORDINATE[np.array([0, 1] * 4 + [2] * 12 + [3] * 12)[:, None],
                              body]
-        contact = np.tile(np.arange(-1, C), M)
-        writes = np.where(contact < 0, 0, np.where(col[_S] == 0, 1, 2))
-        base, step = np.array(
-            [(6 + r, 2) for r in (0, 1, 0, 1)]
-            + [(n + (3 * j + q) * n + 6 + v, 2)
-               for j in (0, 1) for v in (0, 1) for q in (0, 1, 2)]
-            + [(n + (6 + r) * n + 3 * j + 2, 2 * n) for r in (0, 1) for j in (0, 1)]
-            + [(n + 6 * n + col, 2 * n) for col in range(6)]).T
-        width, member = n + n * n + 1, np.repeat(np.arange(M), C + 1)
-        self.gather = gather + 14 * member
-        self.scatter = np.where(_SCATTER_USE[:, writes], base[:, None]
-                                + step[:, None] * contact, n + n * n) \
-            + width * member
-        self.totals = np.concatenate([np.arange(6), (n * np.arange(1, 7)[:, None]
-                                      + np.arange(6)).ravel()])[:, None] \
-            + width * np.arange(M)
+        self.gather = gather + 14 * np.repeat(np.arange(M), C)
         self._views()
 
     def _views(self):
@@ -398,15 +378,13 @@ class _Batch:
         out = object.__new__(_Batch)
         out.rows = [self.rows[i] for i in idx.tolist()]
         out.counts, out.min_norm = self.counts[idx], self.min_norm[idx]
-        out.slots, out.template = self.slots, self.template[idx]
-        S, width = self.slots + 1, self.template.shape[1]
-        cols = (S * idx[:, None] + np.arange(S)).ravel()
-        moved = np.repeat(np.arange(len(idx)) - idx, S)    # member index shift
+        C = out.slots = self.slots
+        out.template = self.template[idx]
+        cols = (C * idx[:, None] + np.arange(C)).ravel()
+        moved = np.repeat(np.arange(len(idx)) - idx, C)    # member index shift
         out.data, out.kind = self.data[:, cols], self.kind[cols]
         out.d_gap, out.d_lever = self.d_gap, self.d_lever
         out.gather = self.gather[:, cols] + 14 * moved
-        out.scatter = self.scatter[:, cols] + width * moved
-        out.totals = self.totals[:, :len(idx)]
         out._views()
         return out
 
@@ -461,19 +439,19 @@ def _system(z, ref, b, jacobian=True):
     jacobian) at iterates z.  Rows: object balance (3), hand balance (3),
     then two per contact slot.  Columns: object and hand pose deltas, then
     (f_n, f_t) per slot.  Empty slots have zero residual rows.  Each balance
-    row and pose block entry adds its contacts in slot order from its value
-    in slot 0, like the scalar sum it stands for, all in one accumulate."""
-    (M, n), S = z.shape, b.slots + 1
-    K, poses = M * S, ref.poses(z)
+    row and pose block entry starts from its value with no contact (first)
+    and adds its contacts in slot order, like the scalar sum it stands for.
+    The contact rows, the force columns and the angle columns take every
+    slot's stick entries, then a slide slot's entries over them."""
+    (M, n), C = z.shape, b.slots
+    K, poses = M * C, ref.poses(z)
     # per slot -F_y, F, n, t (slices for the moments), offset and anchor
     w = np.empty((11, K))
     g, turns, _ = b.place(poses, 4, out=w[3:])
     nrm, tan, offset, anchor = w[3:].reshape(4, 2, K)
     point = g[0:2] + offset
     gap = point - (g[2:4] + anchor)
-    f = np.zeros((2, M, S))
-    f[:, :, 1:] = z[:, 6:].reshape(M, S - 1, 2).transpose(2, 0, 1)
-    fn, ft = f.reshape(2, K)
+    fn, ft = z[:, 6:].reshape(K, 2).T
     force = np.add(fn * nrm, ft * tan, out=w[1:3])
 
     # lever from the object and the hand origin to the point; a hand point's
@@ -521,7 +499,7 @@ def _system(z, ref, b, jacobian=True):
                     + lever_force[:, None] * b.d_angle, b.sign[:, None],
                     out=d_wrench[:, 2])
 
-    first = terms.reshape(-1, M, S)[:, :, 0]
+    first = np.empty((len(terms), M))
     co, so, (comx, comy) = poses[:, 6], poses[:, 8], ref.com
     first[:2] = ref.no_contact
     np.multiply(-ref.weight, co * comx - so * comy, out=first[2])
@@ -530,13 +508,26 @@ def _system(z, ref, b, jacobian=True):
     if jacobian:
         first[6:] = ref.pose_block
         np.multiply(ref.weight, so * comx + co * comy, out=first[6 + 14])
-    out = b.template.copy() if jacobian else np.empty(b.template.shape)
-    flat, sums = out.reshape(-1), terms.reshape(-1, M, S)
-    flat[b.scatter[:len(table)]] = table
-    for s in range(1, S):   # an accumulate would cost a call per short row
-        sums[:, :, 0] += sums[:, :, s]
-    flat[b.totals[:len(terms)]] = sums[:, :, 0]
-    return out[:, :n], out[:, n:-1].reshape(M, n, n) if jacobian else None
+    terms = terms.reshape(-1, M, C)
+    for s in range(C):      # an accumulate would cost a call per short row
+        first += terms[:, :, s]
+    R, slide = np.empty((M, n)), (b.s != 0).reshape(M, C, 1)
+    R[:, :6], rows = first[:6].T, R[:, 6:].reshape(M, C, 2)
+    np.copyto(rows, table[:2].reshape(2, M, C).transpose(1, 2, 0))
+    np.copyto(rows, table[2:4].reshape(2, M, C).transpose(1, 2, 0), where=slide)
+    if not jacobian:
+        return R, None
+    J = b.template.copy()
+    J[:, :6, :6] = first[6:].reshape(6, 6, M).transpose(2, 0, 1)
+    # J[3 j + q, f + v]: body j's balance row q by the slot's f_n or f_t
+    np.copyto(J[:, :6, 6:].reshape(M, 2, 3, C, 2),
+              table[4:16].reshape(2, 2, 3, M, C).transpose(3, 0, 2, 4, 1))
+    # J[f + r, 3 j + 2]: contact row r by body j's angle
+    np.copyto(J[:, 6:, 2:6:3].reshape(M, C, 2, 2),
+              table[16:20].reshape(2, 2, M, C).transpose(2, 3, 0, 1))
+    np.copyto(J[:, 6::2, :6], table[20:].reshape(6, M, C).transpose(1, 2, 0),
+              where=slide)
+    return R, J
 
 
 @functools.lru_cache(maxsize=None)
@@ -586,7 +577,7 @@ class _Alone:
     contact geometry from core.point_on_line, the cosines and sines from
     _Reference.poses, and every entry from the same floating-point
     operations in the same order, each balance row and pose block entry
-    adding its contacts in slot order from its slot 0 value.  The one
+    adding its contacts in slot order to its value with no contact.  The one
     difference is in the pose block: of the terms _system adds there, those
     that are a product with 0.0 for a contact's bodies (a world line's, or
     those in the columns of a body the contact does not move) are left out.
@@ -600,15 +591,13 @@ class _Alone:
     world line."""
 
     def __init__(self, ref, b, i):
-        count, n = int(b.counts[i]), 6 + 2 * b.slots
+        count, C = int(b.counts[i]), b.slots
         self.m = m = 6 + 2 * count
         self.ref, self.min_norm, self.lone = ref, bool(b.min_norm[i]), (b, i)
-        self.template = b.template[i, n:-1].reshape(n, n)[:m, :m].ravel().tolist()
+        self.template = b.template[i, :m, :m].ravel().tolist()
         at = {name: rows.start for name, rows, _ in _Batch._LAYOUT}
-        S, v = b.slots + 1, at["v"]
-        self.contacts = []
-        for f, col in enumerate(
-                b.data[:, S * i + 1:S * i + 1 + count].T.tolist()):
+        v, self.contacts = at["v"], []
+        for f, col in enumerate(b.data[:, C * i:C * i + count].T.tolist()):
             f, pb, lb = 6 + 2 * f, int(col[at["pb"]]), int(col[at["lb"]])
             self.contacts.append((
                 (pb, lb), pb, lb, col[v + 4:v + 6], col[v + 6:v + 8],
@@ -635,7 +624,7 @@ class _Alone:
                 (P[10], P[11], P[12], P[13]))
         xo, yo, xh, yh, co, so = P[0], P[1], P[3], P[4], P[6], P[8]
         (comx, comy), weight, (k0, k1, k2) = ref.com, ref.weight, self.stiffness
-        # slot 0: the balance rows and the pose block before any contact
+        # the balance rows and the pose block before any contact
         r0, r1, r2 = 0.0, -weight, -weight * (co * comx - so * comy)
         r3, r4 = k0 * (self.target[0] - xh), k1 * (self.target[1] - yh)
         r5 = k2 * wrap_angle(self.turn - z[5])
@@ -870,7 +859,7 @@ def _screen(ref, batch, z, res):
     conv = np.flatnonzero(res <= 1e-9)
     b, zc, M = batch.take(conv), z[conv], len(conv)
     g, _, turned = b.place(ref.poses(zc, wrap=True), 6)
-    point, tan, S = g[:2] + turned[4:6], turned[2:4], b.slots + 1
+    point, tan, C = g[:2] + turned[4:6], turned[2:4], b.slots
 
     def along(start):
         d = point - (g[2:4] + start)
@@ -878,16 +867,16 @@ def _screen(ref, batch, z, res):
 
     slips, extent = along(turned[8:10]), along(turned[10:12])
     off = (extent < b.lo - 1e-9) | (extent > b.hi + 1e-9)
-    bad = (off | (slips * b.s < -1e-9)).reshape(M, S)
-    first = np.arange(M) * S + bad.argmax(axis=1)
+    bad = (off | (slips * b.s < -1e-9)).reshape(M, C)
+    first = np.arange(M) * C + bad.argmax(axis=1)
     late = np.where(~off[first], "slip_direction",
                     np.where(b.lb[first] == _HAND, "off_segment", "off_face"))
     early = np.where((zc[:, 6::2] < -1e-9).any(axis=1), "negative_normal",
                      np.where(bad.any(axis=1), late, ""))
     reasons[conv] = early
-    point = point.reshape(2, M, S)[:, :, 1:].transpose(1, 2, 0)
-    directions = turned[:4].reshape(2, 2, M, S)[..., 1:].transpose(2, 3, 0, 1)
-    slips = slips.reshape(M, S)[:, 1:]
+    point = point.reshape(2, M, C).transpose(1, 2, 0)
+    directions = turned[:4].reshape(2, 2, M, C).transpose(2, 3, 0, 1)
+    slips = slips.reshape(M, C)
     return reasons, {int(i): (point[k], directions[k], slips[k])
                      for k, i in enumerate(conv) if not early[k]}
 
@@ -1081,8 +1070,7 @@ def _finish(sw, chosen, trials, stacked) -> ModeSolution:
     sol = chosen.solution
     (forces, end), (points, directions, _) = sol["passed"], sol["geometry"]
     center = end.hand_pose.position
-    records, hand_F, env_F, hand_tau, env_tau = [], np.zeros(2), \
-        np.zeros(2), 0.0, 0.0
+    records, hand_F, hand_tau = [], np.zeros(2), 0.0
     for i, (row, (iface, label)) in enumerate(sol["rows"]):
         (fn, ft), point, (nrm, tan) = forces[i], points[i], directions[i]
         F = fn * nrm + ft * tan         # on the point's body
@@ -1097,14 +1085,10 @@ def _finish(sw, chosen, trials, stacked) -> ModeSolution:
         if iface == "hand":
             hand_F += F
             hand_tau += cross2(point - center, F)
-        else:
-            env_F += F
-            env_tau += cross2(point - center, F)
     return ModeSolution(
         hypothesis=chosen.hyp, object_pose=end.object_pose,
         hand_pose=end.hand_pose, contacts=tuple(records),
         hand_wrench=Wrench2(hand_F, hand_tau, center),
-        env_wrench=Wrench2(env_F, env_tau, center),
         dissipation=sol["dissipation"], residual_norm=sol["residual"],
         trials=len(trials),
         newton_iterations=sum(t.evaluations for t in trials),

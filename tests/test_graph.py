@@ -1,6 +1,7 @@
 """Factor-graph solver: linear oracles, trilateration, windowing, Jacobians."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -444,6 +445,46 @@ def test_jacobian_check_flags_wrong_jacobian():
 
     bad = Factor(("x",), res, jac, 1.0)
     assert jacobian_check(bad, [np.array([1.5])]) > 0.1
+
+
+def _square(nan_jacobian=False, nan_above=math.inf):
+    """x**2 with its Jacobian, NaN in the Jacobian or, above nan_above, in
+    the residual."""
+    def res(x):
+        return np.where(x > nan_above, math.nan, x ** 2)
+
+    def jac(x):
+        return [np.array([[math.nan if nan_jacobian else 2.0 * x[0]]])]
+
+    return Factor(("x",), res, jac, 1.0)
+
+
+@pytest.mark.parametrize("factor", [
+    _square(nan_jacobian=True),         # NaN in the analytic Jacobian
+    _square(nan_above=1.5),             # NaN residual at x + h
+    _square(nan_above=1.5 - 1e-3),      # NaN residual at x - h and x + h
+], ids=["jacobian", "residual_at_plus_h", "residual_at_both"])
+def test_jacobian_check_fails_on_nan(factor):
+    # max() would keep the 0.0 it started from over a NaN error
+    assert jacobian_check(_square(), [np.array([1.5])]) < 1e-7
+    assert not jacobian_check(factor, [np.array([1.5])]) < 1e-7
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-6])
+def test_jacobian_check_rejects_bad_steps(h):
+    with pytest.raises(ValueError, match="step h"):
+        jacobian_check(_square(), [np.array([1.5])], h=h)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, 2.5, 1, 0, -3])
+def test_slide_window_rejects_bad_horizons(horizon):
+    # NaN fixed nothing, and 2.5 made a float cutoff
+    g = FactorGraph()
+    for t in range(5):
+        g.add_variable(f"x{t}", float(t), time_index=t)
+    with pytest.raises(ValueError, match="horizon"):
+        g.slide_window(horizon)
+    assert not any(v.fixed for v in g.variables.values())
 
 
 def test_nonlinear_cost_monotone():

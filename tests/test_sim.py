@@ -114,6 +114,11 @@ def net_wrench_residual(sw, sol):
     return float(np.hypot(*F)), float(abs(tau))
 
 
+def env_force(sol):
+    """The summed force of the ground and wall contact records."""
+    return np.sum([c.force for c in sol.contacts if c.iface != "hand"], axis=0)
+
+
 @pytest.mark.parametrize("bad", [
     dict(mass=0.0), dict(mass=np.nan), dict(mass=np.inf),
     dict(com=[np.nan, 0.0]), dict(com=[0.0, -np.inf]),
@@ -177,7 +182,7 @@ def test_resting_box_statics():
     sw = resting_world()
     sol = resolve_mode(sw, sw.hand_pose)
     assert sol.hypothesis.hand_mode == "no_contact"
-    np.testing.assert_allclose(sol.env_wrench.force, [0.0, WEIGHT], atol=1e-9)
+    np.testing.assert_allclose(env_force(sol), [0.0, WEIGHT], atol=1e-9)
     np.testing.assert_allclose(sol.hand_wrench.force, [0.0, 0.0], atol=1e-12)
     # symmetric box: weight splits evenly over the two ground vertices
     fns = sorted(c.f_normal for c in sol.contacts)
@@ -196,7 +201,7 @@ def test_flush_press_force_split():
     grd_fn = sorted(c.f_normal for c in sol.contacts if c.iface == "ground")
     assert hand_fn == pytest.approx([0.3, 0.3], abs=1e-9)
     assert grd_fn == pytest.approx([(WEIGHT + 0.6) / 2] * 2, abs=1e-9)
-    np.testing.assert_allclose(sol.env_wrench.force, [0.0, WEIGHT + 0.6],
+    np.testing.assert_allclose(env_force(sol), [0.0, WEIGHT + 0.6],
                                atol=1e-9)
     fres, tres = net_wrench_residual(sw, sol)
     assert fres < 1e-9 and tres < 1e-9
@@ -704,6 +709,38 @@ def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
         assert np.abs(dz[i]).max() < 1e3
     assert [np.array(a).tobytes() for a in alone] == [d.tobytes() for d in dz]
 
+
+def test_system_layout_is_per_member():
+    # _system on one batch of a whole pass, at the zero iterate and at a
+    # seeded random one: R comes out byte for byte the same with and
+    # without J; every entry of R and J outside a member's own 6 + 2 count
+    # rows and columns is zero (_steps never reads them, so nothing else
+    # would show an entry written there); and a take of some members gives
+    # their rows byte for byte
+    rng, systems = np.random.default_rng(27), 0
+    for sw, target in drag_states()[::20] + wall_states()[::10] + pivot_states():
+        build, ref = _ContactRows(sw), _Reference(sw, target)
+        rows = [r for r in map(build, enumerate_modes(sw)) if r]
+        batch = _Batch(rows, np.zeros(len(rows), bool))
+        M, n = len(rows), 6 + 2 * batch.slots
+        own = np.arange(n) < 6 + 2 * batch.counts[:, None]
+        random = np.concatenate([rng.normal(0.0, 1e-3, (M, 6)),
+                                 rng.normal(0.0, 1.0, (M, n - 6))], axis=1)
+        keep = rng.random(M) < 0.5
+        sub = batch.take(keep)
+        for z in (np.zeros((M, n)), np.where(own, random, 0.0)):
+            R, J = _system(z, ref, batch)
+            assert _system(z, ref, batch, jacobian=False)[0].tobytes() \
+                == R.tobytes()
+            assert not R[~own].any()
+            assert not J[~(own[:, :, None] & own[:, None, :])].any()
+            R_sub, J_sub = _system(z[keep], ref, sub)
+            assert R_sub.tobytes() == R[keep].tobytes()
+            assert J_sub.tobytes() == J[keep].tobytes()
+            systems += 1
+    assert systems == 60
+
+
 def test_scalar_member_matches_system_bit_for_bit():
     # every iterate of every member on the drag, wall and pivot rigs, with
     # every pass stacked to its end: _Alone.system gives the member's rows
@@ -1152,7 +1189,7 @@ def assert_rests_in_balance(poly, pose):
                   com=poly.centroid(), mu_hand=0.9, mu_ground=0.4,
                   mu_wall=0.3, stiffness=np.array([600.0, 600.0, 20.0]))
     sol = resolve_mode(sw, sw.hand_pose)
-    np.testing.assert_allclose(sol.env_wrench.force, [0.0, 0.8 * 9.81],
+    np.testing.assert_allclose(env_force(sol), [0.0, 0.8 * 9.81],
                                atol=1e-7)
     fres, tres = net_wrench_residual(sw, sol)
     assert fres < 1e-7 and tres < 1e-7
@@ -1182,7 +1219,7 @@ def test_three_vertices_near_ground_rest_on_adjacent_pair():
     sol = resolve_mode(sw, sw.hand_pose)
     assert sol.hypothesis.to_json()["ground"] == \
         [[0, "stick"], [1, "stick"], [2, "separate"]]
-    np.testing.assert_allclose(sol.env_wrench.force, [0.0, 0.8 * 9.81],
+    np.testing.assert_allclose(env_force(sol), [0.0, 0.8 * 9.81],
                                atol=1e-7)
     assert abs(sol.object_pose.angle - pose.angle) < 1e-9
 

@@ -309,18 +309,15 @@ def enumerate_modes(sw: SimWorld, band: float = ACTIVATION_BAND,
                                         lambda v, lab, k=k: (k, v, lab)))
     hand_opts = _hand_options(sw, band, suppress_overlaps)
 
-    hyps = []
-    for hand_lab, hand_geom in hand_opts:
-        for g in ground_opts:
-            for combo in itertools.product(*wall_lists) if wall_lists else ((),):
-                walls = tuple(itertools.chain.from_iterable(combo))
-                if not _jointly_consistent(g, walls):
-                    continue
-                hyps.append(ContactModeHypothesis(
-                    hand_label=hand_lab, hand_contact=hand_geom,
-                    ground=tuple(g), walls=walls))
-
-    return hyps
+    # the environment options do not depend on the hand's: test each
+    # (ground, walls) combination once
+    combos = [tuple(itertools.chain.from_iterable(c))
+              for c in itertools.product(*wall_lists)]
+    env = [(tuple(g), walls) for g in ground_opts for walls in combos
+           if _jointly_consistent(g, walls)]
+    return [ContactModeHypothesis(hand_label=hand_lab, hand_contact=hand_geom,
+                                  ground=g, walls=walls)
+            for hand_lab, hand_geom in hand_opts for g, walls in env]
 
 
 def _jointly_consistent(ground, walls) -> bool:

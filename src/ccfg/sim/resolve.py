@@ -30,24 +30,24 @@ taken 40 steps; its residual is then evaluated once more, without the
 Jacobian.  Two collinear stick points leave the tangential split statically
 indeterminate and wrench-neutral: those systems, and any whose LU step is
 singular or above 1e8, take minimum-norm (gelsy) steps, and the report
-splits it in proportion to the normal forces.  gelsy is LAPACK's, called
-through scipy's compiled scipy/linalg/_flapack, which is loaded from its
-file: importing scipy.linalg for it would cost most of the time it takes to
-import ccfg.sim.
-A stacked iteration costs a few dozen numpy calls at any batch size: what
-no iterate changes is derived once per batch (_Batch), stopped members stay
-until dropping them pays (see _newton), and the members still running when
-their batch is half empty join the next batch with their iterates and step
-counts instead of iterating on alone (see _solve_pass).  In a pass's last
-block those calls outweigh the arithmetic once few members are left: the
-last _TAIL running members are finished one by one on Python floats
-(_Alone, built on core.point_on_line), with _system's operations.  As every
-entry of R and J comes from the arithmetic of the scalar expression it
-stands for, each sum adding in slot order, R, J and the steps are bit for
-bit those of a lone member, stacked or alone (but for the sign of a zero R
-entry, which a padding slot's +0.0 turns from -0.0 to +0.0 and no step or
-stop reads), and each member counts its own steps: a trial comes out the
-same in any batch, whenever it joins one.
+splits it in proportion to the normal forces.
+A stacked iteration costs a few dozen numpy calls at any batch size.  What
+no iterate changes is derived once per pass: each distinct (interface,
+contact, label) is a column of the pass's table (_ContactRows), a hypothesis
+a tuple of columns and a batch (_Batch) an index matrix into the table, so
+that building, compacting and handing off a batch are gathers.  Stopped
+members stay until dropping them pays (see _newton), and the members still
+running when their batch is half empty join the next batch with their
+iterates and counts (see _solve_pass).  In a pass's last block the last
+_TAIL running members are finished one by one on Python floats (_Alone,
+built on core.point_on_line), with _system's operations.  As every entry of
+R and J comes from the arithmetic of the scalar expression it stands for,
+each sum adding in slot order, R, J and the steps are bit for bit those of
+a lone member, stacked or alone (but for the sign of a zero R entry, which
+a padding slot's +0.0 turns from -0.0 to +0.0 and no step or stop reads),
+and each member counts its own evaluations of R, each with J but its 41st
+(newton_iterations; stacked_evaluations counts _system calls, none for the
+scalar tail): a trial comes out the same in any batch, whenever it joins.
 
 Before any block is built, a hypothesis whose contacts all lie on lines of
 the fixed world (ground, walls) is screened: its object x/y balance rows
@@ -104,10 +104,11 @@ from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ..core import PlanarPose, Wrench2, cross2, point_on_line, wrap_angle
+from ..core import (PlanarPose, Wrench2, cross2, hand_tangent,
+                    point_on_line, wrap_angle)
 from ..errors import JammedConfiguration, NoFeasibleMode
 from .modes import ACTIVATION_BAND, ContactModeHypothesis, enumerate_modes
-from .world import SimWorld
+from .world import SimWorld, penetration_depth
 
 _OBJ, _HAND, _WORLD = 0, 1, 2          # bodies; the world has no unknowns
 
@@ -131,7 +132,8 @@ _COORDINATE = np.array([[0, 3, 10], [1, 4, 11], [6, 7, 12], [8, 9, 13]])
 def _load_gelsy():
     """LAPACK's dgelsy and its workspace query, from scipy's compiled
     scipy/linalg/_flapack loaded as ccfg.sim._flapack, which runs no
-    scipy/linalg/__init__.py."""
+    scipy/linalg/__init__.py: importing scipy.linalg for it would cost most
+    of the time it takes to import ccfg.sim."""
     where = os.path.join(
         importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
     found = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)) \
@@ -195,41 +197,121 @@ class ModeSolution:
     dissipation: float
     residual_norm: float
     trials: int
-    newton_iterations: int     # Jacobian evaluations summed over all trials
+    # evaluations of R summed over all trials, each with J but a member's
+    # 41st
+    newton_iterations: int
     # _system calls over all passes, one per stacked iteration of a batch;
-    # the members a pass's last block finishes alone (_TAIL) add none
+    # the scalar tail (the members a pass's last block finishes alone,
+    # _TAIL) adds none
     stacked_evaluations: int
     rejections: dict           # reason -> count over the infeasible trials
     screened: int              # no_converge trials rejected before Newton
 
 
-# one solved hypothesis: reason is "" when feasible, and then solution holds
-# what the report needs
+# one solved hypothesis: reason "" (feasible) comes with what the report needs
 _Trial = namedtuple("_Trial", "hyp reason evaluations solution")
+_Columns = namedtuple("_Columns", "v v_perp basis lo hi s s_mu on_point "
+                      "on_line sign d_angle lb d_rows gather kind iface "
+                      "hand_point stick")
+
+
+def _columns(data, ints, flags) -> _Columns:
+    """Views of a table's (or a batch's) float, int and bool rows, per column:
+    n, t, p, anchor, pin, origin (v) and their +90 degree turns, each body's
+    incidence and sign (+1 on the point's body, -1 on the line's), the stick
+    rows' J by the pose deltas (d_rows), where place() gathers, the kind."""
+    K = data.shape[1]
+    return _Columns(
+        data[0:12], data[12:24], data[24:28].reshape(2, 2, K), data[28],
+        data[29], data[30], data[31], data[32:34], data[34:36], data[36:38],
+        data[38:44], data[44], data[45:57].reshape(2, 6, K), ints[:32],
+        ints[32], ints[33], flags[0], flags[1])
 
 
 class _ContactRows:
-    """Contact rows of the hypotheses of one pass: calling it with a
-    hypothesis gives one (row, (iface, label)) per active contact, built once
-    per contact however many hypotheses share it."""
+    """The contacts of one pass as one table.  Calling it with a hypothesis
+    gives its active contacts as a tuple of columns, one per distinct
+    (interface, contact, label) row, built once however many hypotheses
+    share it: rows[c] is (row, (iface, label)).  index() derives, once, what
+    the solver and the checks read per column (col, with the empty column
+    -1 last), the derivatives' fixed parts by kind of slot and _Alone's
+    plain floats."""
+
+    _EMPTY = ((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), (None, None))
 
     def __init__(self, sw: SimWorld):
-        self.sw, self.cache = sw, {}
+        self.sw, self.cache, self.rows, self.iface = sw, {}, [], []
         self.verts_w, self.t_hat = sw.vertices_world(), sw.hand_tangent()
         self.center, self.half = sw.hand_pose.position, sw.hand.half_length
+        # interfaces by number, and their mu: the hand, the ground, each wall
+        self.ifaces = ("hand", "ground", *range(len(sw.world.walls)))
+        self.mu = np.array([sw.mu_hand, sw.mu_ground]
+                           + [sw.mu_wall] * len(sw.world.walls))
 
-    def __call__(self, hyp: ContactModeHypothesis) -> list:
+    def __call__(self, hyp: ContactModeHypothesis) -> tuple:
         keys = [("hand", hyp.hand_contact, hyp.hand_label)] \
             if hyp.hand_label != "none" else []
         keys += [("ground", v, lab) for v, lab in hyp.ground
                  if lab != "separate"]
         keys += [(k, v, lab) for k, v, lab in hyp.walls if lab != "separate"]
-        out = []
+        out = ()
         for key in keys:
             if key not in self.cache:
-                self.cache[key] = self._build(*key)
+                rows, k = self._build(*key), len(self.rows)
+                self.cache[key] = tuple(range(k, k + len(rows)))
+                self.rows += rows
+                self.iface += [self.ifaces.index(key[0])] * len(rows)
             out += self.cache[key]
         return out
+
+    def index(self, hyp_cols) -> np.ndarray:
+        """The (N, max(1, most contacts)) index matrix of N tuples of
+        columns, each padded with -1; derives the table first."""
+        self._derive()
+        counts = np.array([len(c) for c in hyp_cols], dtype=int)
+        out = np.full((len(counts), max(1, counts.max(initial=0))), -1)
+        out[np.arange(out.shape[1]) < counts[:, None]] = list(
+            itertools.chain.from_iterable(hyp_cols))
+        return out
+
+    def _derive(self):
+        col = np.array([row for row, _ in self.rows + [self._EMPTY]],
+                       dtype=float).T
+        K, ids, s = col.shape[1], np.array([[_OBJ], [_HAND]]), col[_S]
+        self.data, self.ints, self.flags = \
+            np.zeros((57, K)), np.zeros((34, K), int), np.zeros((2, K), bool)
+        c = self.col = _columns(self.data, self.ints, self.flags)
+        c.v[:4], c.v[4:6] = col[_N:_N + 4], col[_P:_P + 2]
+        c.v[6:8], c.v[8:] = col[_ANCHOR:_N], col[_N + 4:_BASIS]
+        c.v_perp[0::2], c.v_perp[1::2] = -c.v[1::2], c.v[0::2]
+        c.basis[:] = col[_BASIS:_LO].reshape(2, 2, K) * (s == 0)
+        c.lo[:], c.hi[:], c.s[:], c.s_mu[:] = col[_LO], col[_HI], s, s * col[_MU]
+        c.on_point[:], c.on_line[:] = col[_PB] == ids, col[_LB] == ids
+        c.sign[:] = c.on_point - c.on_line
+        c.d_angle[2::3], c.lb[:] = c.on_line, col[_LB]
+        c.kind[:], c.iface[:] = col[_PB] * 3 + col[_LB], self.iface + [-1]
+        c.hand_point[:], c.stick[:-1] = col[_PB] == _HAND, s[:-1] == 0
+        # the fixed parts of the gap's and the levers' derivatives, once per
+        # kind of slot and gathered per call, and the stick rows' by column
+        at = np.zeros(9, int)
+        at[c.kind] = np.arange(K)
+        d_gap, d_lever = np.zeros((2, 6, K)), np.zeros((2, 2, 6, K))
+        d_gap[0, 0::3] = d_gap[1, 1::3] = c.sign
+        d_lever[:, 0, 0::3] = d_lever[:, 1, 1::3] = c.on_point - np.eye(2)[..., None]
+        self.d_gap, self.d_lever = d_gap[..., at], d_lever[..., at]
+        c.d_rows[:] = c.basis[:, 0, None] * d_gap[0] + c.basis[:, 1, None] * d_gap[1]
+        # where place() gathers a column's bodies' x, y and v's cos and sin
+        turn = [1] * 4 + [0] * 2 + [1] * 6      # line, point or line body
+        body = np.array([col[_PB], col[_LB], 0 * s, 0 * s + 1],
+                        dtype=int)[[0, 0, 1, 1, 2, 2, 3, 3] + turn + turn]
+        c.gather[:] = _COORDINATE[
+            np.array([0, 1] * 4 + [2] * 12 + [3] * 12)[:, None], body]
+        # per column for _Alone: bodies, p, anchor, n, t, basis, stick, s mu
+        self.scalar = [
+            (divmod(k, 3), *divmod(k, 3), x[4:6], x[6:8], x[0:2], x[2:4],
+             *x[8:12], x[12] == 0, *x[13:20]) for k, x in zip(c.kind.tolist(), (
+                 np.concatenate((self.data[:8], self.data[24:28], self.data[30:38])
+                                ).T.tolist()))]
 
     def _build(self, where, which, label):
         sw, hc = self.sw, which
@@ -297,107 +379,51 @@ class _ContactRows:
 
 
 class _Batch:
-    """The contact rows of a batch of hypotheses sorted by (min_norm,
-    contact count), and what _system derives from them once: per slot (a
-    member's contacts, padded with empty ones to `slots`) the vectors n, t,
-    p, anchor, pin, origin and their +90 degree turns, the stick basis and
-    each body's incidence and sign (+1 on the point's body, -1 on the
-    line's); per member the runs of LU members of one size and a template
-    of the entries of J no iterate moves."""
+    """Hypotheses of one pass sorted by (min_norm, contact count), as rows
+    of an index matrix into its table (_ContactRows): member i's slots are
+    the columns cols[i], padded with the empty column -1 to `slots`.  A
+    build, and so a take, gathers the table: per slot its columns (col) and
+    where place() gathers body coordinates; per member the runs of LU
+    members of one size and, once _system reads it, a template of the
+    entries of J no iterate moves."""
 
-    _FIELDS = (("pb", ()), ("lb", ()), ("v", (12,)), ("v_perp", (12,)),
-               ("basis", (2, 2)), ("lo", ()), ("hi", ()), ("s", ()),
-               ("s_mu", ()), ("on_point", (2,)), ("on_line", (2,)),
-               ("sign", (2,)), ("d_angle", (6,)))
-    _LAYOUT = [(name, slice(end - math.prod(shape), end), shape)
-               for (name, shape), end in zip(_FIELDS, itertools.accumulate(
-                   math.prod(shape) for _, shape in _FIELDS))]
-
-    def __init__(self, rows: list, min_norm):
-        self.rows, self.min_norm = rows, min_norm
-        self.counts = np.array([len(r) for r in rows])
-        self.slots = C = max(1, self.counts.max())
-        M, n = len(rows), 6 + 2 * C
-        # hypotheses share most contacts: convert each distinct row once
-        empty, distinct = ((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), None), {}
-        slot = [distinct.setdefault(id(row), (len(distinct), row))[0]
-                for r in rows for row, _ in r + [empty] * (C - len(r))]
-        col = np.array([r for _, r in distinct.values()], dtype=float)[slot].T
-        K, ids = col.shape[1], np.array([[_OBJ], [_HAND]])
-        self.data = np.zeros((self._LAYOUT[-1][1].stop, K))
-        self._views()
-        self.pb[:], self.lb[:] = col[_PB], col[_LB]
-        self.v[:4], self.v[4:6] = col[_N:_N + 4], col[_P:_P + 2]
-        self.v[6:8], self.v[8:] = col[_ANCHOR:_N], col[_N + 4:_BASIS]
-        self.v_perp[0::2], self.v_perp[1::2] = -self.v[1::2], self.v[0::2]
-        self.basis[:] = col[_BASIS:_LO].reshape(2, 2, K) * (col[_S] == 0)
-        self.lo[:], self.hi[:], self.s[:] = col[_LO], col[_HI], col[_S]
-        self.s_mu[:] = col[_S] * col[_MU]
-        self.on_point[:], self.on_line[:] = col[_PB] == ids, col[_LB] == ids
-        self.sign[:] = self.on_point - self.on_line
-        self.d_angle[2::3] = self.on_line
-        # the fixed parts of the gap's and the levers' derivatives, once per
-        # kind of slot (the bodies of point and line) and gathered per call
-        self.kind, at = (col[_PB] * 3 + col[_LB]).astype(int), np.zeros(9, int)
-        at[self.kind] = np.arange(K)
-        d_gap, d_lever = np.zeros((2, 6, K)), np.zeros((2, 2, 6, K))
-        d_gap[0, 0::3] = d_gap[1, 1::3] = self.sign
-        d_lever[:, 0, 0::3] = d_lever[:, 1, 1::3] = self.on_point - np.eye(2)[..., None]
-        self.d_gap, self.d_lever = d_gap[..., at], d_lever[..., at]
-        self.template = J0 = np.zeros((M, n, n))
-        J0[:, 6:, :6] = (self.basis[:, 0, None] * d_gap[0]
-                         + self.basis[:, 1, None] * d_gap[1]).reshape(
-            2, 6, M, C).transpose(2, 3, 0, 1).reshape(M, 2 * C, 6)
-        f = 6 + 2 * np.arange(C)
-        J0[:, f + 1, f] = self.s_mu.reshape(M, C)
-        J0[:, f + 1, f + 1] = np.abs(self.s).reshape(M, C)
-
-        # where a slot gathers body coordinates in _Reference.poses: x, y of
-        # its bodies, then the cos and sin turning v
-        turn = [1] * 4 + [0] * 2 + [1] * 6      # line, point or line body
-        body = np.array([col[_PB], col[_LB], 0 * col[_PB], 0 * col[_PB] + 1],
-                        dtype=int)[[0, 0, 1, 1, 2, 2, 3, 3] + turn + turn]
-        gather = _COORDINATE[np.array([0, 1] * 4 + [2] * 12 + [3] * 12)[:, None],
-                             body]
-        self.gather = gather + 14 * np.repeat(np.arange(M), C)
-        self._views()
-
-    def _views(self):
-        K = self.data.shape[1]
-        for name, rows, shape in self._LAYOUT:
-            setattr(self, name, self.data[rows].reshape(shape + (K,)))
-        self.hand_point = self.pb == _HAND
-        lu = len(self.counts) - np.count_nonzero(self.min_norm)
+    def __init__(self, table: _ContactRows, cols, min_norm):
+        self.table, self.cols, self.min_norm = table, cols, min_norm
+        (M, C), flat = cols.shape, cols.ravel()
+        self.slots, self.counts = C, np.count_nonzero(cols >= 0, axis=1)
+        self.col = _columns(*(np.take(a, flat, axis=1) for a in (
+            table.data, table.ints, table.flags)))      # C order, as _system reads
+        self.gather = self.col.gather + 14 * np.repeat(np.arange(M), C)
+        lu = M - np.count_nonzero(min_norm)
         edges = [0, *(np.flatnonzero(np.diff(self.counts[:lu])) + 1).tolist(), lu]
         self.runs = [(lo, hi, 6 + 2 * int(self.counts[lo]))
                      for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
 
+    @functools.cached_property
+    def template(self):
+        (M, C), c, f = self.cols.shape, self.col, 6 + 2 * np.arange(self.slots)
+        J0 = np.zeros((M, 6 + 2 * C, 6 + 2 * C))
+        J0[:, 6:, :6] = c.d_rows.reshape(2, 6, M, C).transpose(
+            2, 3, 0, 1).reshape(M, 2 * C, 6)
+        J0[:, f + 1, f] = c.s_mu.reshape(M, C)
+        J0[:, f + 1, f + 1] = np.abs(c.s).reshape(M, C)
+        return J0
+
     def take(self, keep) -> "_Batch":
         """The members selected by keep (a mask or indices)."""
-        idx = np.flatnonzero(keep) if keep.dtype == bool else keep
-        out = object.__new__(_Batch)
-        out.rows = [self.rows[i] for i in idx.tolist()]
-        out.counts, out.min_norm = self.counts[idx], self.min_norm[idx]
-        C = out.slots = self.slots
-        out.template = self.template[idx]
-        cols = (C * idx[:, None] + np.arange(C)).ravel()
-        moved = np.repeat(np.arange(len(idx)) - idx, C)    # member index shift
-        out.data, out.kind = self.data[:, cols], self.kind[cols]
-        out.d_gap, out.d_lever = self.d_gap, self.d_lever
-        out.gather = self.gather[:, cols] + 14 * moved
-        out._views()
-        return out
+        return _Batch(self.table, self.cols[keep], self.min_norm[keep])
 
     def alone(self, i) -> "_Batch":
         """A batch of member i alone, with no padding slot."""
-        return _Batch([self.rows[i]], self.min_norm[i:i + 1])
+        return _Batch(self.table, self.cols[i:i + 1, :max(1, self.counts[i])],
+                      self.min_norm[i:i + 1])
 
     def place(self, poses, vectors, out=None):
         """x, y of point, line, object and hand body, the cos and sin turning
         v, and v's first `vectors` turned (p to the point's offset)."""
-        g, k = poses.reshape(-1)[self.gather], 2 * vectors
-        return g[:8], g[8:], np.add(g[8:8 + k] * self.v[:k],
-                                    g[20:20 + k] * self.v_perp[:k], out=out)
+        g, k, c = poses.reshape(-1)[self.gather], 2 * vectors, self.col
+        return g[:8], g[8:], np.add(g[8:8 + k] * c.v[:k],
+                                    g[20:20 + k] * c.v_perp[:k], out=out)
 
 
 def _wrap(theta):
@@ -443,7 +469,7 @@ def _system(z, ref, b, jacobian=True):
     and adds its contacts in slot order, like the scalar sum it stands for.
     The contact rows, the force columns and the angle columns take every
     slot's stick entries, then a slide slot's entries over them."""
-    (M, n), C = z.shape, b.slots
+    (M, n), C, c = z.shape, b.slots, b.col
     K, poses = M * C, ref.poses(z)
     # per slot -F_y, F, n, t (slices for the moments), offset and anchor
     w = np.empty((11, K))
@@ -457,46 +483,46 @@ def _system(z, ref, b, jacobian=True):
     # lever from the object and the hand origin to the point; a hand point's
     # is its offset, rounded as tests/data/resolver_regression.json records
     lever = point - g[4:8].reshape(2, 2, K)
-    np.copyto(lever[1], offset, where=b.hand_point)
+    np.copyto(lever[1], offset, where=c.hand_point)
     moment = lever[:, :, None, None] * w[1:7].reshape(3, 2, K)
     cross = moment[:, 0, :, 1] - moment[:, 1, :, 0]     # lever x (F, n, t)
     lever_force = moment[:, 0, 0, 0] + moment[:, 1, 0, 1]
     # angle columns: p turning with its body, the anchor with the line's
-    th = turns[4:8] * b.v_perp[4:8] - turns[16:20] * b.v[4:8]
+    th = turns[4:8] * c.v_perp[4:8] - turns[16:20] * c.v[4:8]
     del g, turns, moment            # the largest arrays, before the next ones
 
     # per slot the sums' terms, the wrench on each body and its derivative
     # by the pose deltas (6 + 36 rows), and the entries R and J take
     terms = np.empty((42 if jacobian else 6, K))
-    np.multiply(force, b.sign[:, None], out=terms[:6].reshape(2, 3, K)[:, :2])
-    np.multiply(cross[:, 0], b.sign, out=terms[2:6:3])
+    np.multiply(force, c.sign[:, None], out=terms[:6].reshape(2, 3, K)[:, :2])
+    np.multiply(cross[:, 0], c.sign, out=terms[2:6:3])
     table = np.empty((26 if jacobian else 4, K))
-    np.add(b.basis[:, 0] * gap[0], b.basis[:, 1] * gap[1], out=table[:2])
+    np.add(c.basis[:, 0] * gap[0], c.basis[:, 1] * gap[1], out=table[:2])
     np.add(nrm[0] * gap[0], nrm[1] * gap[1], out=table[2])
-    np.add(ft, b.s_mu * fn, out=table[3])
+    np.add(ft, c.s_mu * fn, out=table[3])
     if jacobian:
-        th_point = th[:2, None] * b.on_point
-        th_gap = th_point - th[2:, None] * b.on_line
+        th_point = th[:2, None] * c.on_point
+        th_gap = th_point - th[2:, None] * c.on_line
         d_force = table[4:16].reshape(2, 2, 3, K)     # body, n or t, row
-        np.multiply(b.sign[:, None, None], w[3:7].reshape(2, 2, K),
+        np.multiply(c.sign[:, None, None], w[3:7].reshape(2, 2, K),
                     out=d_force[:, :, :2])
-        np.multiply(cross[:, 1:], b.sign[:, None], out=d_force[:, :, 2])
-        np.add(b.basis[:, 0, None] * th_gap[0], b.basis[:, 1, None] * th_gap[1],
+        np.multiply(cross[:, 1:], c.sign[:, None], out=d_force[:, :, 2])
+        np.add(c.basis[:, 0, None] * th_gap[0], c.basis[:, 1, None] * th_gap[1],
                out=table[16:20].reshape(2, 2, K))
-        d_gap = b.d_gap[..., b.kind]
+        d_gap = b.table.d_gap[..., c.kind]
         d_gap[:, 2::3] = th_gap
         perp_gap = nrm[0] * gap[1] - nrm[1] * gap[0]
-        np.add(perp_gap * b.d_angle + nrm[0] * d_gap[0], nrm[1] * d_gap[1],
+        np.add(perp_gap * c.d_angle + nrm[0] * d_gap[0], nrm[1] * d_gap[1],
                out=table[20:])
 
         d_wrench = terms[6:].reshape(2, 3, 6, K)
         np.negative(force[1], out=w[0])
-        np.multiply(w[:2, None] * b.d_angle, b.sign[:, None, None],
+        np.multiply(w[:2, None] * c.d_angle, c.sign[:, None, None],
                     out=d_wrench[:, :2])
-        d_lever = b.d_lever[..., b.kind]
+        d_lever = b.table.d_lever[..., c.kind]
         d_lever[:, :, 2::3] = th_point
         np.multiply(d_lever[:, 0] * force[1] - d_lever[:, 1] * force[0]
-                    + lever_force[:, None] * b.d_angle, b.sign[:, None],
+                    + lever_force[:, None] * c.d_angle, c.sign[:, None],
                     out=d_wrench[:, 2])
 
     first = np.empty((len(terms), M))
@@ -511,7 +537,7 @@ def _system(z, ref, b, jacobian=True):
     terms = terms.reshape(-1, M, C)
     for s in range(C):      # an accumulate would cost a call per short row
         first += terms[:, :, s]
-    R, slide = np.empty((M, n)), (b.s != 0).reshape(M, C, 1)
+    R, slide = np.empty((M, n)), (c.s != 0).reshape(M, C, 1)
     R[:, :6], rows = first[:6].T, R[:, 6:].reshape(M, C, 2)
     np.copyto(rows, table[:2].reshape(2, M, C).transpose(1, 2, 0))
     np.copyto(rows, table[2:4].reshape(2, M, C).transpose(1, 2, 0), where=slide)
@@ -591,21 +617,11 @@ class _Alone:
     world line."""
 
     def __init__(self, ref, b, i):
-        count, C = int(b.counts[i]), b.slots
-        self.m = m = 6 + 2 * count
+        self.m = m = 6 + 2 * int(b.counts[i])
         self.ref, self.min_norm, self.lone = ref, bool(b.min_norm[i]), (b, i)
         self.template = b.template[i, :m, :m].ravel().tolist()
-        at = {name: rows.start for name, rows, _ in _Batch._LAYOUT}
-        v, self.contacts = at["v"], []
-        for f, col in enumerate(b.data[:, C * i:C * i + count].T.tolist()):
-            f, pb, lb = 6 + 2 * f, int(col[at["pb"]]), int(col[at["lb"]])
-            self.contacts.append((
-                (pb, lb), pb, lb, col[v + 4:v + 6], col[v + 6:v + 8],
-                col[v:v + 2], col[v + 2:v + 4],
-                *col[at["basis"]:at["basis"] + 4], col[at["s"]] == 0,
-                col[at["s_mu"]], *col[at["sign"]:at["sign"] + 2],
-                *col[at["on_point"]:at["on_point"] + 2],
-                *col[at["on_line"]:at["on_line"] + 2], f, f * m, (f + 1) * m))
+        self.contacts = [(*b.table.scalar[c], f, f * m, (f + 1) * m)
+                         for f, c in zip(range(6, m, 2), b.cols[i].tolist())]
         self.first_J = ref.pose_block.ravel().tolist()
         self.stiffness, self.target = ref.stiffness.tolist(), ref.target.tolist()
         self.turn = float(ref.turn)
@@ -634,7 +650,7 @@ class _Alone:
             js[14] = weight * (so * comx + co * comy)
             J = self.template[:]
         for (kind, pb, lb, p, anchor, nv, tv, b00, b01, b10, b11, stick, s_mu,
-             s0, s1, op0, op1, ol0, ol1, f, fm, f1m) in self.contacts:
+             op0, op1, ol0, ol1, s0, s1, f, fm, f1m) in self.contacts:
             (px, py), (ox, oy), (nx, ny), (tx, ty), (gx, gy), normal_gap, _, \
                 (th0, th1), (th2, th3) = point_on_line(
                     body[pb], body[lb], p, anchor, nv, tv)
@@ -773,7 +789,7 @@ def _newton_alone(ref, b, i, z, count):
 
 def _newton(ref, batch, z, count, handoff):
     """Newton iteration on every member of a batch at once, from iterates z
-    (N, n) after count Jacobian evaluations per member (zero for a member
+    (N, n) after count evaluations of R per member (zero for a member
     that has not run yet); both are updated in place.  A member's count is
     its iteration index, so its trajectory does not depend on when it joined
     the batch: its 41st evaluation skips the Jacobian and ends it.  Returns
@@ -781,10 +797,8 @@ def _newton(ref, batch, z, count, handoff):
     members are still running and the number of _system calls.  Stacked
     iteration stops when no more than `handoff` members are running.  In
     the last block of a pass (handoff 0) it stops at _TAIL, and
-    _newton_alone finishes the members still running one by one: a stacked
-    call costs about five times a member's scalar iteration and grows
-    slowly with the batch, while the tail costs the sum of its members'
-    remaining iterations."""
+    _newton_alone finishes the members still running one by one (see
+    _TAIL)."""
     N = len(batch.counts)
     res, running = np.full(N, math.inf), np.zeros(N, dtype=bool)
     # b holds rows `at` of z and count, as zb and cb
@@ -831,132 +845,107 @@ def _newton(ref, batch, z, count, handoff):
     return res, running, calls
 
 
-def _segment_face_crossing(sw: SimWorld) -> bool:
-    """True if the hand segment properly crosses any polygon face."""
-    tip_a, tip_b = sw.hand_tips()
-    verts = sw.vertices_world()
-    n = len(verts)
-    for j in range(n):
-        a, b = verts[j], verts[(j + 1) % n]
-        d1 = cross2(b - a, tip_a - a)
-        d2 = cross2(b - a, tip_b - a)
-        d3 = cross2(tip_b - tip_a, a - tip_a)
-        d4 = cross2(tip_b - tip_a, b - tip_a)
-        if d1 * d2 < -1e-18 and d3 * d4 < -1e-18:
-            # proper crossing; grazing within tolerance does not count
-            if min(abs(d1), abs(d2)) > 1e-9 * max(1.0, float(np.hypot(*(b - a)))):
-                return True
-    return False
-
-
-def _screen(ref, batch, z, res):
+@np.errstate(all="ignore")     # the members that did not converge may overflow
+def _screen(ref, b, z, res):
     """The array checks in their order: convergence, normal force signs,
-    then contact by contact the line's extent and the slip direction.
-    Returns the first failing reason per member ("" when all pass) and the
-    end geometry of those that pass: world points (C, 2), n and t (C, 2, 2)
-    and slips (C,) per contact slot."""
-    reasons = np.where(res > 1e-9, "no_converge", "").astype(object)
-    conv = np.flatnonzero(res <= 1e-9)
-    b, zc, M = batch.take(conv), z[conv], len(conv)
-    g, _, turned = b.place(ref.poses(zc, wrap=True), 6)
-    point, tan, C = g[:2] + turned[4:6], turned[2:4], b.slots
+    contact by contact the line's extent and the slip direction, then per
+    interface the force bound on its summed forces (a flush patch is two
+    anchors sharing one physical contact) and the cone on its sticking ones,
+    summed in slot order from 0.0.  Returns the first failing reason per
+    member ("" when all pass) and the end geometry of those that pass: world
+    points (C, 2), n and t (C, 2, 2) and slips (C,) per contact slot."""
+    g, _, turned = b.place(ref.poses(z, wrap=True), 6)
+    point, tan, (M, C), c = g[:2] + turned[4:6], turned[2:4], b.cols.shape, b.col
 
     def along(start):
         d = point - (g[2:4] + start)
         return tan[0] * d[0] + tan[1] * d[1]
 
     slips, extent = along(turned[8:10]), along(turned[10:12])
-    off = (extent < b.lo - 1e-9) | (extent > b.hi + 1e-9)
-    bad = (off | (slips * b.s < -1e-9)).reshape(M, C)
+    off = (extent < c.lo - 1e-9) | (extent > c.hi + 1e-9)
+    bad = (off | (slips * c.s < -1e-9)).reshape(M, C)
     first = np.arange(M) * C + bad.argmax(axis=1)
     late = np.where(~off[first], "slip_direction",
-                    np.where(b.lb[first] == _HAND, "off_segment", "off_face"))
-    early = np.where((zc[:, 6::2] < -1e-9).any(axis=1), "negative_normal",
-                     np.where(bad.any(axis=1), late, ""))
-    reasons[conv] = early
+                    np.where(c.lb[first] == _HAND, "off_segment", "off_face"))
+    # per member, slot and interface number: its contacts, its sticking ones
+    mu, forces = b.table.mu, z[:, 6:].reshape(M, C, 1, 2)
+    on = c.iface.reshape(M, C, 1) == np.arange(len(mu))
+    on = np.stack([on, on & c.stick.reshape(M, C, 1)])[..., None]
+    sums = np.zeros((2, M, len(mu), 2))
+    for s in range(C):
+        sums += np.where(on[:, :, s], forces[:, s], 0.0)
+    cone = on[1, ..., 0].any(axis=1) & (
+        np.abs(sums[1, ..., 1]) > mu * sums[1, ..., 0] + 1e-9)
+    reasons = np.where(res > 1e-9, "no_converge", np.where(
+        (z[:, 6::2] < -1e-9).any(axis=1), "negative_normal", np.where(
+            bad.any(axis=1), late, np.where(
+                (np.abs(sums[0]) > _FORCE_BOUND).any(axis=(1, 2)), "force_bound",
+                np.where(cone.any(axis=1), "cone", "")))))
     point = point.reshape(2, M, C).transpose(1, 2, 0)
     directions = turned[:4].reshape(2, 2, M, C).transpose(2, 3, 0, 1)
     slips = slips.reshape(M, C)
-    return reasons, {int(i): (point[k], directions[k], slips[k])
-                     for k, i in enumerate(conv) if not early[k]}
+    return reasons.tolist(), {j: (point[j], directions[j], slips[j])
+                              for j in np.flatnonzero(reasons == "").tolist()}
 
 
-def _check_trial(sw, hyp, rows, z):
-    """The remaining feasibility checks of a member that passed _screen.
-
-    Returns ("", (forces, end state)) when it passes, with the tangential
-    force of each stick group re-split in proportion to the normal forces,
-    else (reason, None).
-    """
-    # the bound applies to what each interface transmits as a whole: a flush
-    # patch is two anchor points sharing one physical contact
-    forces = [[f, t] for f, t in zip(z[6::2].tolist(), z[7::2].tolist())]
-    totals, groups = {}, {}
-    for i, (row, (iface, _)) in enumerate(rows):
-        tot = totals.setdefault(iface, [0.0, 0.0])
-        tot[0] += forces[i][0]
-        tot[1] += forces[i][1]
-        if row[_S] == 0:
-            groups.setdefault(iface, []).append(i)
-    for fn_sum, ft_sum in totals.values():
-        if max(abs(fn_sum), abs(ft_sum)) > _FORCE_BOUND:
-            return "force_bound", None
-    sums = {iface: (sum(forces[i][0] for i in idxs),
-                    sum(forces[i][1] for i in idxs))
-            for iface, idxs in groups.items()}
-    for iface, (fn_sum, ft_sum) in sums.items():
-        if abs(ft_sum) > rows[groups[iface][0]][0][_MU] * fn_sum + 1e-9:
-            return "cone", None
-
-    end = sw.with_poses(
-        PlanarPose(sw.object_pose.position + z[0:2],
-                   sw.object_pose.angle + z[2]),
-        PlanarPose(sw.hand_pose.position + z[3:5], sw.hand_pose.angle + z[5]))
+def _misplaced(sw, hyp, z):
+    """The geometric checks of a member that passed _screen, in their order,
+    on the poses its iterate z ends at: the reason of the first that fails
+    ("" when all pass), and the end poses."""
+    obj = PlanarPose(sw.object_pose.position + z[0:2], sw.object_pose.angle + z[2])
+    hand = PlanarPose(sw.hand_pose.position + z[3:5], sw.hand_pose.angle + z[5])
+    t_hat, center, half = hand_tangent(hand.angle), hand.position, \
+        sw.hand.half_length
     # flush patch must keep positive overlap
     hc = hyp.hand_contact
     if hc is not None and hc.kind == "flush":
-        t_hat, center = end.hand_tangent(), end.hand_pose.position
-        ta, tb = (float(t_hat @ (end.object_pose.transform(v) - center))
+        ta, tb = (float(t_hat @ (obj.transform(v) - center))
                   for v in sw.polygon.face_endpoints(hc.face))
         lo, hi = min(ta, tb), max(ta, tb)
-        if min(hi, sw.hand.half_length) - max(lo, -sw.hand.half_length) <= 1e-9:
+        if min(hi, half) - max(lo, -half) <= 1e-9:
             return "patch_gone", None
-
-    if end.penetration_depth() < -PENETRATION_TOL:
+    if penetration_depth(sw, obj, hand) < -PENETRATION_TOL:
         return "penetration", None
-    Rm = end.object_pose.rotation
-    for tip in end.hand_tips():
-        tip_obj = Rm.T @ (tip - end.object_pose.position)
+    Rm, tips = obj.rotation, (center - half * t_hat, center + half * t_hat)
+    for tip in tips:
+        tip_obj = Rm.T @ (tip - obj.position)
         if np.all(sw.polygon.all_face_residuals(tip_obj) < -1e-9):
             return "tip_inside", None
-    if _segment_face_crossing(end):
+    if _segment_face_crossing(sw.polygon.vertices @ Rm.T + obj.position, *tips):
         return "segment_crossing", None
-
-    # proportional tangential re-split inside stick groups (wrench neutral)
-    for iface, idxs in groups.items():
-        fn_sum, ft_sum = sums[iface]
-        if len(idxs) > 1 and fn_sum > 1e-12:
-            for i in idxs:
-                forces[i][1] = ft_sum * forces[i][0] / fn_sum
-    return "", (forces, end)
+    return "", (obj, hand)
 
 
-def _unbalanced(rows, weight) -> bool:
+def _segment_face_crossing(verts, tip_a, tip_b) -> bool:
+    """True if the hand segment properly crosses any polygon face, grazing
+    within tolerance not counting: every face at once, by cross products."""
+    ends, seg = np.roll(verts, -1, axis=0), tip_b - tip_a
+    edge = ends - verts
+    d1, d2 = (edge[:, 0] * (t[1] - verts[:, 1]) - edge[:, 1] * (t[0] - verts[:, 0])
+              for t in (tip_a, tip_b))
+    d3, d4 = (seg[0] * (v[:, 1] - tip_a[1]) - seg[1] * (v[:, 0] - tip_a[0])
+              for v in (verts, ends))
+    return bool(((d1 * d2 < -1e-18) & (d3 * d4 < -1e-18) & (np.minimum(
+        abs(d1), abs(d2)) > 1e-9 * np.maximum(1.0, np.hypot(*edge.T)))).any())
+
+
+def _unbalanced(table, cols, weight) -> bool:
     """True when the object touches only lines of the fixed world and their
     forces cannot cancel its weight whatever the iterate (see _inconsistent).
     """
-    if any(row[_LB] != _WORLD for row, _ in rows):
+    rows = [table.rows[c][0] for c in cols]
+    if any(row[_LB] != _WORLD for row in rows):
         return False
     return _inconsistent(weight, tuple((*row[_N:_N + 4], row[_S] * row[_MU])
-                                       for row, _ in rows))
+                                       for row in rows))
 
 
-def _misfit(rows) -> bool:
+def _misfit(table, cols) -> bool:
     """True when two stick rows with the same point body and line body
     space their points and their anchors so differently that max |R| stays
     above _MISFIT_BOUND at every iterate (see the module docstring)."""
     sticks = {}
-    for row, _ in rows:
+    for row, _ in (table.rows[c] for c in cols):
         if row[_S] == 0:
             sticks.setdefault((row[_PB], row[_LB]), []).append(row)
     for group in sticks.values():
@@ -1005,25 +994,25 @@ def _solve_pass(sw, target, hyps):
     hypotheses are left, they are handed off with their iterates and counts
     to the next block, which the next hypotheses in order fill up: a block's
     slowest members ride along with fresh ones instead of iterating alone,
-    each iteration a _system call whatever the batch size.
-
-    A hand-off builds a batch (_Batch) that a fixed partition into blocks
-    would not.  As each admits at least 1 - _HANDOFF of the slots anew, a
-    pass builds at most 1 / (1 - _HANDOFF) times as many batches, twice at
-    one half, while each hand-off spares a tail of up to 40 calls; a larger
-    share hands off blocks that are still nearly full, each admitting a few
-    hypotheses for the cost of a build.
+    each iteration a _system call whatever the batch size.  Each block's
+    batch gathers its members' rows of the pass's index matrix, carried
+    ones included; as each admits at least 1 - _HANDOFF of the slots anew,
+    a pass builds at most twice as many batches as blocks at one half.
     """
-    build, ref = _ContactRows(sw), _Reference(sw, target)
-    rows = [build(h) for h in hyps]
-    counts = [len(r) for r in rows]
-    # two stick points on one interface line leave the tangential force split
-    # wrench neutral, a null space a plain solve would blow up on
-    min_norm = np.array([len(st) != len(set(st)) for st in (
-        [iface for _, (iface, label) in r if label == "stick"] for r in rows)])
+    table, ref = _ContactRows(sw), _Reference(sw, target)
+    cols = [table(h) for h in hyps]
+    index, c, counts = table.index(cols), table.col, [len(t) for t in cols]
+    # sticking contacts by interface and by kind: two stick points on one line
+    # leave the tangential split wrench neutral, a null space a plain solve
+    # would blow up on; a screen fails only on world lines or a pair of a kind
+    keys = np.sort(np.where(c.stick[index], [c.iface[index], c.kind[index]], -1))
+    pair = (keys[..., 1:] == keys[..., :-1]) & (keys[..., 1:] >= 0)
+    min_norm, paired = pair.any(axis=2)
+    world = (c.lb[index] == _WORLD).all(axis=1).tolist()
     trials, queue = [None] * len(hyps), []
     for i in np.lexsort((counts, min_norm)).tolist():
-        if _unbalanced(rows[i], ref.weight) or _misfit(rows[i]):
+        if world[i] and _unbalanced(table, cols[i], ref.weight) \
+                or paired[i] and _misfit(table, cols[i]):
             trials[i] = _Trial(hyps[i], "no_converge", 0, None)
         else:
             queue.append(i)
@@ -1037,8 +1026,8 @@ def _solve_pass(sw, target, hyps):
                 break
             block.append(queue[pos])
             width, pos = w, pos + 1
-        batch = _Batch([rows[i] for i in block], min_norm[block])
-        zb = np.zeros((len(block), 6 + 2 * batch.slots))
+        batch = _Batch(table, index[block, :width], min_norm[block])
+        zb = np.zeros((len(block), 6 + 2 * width))
         cb = np.zeros(len(block), int)
         zb[:carried, :z.shape[1]], cb[:carried] = z[:, :zb.shape[1]], count
         handoff = int(_HANDOFF * _SLOTS) // max(width, counts[queue[pos]]) \
@@ -1048,29 +1037,40 @@ def _solve_pass(sw, target, hyps):
         reasons, geometry = _screen(ref, batch, zb, res)
         for j in np.flatnonzero(~running).tolist():
             i = block[j]
-            k, reason, sol = len(rows[i]), reasons[j], None
+            m, reason, sol = 6 + 2 * counts[i], reasons[j], None
             if not reason:
-                reason, passed = _check_trial(sw, hyps[i], rows[i],
-                                              zb[j, :6 + 2 * k])
+                reason, poses = _misplaced(sw, hyps[i], zb[j])
             if not reason:
-                slips = geometry[j][2][:k].tolist()
-                sol = {"rows": rows[i], "passed": passed,
-                       "geometry": geometry[j], "slips": slips,
-                       "residual": float(res[j]),
+                rows = [table.rows[k] for k in cols[i]]
+                slips = geometry[j][2][:counts[i]].tolist()
+                sol = {"rows": rows, "z": zb[j, :m].copy(), "poses": poses,
+                       "geometry": geometry[j], "residual": float(res[j]),
                        "dissipation": float(sum(
-                           sl ** 2 for sl, (row, _) in zip(slips, rows[i])
+                           sl ** 2 for sl, (row, _) in zip(slips, rows)
                            if row[_S] != 0))}
-            trials[i] = _Trial(hyps[i], reason, int(cb[j]), sol)
+            trials[i] = _Trial(hyps[i], reason, cb.item(j), sol)
         block = [block[j] for j in np.flatnonzero(running).tolist()]
         z, count = zb[running], cb[running]
     return trials, calls
 
 
 def _finish(sw, chosen, trials, stacked) -> ModeSolution:
+    """The chosen trial's report, with the tangential force of each stick
+    group re-split in proportion to the normal forces (wrench neutral)."""
     sol = chosen.solution
-    (forces, end), (points, directions, _) = sol["passed"], sol["geometry"]
-    center = end.hand_pose.position
-    records, hand_F, hand_tau = [], np.zeros(2), 0.0
+    z, (obj, hand), (points, directions, slips) = sol["z"], sol["poses"], \
+        sol["geometry"]
+    forces = [[f, t] for f, t in zip(z[6::2].tolist(), z[7::2].tolist())]
+    groups = {}
+    for i, (row, (iface, _)) in enumerate(sol["rows"]):
+        if row[_S] == 0:
+            groups.setdefault(iface, []).append(i)
+    for idxs in groups.values():
+        fn_sum, ft_sum = (sum(forces[i][k] for i in idxs) for k in (0, 1))
+        if len(idxs) > 1 and fn_sum > 1e-12:
+            for i in idxs:
+                forces[i][1] = ft_sum * forces[i][0] / fn_sum
+    records, hand_F, hand_tau, center = [], np.zeros(2), 0.0, hand.position
     for i, (row, (iface, label)) in enumerate(sol["rows"]):
         (fn, ft), point, (nrm, tan) = forces[i], points[i], directions[i]
         F = fn * nrm + ft * tan         # on the point's body
@@ -1081,13 +1081,13 @@ def _finish(sw, chosen, trials, stacked) -> ModeSolution:
         records.append(ContactForce(
             iface=iface, label=label, point=tuple(point), force=tuple(F),
             f_normal=float(fn), f_tangent=float(ft),
-            slip=float(sol["slips"][i]) if row[_S] != 0 else 0.0))
+            slip=float(slips[i]) if row[_S] != 0 else 0.0))
         if iface == "hand":
             hand_F += F
             hand_tau += cross2(point - center, F)
     return ModeSolution(
-        hypothesis=chosen.hyp, object_pose=end.object_pose,
-        hand_pose=end.hand_pose, contacts=tuple(records),
+        hypothesis=chosen.hyp, object_pose=obj,
+        hand_pose=hand, contacts=tuple(records),
         hand_wrench=Wrench2(hand_F, hand_tau, center),
         dissipation=sol["dissipation"], residual_norm=sol["residual"],
         trials=len(trials),

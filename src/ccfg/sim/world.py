@@ -34,7 +34,7 @@ class SimWorld:
     contact_mode: Optional[object] = None       # ContactModeHypothesis of the last step
 
     def __post_init__(self):
-        # plain comparisons, false for NaN: with_poses runs this per trial
+        # plain comparisons, false for NaN: with_poses runs this per step
         com = np.asarray(self.com, dtype=float).copy()
         if not all(-math.inf < v < math.inf for v in com.tolist()):
             raise ValueError("com must be finite")
@@ -81,15 +81,6 @@ class SimWorld:
         wall = self.world.walls[wall_index]
         return wall.facing * (self.vertices_world()[:, 0] - wall.x)
 
-    def hand_gaps(self) -> np.ndarray:
-        """Signed distance of each vertex from the hand line, palm side positive."""
-        rel = self.vertices_world() - self.hand_pose.position
-        return rel @ self.hand_normal()
-
-    def hand_tangential(self) -> np.ndarray:
-        rel = self.vertices_world() - self.hand_pose.position
-        return rel @ self.hand_tangent()
-
     def with_poses(self, object_pose: PlanarPose, hand_pose: PlanarPose,
                    **extra) -> "SimWorld":
         return replace(self, object_pose=object_pose, hand_pose=hand_pose, **extra)
@@ -98,13 +89,21 @@ class SimWorld:
 
     def penetration_depth(self) -> float:
         """Worst constraint violation in meters (negative means penetration)."""
-        worst = float(self.ground_gaps().min())
-        for k in range(len(self.world.walls)):
-            worst = min(worst, float(self.wall_gaps(k).min()))
-        # Hand line counts only where vertices are within the segment extent.
-        tang = self.hand_tangential()
-        gaps = self.hand_gaps()
-        inside = np.abs(tang) <= self.hand.half_length + 1e-9
-        if np.any(inside):
-            worst = min(worst, float(gaps[inside].min()))
-        return worst
+        return penetration_depth(self, self.object_pose, self.hand_pose)
+
+
+def penetration_depth(sw: SimWorld, object_pose: PlanarPose,
+                      hand_pose: PlanarPose) -> float:
+    """SimWorld.penetration_depth of sw's bodies at the given poses."""
+    verts = sw.polygon.vertices @ object_pose.rotation.T + object_pose.position
+    worst = float((verts[:, 1] - sw.world.ground_height).min())
+    for wall in sw.world.walls:
+        worst = min(worst, float((wall.facing * (verts[:, 0] - wall.x)).min()))
+    # Hand line counts only where vertices are within the segment extent.
+    rel = verts - hand_pose.position
+    tang, gaps = rel @ hand_tangent(hand_pose.angle), rel @ hand_normal(
+        hand_pose.angle)
+    inside = np.abs(tang) <= sw.hand.half_length + 1e-9
+    if np.any(inside):
+        worst = min(worst, float(gaps[inside].min()))
+    return worst

@@ -409,7 +409,8 @@ def test_contact_jacobian_matches_finite_differences():
     picked, kinds = [], set()
     for h in enumerate_modes(sw, suppress_overlaps=False):
         new = {(row[0], row[1], iface[:4], label == "stick")
-               for row, (iface, label) in build(h)} - kinds
+               for row, (iface, label) in map(build.rows.__getitem__, build(h))
+               } - kinds
         if new:
             picked.append(h)
             kinds |= new
@@ -418,7 +419,8 @@ def test_contact_jacobian_matches_finite_differences():
     assert {(pb, lb, where, stick) for pb, lb, where in want
             for stick in (True, False)} <= kinds
 
-    batch = _Batch([build(h) for h in picked], np.zeros(len(picked), bool))
+    batch = _Batch(build, build.index([build(h) for h in picked]),
+                   np.zeros(len(picked), bool))
     ref = _Reference(sw, tgt)
     rng = np.random.default_rng(11)
     M, n = len(picked), 6 + 2 * batch.slots
@@ -487,6 +489,30 @@ def pivot_states():
     return states
 
 
+# resolve_mode's outputs on each of wall_states(), recorded before the
+# resolver's contacts became one table per pass: the chosen mode, trial
+# count, rejection histogram, screened count, Newton evaluations and stacked
+# evaluations, the object and hand poses, and (f_n, f_t) per contact record.
+WALL_RECORDED = json.loads((Path(__file__).parent / "data"
+                            / "wall_regression.json").read_text())
+
+
+def test_wall_states_match_recording():
+    # the counts exactly; poses, flush anchors and forces within 1e-12
+    sols = [resolve_mode(sw, target) for sw, target in wall_states()]
+    assert_matches_recording(
+        sols, [sw.with_poses(s.object_pose, s.hand_pose)
+               for s, (sw, _) in zip(sols, wall_states())], WALL_RECORDED)
+    for sol, rec in zip(sols, WALL_RECORDED):
+        assert (sol.screened, sol.newton_iterations, sol.stacked_evaluations) \
+            == (rec["screened"], rec["newton_iterations"],
+                rec["stacked_evaluations"])
+        np.testing.assert_allclose(
+            [(c.f_normal, c.f_tangent) for c in sol.contacts],
+            np.reshape(rec["forces"], (-1, 2)), rtol=0, atol=1e-12)
+    assert len(sols) == 150
+
+
 def test_chosen_mode_ignores_hypothesis_order():
     # the resolver's tie-break is a key of the hypothesis, not its list
     # index: on the recorded drag and wall states, enumerating every pass
@@ -526,7 +552,7 @@ def test_screened_hypotheses_never_converge():
             + pivot_states():
         build = _ContactRows(sw)
         hyps = [h for h in enumerate_modes(sw)
-                if resolve._unbalanced(build(h), WEIGHT)]
+                if resolve._unbalanced(build, build(h), WEIGHT)]
         assert all(h.hand_label == "none" for h in hyps)
         trials, _ = unscreened(lambda: resolve._solve_pass(sw, target, hyps))
         assert all(t.reason == "no_converge" and t.evaluations > 0
@@ -547,10 +573,11 @@ def test_misfit_stick_pairs_stay_above_the_bound():
 
     def stacked(z, ref, batch, jacobian=True):
         R, J = system(z, ref, batch, jacobian=jacobian)
-        for i, rows in enumerate(batch.rows):
-            iterate = z[i, :6 + 2 * len(rows)].tobytes()
-            if last_iterate.get(id(rows), (rows, None))[1] != iterate:
-                last_iterate[id(rows)] = rows, iterate
+        for i, count in enumerate(batch.counts.tolist()):
+            member = (id(batch.table), tuple(batch.cols[i, :count].tolist()))
+            iterate = z[i, :6 + 2 * count].tobytes()
+            if last_iterate.get(member, (None, None))[1] != iterate:
+                last_iterate[member] = batch.table, iterate
                 worst.append(float(np.abs(R[i]).max()))
         return R, J
 
@@ -562,7 +589,8 @@ def test_misfit_stick_pairs_stay_above_the_bound():
     screened = evaluations = 0
     for sw, target in drag_states() + wall_states() + pivot_states():
         build = _ContactRows(sw)
-        hyps = [h for h in enumerate_modes(sw) if resolve._misfit(build(h))]
+        hyps = [h for h in enumerate_modes(sw)
+                if resolve._misfit(build, build(h))]
         if not hyps:
             continue
         last_iterate.clear()
@@ -581,13 +609,13 @@ def test_misfit_stick_pairs_stay_above_the_bound():
 
 def trial_outcome(trial):
     """A trial's reason and evaluation count, and for a feasible one the
-    bytes of its forces and end poses."""
+    bytes of its final iterate (pose deltas and forces), residual and
+    dissipation."""
     if trial.solution is None:
         return trial.reason, trial.evaluations
-    forces, end = trial.solution["passed"]
-    return (trial.reason, trial.evaluations, np.asarray(forces).tobytes(),
-            end.object_pose.as_vector().tobytes(),
-            end.hand_pose.as_vector().tobytes())
+    sol = trial.solution
+    return (trial.reason, trial.evaluations, sol["z"].tobytes(),
+            sol["residual"], sol["dissipation"])
 
 
 def test_trial_does_not_depend_on_its_batch():
@@ -620,18 +648,18 @@ def test_handoff_carries_trials_unchanged():
     # half empty ride into the next block with their iterates and counts:
     # hand-offs happen, each carried trial is byte for byte its solo solve,
     # and every hypothesis of the pass gets exactly one trial
-    batches, owner = [], {}
+    batches, owner, newton = [], {}, resolve._newton
 
     class Named(_ContactRows):
         def __call__(self, hyp):
             out = super().__call__(hyp)
-            owner[id(out)] = hyp
+            owner[id(self), out] = hyp
             return out
 
-    class Recorded(_Batch):
-        def __init__(self, rows, min_norm):
-            batches.append([owner[id(r)] for r in rows])
-            super().__init__(rows, min_norm)
+    def recorded(ref, batch, *args):
+        batches.append([owner[id(batch.table), tuple(r[r >= 0].tolist())]
+                        for r in batch.cols])
+        return newton(ref, batch, *args)
 
     carried_total = 0
     for sw, target in wall_states()[::12]:
@@ -640,7 +668,7 @@ def test_handoff_carries_trials_unchanged():
         owner.clear()
         with mock.patch.object(resolve, "_SLOTS", 64), \
                 mock.patch.object(resolve, "_ContactRows", Named), \
-                mock.patch.object(resolve, "_Batch", Recorded):
+                mock.patch.object(resolve, "_newton", recorded):
             trials, _ = resolve._solve_pass(sw, target, hyps)
         assert [t.hyp for t in trials] == hyps
         seen = Counter(h for batch in batches for h in batch)
@@ -683,8 +711,9 @@ def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
     # step exceeds 1e8 take gelsy's minimum-norm step, which solves
     # J dz = -R on J's range
     sw = flush_world(0.0800)
-    rows = _ContactRows(sw)(enumerate_modes(sw)[1])
-    batch = _Batch([rows] * 3, np.zeros(3, bool))
+    build = _ContactRows(sw)
+    batch = _Batch(build, build.index([build(enumerate_modes(sw)[1])] * 3),
+                   np.zeros(3, bool))
     n = 6 + 2 * batch.slots
     rng = np.random.default_rng(5)
     regular = rng.normal(size=(n, n)) + n * np.eye(n)
@@ -720,9 +749,9 @@ def test_system_layout_is_per_member():
     rng, systems = np.random.default_rng(27), 0
     for sw, target in drag_states()[::20] + wall_states()[::10] + pivot_states():
         build, ref = _ContactRows(sw), _Reference(sw, target)
-        rows = [r for r in map(build, enumerate_modes(sw)) if r]
-        batch = _Batch(rows, np.zeros(len(rows), bool))
-        M, n = len(rows), 6 + 2 * batch.slots
+        cols = [c for c in map(build, enumerate_modes(sw)) if c]
+        batch = _Batch(build, build.index(cols), np.zeros(len(cols), bool))
+        M, n = len(cols), 6 + 2 * batch.slots
         own = np.arange(n) < 6 + 2 * batch.counts[:, None]
         random = np.concatenate([rng.normal(0.0, 1e-3, (M, 6)),
                                  rng.normal(0.0, 1.0, (M, n - 6))], axis=1)
@@ -753,16 +782,17 @@ def test_scalar_member_matches_system_bit_for_bit():
 
     def checked(z, ref, batch, jacobian=True):
         R, J = system(z, ref, batch, jacobian=jacobian)
-        for i, rows in enumerate(batch.rows):
-            m = 6 + 2 * len(rows)
-            key = (id(rows), z[i, :m].tobytes(), jacobian)
+        for i, count in enumerate(batch.counts.tolist()):
+            m = 6 + 2 * count
+            member = (id(batch.table), tuple(batch.cols[i, :count].tolist()))
+            key = (member, z[i, :m].tobytes(), jacobian)
             if key in seen:         # a stopped member riding along
                 continue
             seen.add(key)
-            if (id(rows), id(ref)) not in members:
-                members[id(rows), id(ref)] = \
-                    rows, ref, resolve._Alone(ref, batch, i)
-            got_R, got_J = members[id(rows), id(ref)][2].system(
+            if (member, id(ref)) not in members:
+                members[member, id(ref)] = \
+                    batch.table, ref, resolve._Alone(ref, batch, i)
+            got_R, got_J = members[member, id(ref)][2].system(
                 z[i, :m].tolist(), jacobian)
             got = [np.array(got_R)] + ([got_J] if jacobian else [])
             want = [R[i, :m]] + ([J[i, :m, :m]] if jacobian else [])
@@ -823,7 +853,7 @@ def test_tail_ends_members_as_the_stacked_loop_does():
                                                             0.01))
     rows = [build(h) for h in enumerate_modes(sw, suppress_overlaps=False)]
     rows = [r for r in rows if r]
-    batch = _Batch(rows, np.zeros(len(rows), bool))
+    batch = _Batch(build, build.index(rows), np.zeros(len(rows), bool))
     rng = np.random.default_rng(3)
     n = 6 + 2 * batch.slots
     z = np.zeros((len(rows), n))
@@ -947,6 +977,38 @@ def test_screen_rejects_only_what_newton_cannot_balance(
         assert trial.reason == "no_converge"
         [full], _ = unscreened(lambda: resolve._solve_pass(sw, target, [hyp]))
         assert full.reason == "no_converge" and full.evaluations > 0
+
+
+def segment_face_crossing_loop(verts, tip_a, tip_b):
+    """The face-by-face loop that _segment_face_crossing computes at once."""
+    n = len(verts)
+    for j in range(n):
+        a, b = verts[j], verts[(j + 1) % n]
+        d1, d2 = cross2(b - a, tip_a - a), cross2(b - a, tip_b - a)
+        d3 = cross2(tip_b - tip_a, a - tip_a)
+        d4 = cross2(tip_b - tip_a, b - tip_a)
+        if d1 * d2 < -1e-18 and d3 * d4 < -1e-18 and min(abs(d1), abs(
+                d2)) > 1e-9 * max(1.0, float(np.hypot(*(b - a)))):
+            return True
+    return False
+
+
+def test_segment_face_crossing_matches_the_loop():
+    # seeded convex polygons and hand segments: a tip at a random point, at
+    # a vertex moved by about 1e-9 m, or a segment ending on a vertex
+    rng, crossings = np.random.default_rng(28), 0
+    for k in range(6000):
+        n = int(rng.integers(3, 7))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        verts = np.c_[np.cos(angles), np.sin(angles)] * rng.uniform(0.01, 0.1)
+        tip_a = verts[rng.integers(n)] + rng.normal(0.0, 1e-9, 2) \
+            if k % 3 == 0 else rng.normal(0.0, 0.08, 2)
+        tip_b = verts[rng.integers(n)].copy() if k % 5 == 0 \
+            else tip_a + rng.normal(0.0, 0.1, 2)
+        want = segment_face_crossing_loop(verts, tip_a, tip_b)
+        assert resolve._segment_face_crossing(verts, tip_a, tip_b) == want
+        crossings += want
+    assert 1000 < crossings < 5000
 
 
 # ------------------------------------------------------------- measurements

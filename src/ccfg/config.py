@@ -32,7 +32,10 @@ class NoiseConfig:
         # plain comparisons, false for NaN, as in Wall and HandModel
         if not all(0 <= getattr(self, f) < math.inf for f in _SIGMAS):
             raise ValueError("noise sigmas must be non-negative and finite")
-        if not isinstance(self.vision_period, int) or self.vision_period < 0:
+        # a bool is an int to isinstance, and True would mean every step
+        if isinstance(self.vision_period, bool) or \
+                not isinstance(self.vision_period, int) or \
+                self.vision_period < 0:
             raise ValueError("vision_period must be a non-negative int")
 
     def scaled(self, factor: float) -> "NoiseConfig":

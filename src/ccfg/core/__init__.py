@@ -1,6 +1,6 @@
 """Planar geometry and contact-mechanics primitives shared by the whole toolkit."""
 
-from .contact import PointOnLine, point_on_line
+from .contact import PointLineContact, point_on_line
 from .hull import convex_hull
 from .mechanics import FrictionResidual, friction_complementarity_residual
 from .polygon import PolygonModel, face_normals
@@ -16,7 +16,7 @@ __all__ = [
     "GravityParams",
     "HandModel",
     "PlanarPose",
-    "PointOnLine",
+    "PointLineContact",
     "PolygonModel",
     "Wall",
     "WorldModel",

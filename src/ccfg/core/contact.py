@@ -21,7 +21,7 @@ operations, in the same order, as its array code: a vector v turns as
 from typing import NamedTuple
 
 
-class PointOnLine(NamedTuple):
+class PointLineContact(NamedTuple):
     """One point on one line at two body poses, world frame."""
 
     point: tuple         # the material point x_p + R_p p
@@ -50,7 +50,7 @@ class PointOnLine(NamedTuple):
 
 
 def point_on_line(point_pose, line_pose, p, anchor, normal,
-                  tangent) -> PointOnLine:
+                  tangent) -> PointLineContact:
     """The contact of material point p of one body on the line (anchor,
     normal, tangent) of another, the bodies at poses (x, y, cos, sin)."""
     xp, yp, cp, sp = point_pose
@@ -61,7 +61,7 @@ def point_on_line(point_pose, line_pose, p, anchor, normal,
     ox, oy = cp * p0 + sp * -p1, cp * p1 + sp * p0
     px, py = xp + ox, yp + oy
     gx, gy = px - (xl + (cl * a0 + sl * -a1)), py - (yl + (cl * a1 + sl * a0))
-    return PointOnLine((px, py), (ox, oy), (nx, ny), (tx, ty), (gx, gy),
-                       nx * gx + ny * gy, tx * gx + ty * gy,
-                       (cp * -p1 - sp * p0, cp * p0 - sp * p1),
-                       (cl * -a1 - sl * a0, cl * a0 - sl * a1))
+    return PointLineContact((px, py), (ox, oy), (nx, ny), (tx, ty), (gx, gy),
+                            nx * gx + ny * gy, tx * gx + ty * gy,
+                            (cp * -p1 - sp * p0, cp * p0 - sp * p1),
+                            (cl * -a1 - sl * a0, cl * a0 - sl * a1))

@@ -14,7 +14,8 @@ class Wall:
     facing: int
 
     def __post_init__(self):
-        if self.facing not in (-1, 1):
+        # True == 1, so a bool would pass the membership test
+        if isinstance(self.facing, bool) or self.facing not in (-1, 1):
             raise ValueError("wall facing must be +1 or -1")
         if not -math.inf < self.x < math.inf:
             raise ValueError("wall x must be finite")

@@ -37,6 +37,13 @@ moment a sliding corner crosses a tip.  The "pair" candidates cover those
 regimes explicitly: tip+corner while a corner is near a tip, corner+corner
 when the whole face fits under the hand.  Pairs carry slide labels only;
 their stick variant is the ordinary flush stick.
+
+Candidates are found in one pass per interface over the object's world
+vertices, which each enumeration computes once.  A ground or wall candidate
+is a vertex within the activation band of the line.  The hand's pass makes
+one sweep over the faces that oppose it: a face within 60 degrees of
+anti-parallel to the hand normal is tested for a hand tip on it, and a face
+within 30 degrees also for a flush patch and a corner-corner pair.
 """
 
 import itertools
@@ -117,23 +124,14 @@ class ContactModeHypothesis:
         }
 
 
-def _ground_candidates(sw: SimWorld, band: float) -> list:
-    gaps = sw.ground_gaps()
+def _line_candidates(gaps, along, band: float) -> list:
+    """Vertices within band of an environment line, sorted along it."""
     idx = [int(i) for i in np.nonzero(gaps <= band)[0]]
-    xs = sw.vertices_world()[:, 0]
-    return sorted(idx, key=lambda i: xs[i])
+    return sorted(idx, key=lambda i: along[i])
 
 
-def _wall_candidates(sw: SimWorld, wall_index: int, band: float) -> list:
-    gaps = sw.wall_gaps(wall_index)
-    idx = [int(i) for i in np.nonzero(gaps <= band)[0]]
-    ys = sw.vertices_world()[:, 1]
-    return sorted(idx, key=lambda i: ys[i])
-
-
-def _hand_candidates(sw: SimWorld, band: float):
+def _hand_candidates(sw: SimWorld, verts: np.ndarray, band: float):
     """Vertex-on-line, tip-on-face, flush, and patch-end pair candidates."""
-    verts = sw.vertices_world()
     n_hat = sw.hand_normal()
     t_hat = sw.hand_tangent()
     center = sw.hand_pose.position
@@ -146,34 +144,35 @@ def _hand_candidates(sw: SimWorld, band: float):
     # carry its corner into the segment within one step
     vertex_cands = [int(i) for i in range(n)
                     if gaps[i] <= band and abs(tang[i]) <= half + band]
+    vset = set(vertex_cands)
 
     R = sw.object_pose.rotation
     normals_w = sw.polygon.normals @ R.T
+    tips = tuple(zip((-1, 1), sw.hand_tips()))
 
-    tip_cands = []
-    for tip_sign, tip in zip((-1, 1), sw.hand_tips()):
-        for j in range(n):
-            n_f = normals_w[j]
-            if n_f @ n_hat > -0.5:
-                continue
-            a, b = sw.polygon.face_endpoints(j)
-            a_w = sw.object_pose.transform(a)
-            b_w = sw.object_pose.transform(b)
-            edge = b_w - a_w
-            length = float(np.hypot(*edge))
-            s = float((tip - a_w) @ edge) / length
-            d = float(n_f @ (tip - a_w))
-            if -1e-9 <= d <= band and -band <= s <= length + band:
-                tip_cands.append((tip_sign, j))
-
-    flush_cands = []
-    for j in range(len(verts)):
+    tip_cands, flush_cands, corner_pairs = [], [], []
+    for j in range(n):
         n_f = normals_w[j]
-        if n_f @ n_hat > -0.866:
+        facing = n_f @ n_hat
+        if facing > -0.5:
             continue
         a, b = sw.polygon.face_endpoints(j)
         a_w = sw.object_pose.transform(a)
         b_w = sw.object_pose.transform(b)
+        edge = b_w - a_w
+        length = float(np.hypot(*edge))
+        for tip_sign, tip in tips:
+            s = float((tip - a_w) @ edge) / length
+            d = float(n_f @ (tip - a_w))
+            if -1e-9 <= d <= band and -band <= s <= length + band:
+                tip_cands.append((tip_sign, j))
+        if facing > -0.866:
+            continue
+
+        vi, vj = j, (j + 1) % n
+        if vi in vset and vj in vset and abs(tang[vi] - tang[vj]) > 1e-6:
+            corner_pairs.append((j, 0, -1))   # both region ends are corners
+
         ta = float((a_w - center) @ t_hat)
         tb = float((b_w - center) @ t_hat)
         if abs(tb - ta) < 1e-9:
@@ -183,41 +182,24 @@ def _hand_candidates(sw: SimWorld, band: float):
         if p_hi - p_lo <= 1e-6:
             continue
         anchors = []
-        ok = True
         for t_star in (p_lo, p_hi):
             # Face point whose hand-tangential coordinate equals t_star.
-            frac = (t_star - ta) / (tb - ta)
-            p_w = a_w + frac * (b_w - a_w)
+            p_w = a_w + (t_star - ta) / (tb - ta) * edge
             gap = float((p_w - center) @ n_hat)
             if not (-1e-6 <= gap <= band):
-                ok = False
                 break
             p_obj = R.T @ (p_w - sw.object_pose.position)
             anchors.append((t_star, float(p_obj[0]), float(p_obj[1])))
-        if ok:
+        else:
             flush_cands.append((j, tuple(anchors)))
+    tip_cands.sort()   # tip-major, then by face
 
     # support pairs across a corner handoff (see module docstring)
-    vset = set(vertex_cands)
-    pair_cands = []
-    for tip_sign, j in tip_cands:
-        for vi in (j, (j + 1) % n):
-            if vi not in vset:
-                continue
-            tv = float(tang[vi])
-            # the corner must sit on the inward side of that tip
-            if tip_sign < 0:
-                if tv <= -half + 1e-6:
-                    continue
-            elif tv >= half - 1e-6:
-                continue
-            pair_cands.append((j, tip_sign, vi))
-    for j in range(n):
-        if normals_w[j] @ n_hat > -0.866:
-            continue
-        vi, vj = j, (j + 1) % n
-        if vi in vset and vj in vset and abs(tang[vi] - tang[vj]) > 1e-6:
-            pair_cands.append((j, 0, -1))   # both region ends are corners
+    # the corner must sit on the inward side of that tip
+    pair_cands = [(j, tip_sign, vi) for tip_sign, j in tip_cands
+                  for vi in (j, (j + 1) % n)
+                  if vi in vset and tip_sign * float(tang[vi]) < half - 1e-6]
+    pair_cands += corner_pairs
 
     return vertex_cands, tip_cands, flush_cands, pair_cands
 
@@ -251,10 +233,10 @@ def _pair_options(cands: list, n: int, tag) -> list:
     return opts
 
 
-def _hand_options(sw: SimWorld, band: float,
-                  suppress_overlaps: bool = True) -> list:
+def _hand_options(sw: SimWorld, verts: np.ndarray, band: float,
+                  suppress_overlaps: bool) -> list:
     vertex_cands, tip_cands, flush_cands, pair_cands = \
-        _hand_candidates(sw, band)
+        _hand_candidates(sw, verts, band)
     flush_faces = {j for j, _ in flush_cands} if suppress_overlaps else set()
 
     options = [("none", None)]
@@ -300,14 +282,16 @@ def enumerate_modes(sw: SimWorld, band: float = ACTIVATION_BAND,
     suppression off and the band widened by the commanded reach.
     """
     n = sw.polygon.n_vertices
-    ground_opts = _pair_options(_ground_candidates(sw, band), n,
-                                lambda v, lab: (v, lab))
-    wall_lists = []
-    for k in range(len(sw.world.walls)):
-        cands = _wall_candidates(sw, k, band)
-        wall_lists.append(_pair_options(cands, n,
-                                        lambda v, lab, k=k: (k, v, lab)))
-    hand_opts = _hand_options(sw, band, suppress_overlaps)
+    verts = sw.vertices_world()
+    xs, ys = verts[:, 0], verts[:, 1]
+    ground_opts = _pair_options(
+        _line_candidates(ys - sw.world.ground_height, xs, band), n,
+        lambda v, lab: (v, lab))
+    wall_lists = [
+        _pair_options(_line_candidates(wall.facing * (xs - wall.x), ys, band),
+                      n, lambda v, lab, k=k: (k, v, lab))
+        for k, wall in enumerate(sw.world.walls)]
+    hand_opts = _hand_options(sw, verts, band, suppress_overlaps)
 
     # the environment options do not depend on the hand's: test each
     # (ground, walls) combination once

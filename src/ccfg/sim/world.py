@@ -77,10 +77,6 @@ class SimWorld:
     def ground_gaps(self) -> np.ndarray:
         return self.vertices_world()[:, 1] - self.world.ground_height
 
-    def wall_gaps(self, wall_index: int) -> np.ndarray:
-        wall = self.world.walls[wall_index]
-        return wall.facing * (self.vertices_world()[:, 0] - wall.x)
-
     def with_poses(self, object_pose: PlanarPose, hand_pose: PlanarPose,
                    **extra) -> "SimWorld":
         return replace(self, object_pose=object_pose, hand_pose=hand_pose, **extra)

@@ -18,12 +18,28 @@ import pytest
 import ccfg
 
 
-@pytest.mark.parametrize("package", ["ccfg.core", "ccfg.sim",
-                                     "ccfg.estimator", "ccfg.graph"])
+PACKAGES = ["ccfg.core", "ccfg.sim", "ccfg.estimator", "ccfg.graph"]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
 def test_all_names_resolve(package):
     mod = importlib.import_module(package)
     assert len(set(mod.__all__)) == len(mod.__all__)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def test_packages_bind_each_shared_name_to_one_object():
+    # a caller that imports from two packages must not get two classes
+    # under one name
+    owners = {}
+    for package in PACKAGES:
+        mod = importlib.import_module(package)
+        for name in mod.__all__:
+            owners.setdefault(name, []).append((package, getattr(mod, name)))
+    clashes = sorted(f"{name}: {', '.join(p for p, _ in found)}"
+                     for name, found in owners.items()
+                     if any(obj is not found[0][1] for _, obj in found))
+    assert clashes == []
 
 
 def _unused_imports(path):

@@ -156,8 +156,10 @@ def test_world_model_validation():
     assert WorldModel(walls=[Wall(0.5, -1)]).walls == (Wall(0.5, -1),)
     with pytest.raises(ValueError):
         WorldModel(walls=(Wall(0, 1), Wall(1, 1), Wall(2, -1)))
-    with pytest.raises(ValueError):
-        Wall(0.0, 2)
+    # True == 1 and False == 0: a bool is not a facing
+    for facing in (2, True, False):
+        with pytest.raises(ValueError):
+            Wall(0.0, facing)
     with pytest.raises(ValueError):
         HandModel(0.0)
     # A NaN wall would be ignored by step, and a NaN gravity would surface

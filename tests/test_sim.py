@@ -6,6 +6,7 @@ back from the solver.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -294,6 +295,49 @@ def test_pivot_corner_stays_pinned():
     assert angles[2] > th - 0.06
 
 
+# The state before the step of the twenty-step pivot below that no
+# hypothesis resolves: object and hand pose and the target (x, y, angle).
+# The top face lies about 4e-4 rad off the hand line here; the tip gives way
+# to the flush contact, and no enumerated hypothesis is feasible.
+PIVOT_STALL = {
+    "object_pose": [0.01649867159324531, 0.057512037234371004,
+                    -0.33521777019993504],
+    "hand_pose": [0.02966431179904864, 0.09530465344752402,
+                  -0.33562164882803514],
+    "target": [0.03372432462498057, 0.0857533024646083, -0.36],
+}
+
+
+@pytest.mark.xfail(strict=True, raises=NoFeasibleMode,
+                   reason="the tip-to-flush transition of a pivot has no "
+                          "feasible hypothesis")
+def test_pivot_keeps_its_corner_pinned_for_twenty_steps():
+    # twenty -0.02 rad turns of the target about the pinned corner. The 8th
+    # resolve, at object angle -0.33522 rad, raises NoFeasibleMode over 88
+    # hypotheses (no_converge 52, negative_normal 28, slip_direction 3,
+    # off_segment 3, cone 1, tip_inside 1); steps of 0.005 and 0.01 rad stop
+    # at the same angle. The first pass's flush candidate on face 2 has its
+    # anchors 0.100000008156 m apart on the object where the hand spaces them
+    # 0.1 m, so the misfit screen drops its stick hypotheses unevaluated.
+    sw, corner, corner_w, hold, th = tipped_rig()
+    held = resolve_mode(sw, hold)
+    sw = sw.with_poses(held.object_pose, held.hand_pose)
+    for k in range(1, 21):
+        Rd = rotation(-0.02 * k)
+        tgt = PlanarPose(corner_w + Rd @ (np.asarray(hold.position) - corner_w),
+                         th - 0.02 * k)
+        if k == 8:
+            np.testing.assert_allclose(
+                [sw.object_pose.as_vector(), sw.hand_pose.as_vector(),
+                 tgt.as_vector()],
+                [PIVOT_STALL[key] for key in ("object_pose", "hand_pose",
+                                              "target")], rtol=0, atol=1e-12)
+        sol = resolve_mode(sw, tgt)
+        assert np.hypot(*(sol.object_pose.transform(corner) - corner_w)) \
+            < 1e-9
+        sw = sw.with_poses(sol.object_pose, sol.hand_pose)
+
+
 def test_corner_handoff_during_long_drag(monkeypatch):
     # dragging the hand along the top face and off its right corner walks
     # through three support regimes and then releases; the lateral hand lag
@@ -532,6 +576,35 @@ def test_chosen_mode_ignores_hypothesis_order():
         assert rev.hand_pose.as_vector().tolist() \
             == sol.hand_pose.as_vector().tolist()
     assert len(states) == 195
+
+
+# sha256 over the states of drag_states() + wall_states() + pivot_states()
+# of repr([h.to_json() for h in enumerate_modes(sw, **settings)]): the
+# default pass and the fallback pass's settings at two bands
+ENUMERATION_DIGESTS = {
+    "default": (
+        {}, "c9173342cc3293d5c9cd877a9dbbe6d97af8292805979e2eb24979b3ad4a1f3b"),
+    "fallback_band_0.003": (
+        dict(band=0.003, suppress_overlaps=False),
+        "6a2392810c6dd0510dc2b7db54ddedd9014bf4b48372fc746fa824d6e65abbe0"),
+    "fallback_band_0.01": (
+        dict(band=0.01, suppress_overlaps=False),
+        "471ca1abda5a8c17aa38bf7dd6088329aae3f15c698537ef1c0c9bf7c9e97269"),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_matches_recording(setting):
+    # the hypotheses, their order and their flush anchors' bits: each
+    # reaches the resolver's tie-break repr, to_json() and the digests
+    kwargs, digest = ENUMERATION_DIGESTS[setting]
+    states = drag_states() + wall_states() + pivot_states()
+    h = hashlib.sha256()
+    for sw, _ in states:
+        h.update(repr([m.to_json() for m in enumerate_modes(sw, **kwargs)])
+                 .encode())
+    assert len(states) == 393
+    assert h.hexdigest() == digest
 
 
 def unscreened(trials_of):
@@ -1037,7 +1110,8 @@ def test_noise_config_rejects_bad_sigmas(field, bad):
 
 
 def test_noise_config_rejects_bad_vision_periods_and_factors():
-    for period in (2.5, -1, None):
+    # a bool is an int to isinstance: True would give vision every step
+    for period in (2.5, -1, None, True, False):
         with pytest.raises(ValueError):
             NoiseConfig(vision_period=period)
     with pytest.raises(ValueError):

@@ -30,24 +30,27 @@ taken 40 steps; its residual is then evaluated once more, without the
 Jacobian.  Two collinear stick points leave the tangential split statically
 indeterminate and wrench-neutral: those systems, and any whose LU step is
 singular or above 1e8, take minimum-norm (gelsy) steps, and the report
-splits it in proportion to the normal forces.
-A stacked iteration costs a few dozen numpy calls at any batch size.  What
-no iterate changes is derived once per pass: each distinct (interface,
-contact, label) is a column of the pass's table (_ContactRows), a hypothesis
-a tuple of columns and a batch (_Batch) an index matrix into the table, so
-that building, compacting and handing off a batch are gathers.  Stopped
-members stay until dropping them pays (see _newton), and the members still
-running when their batch is half empty join the next batch with their
-iterates and counts (see _solve_pass).  In a pass's last block the last
-_TAIL running members are finished one by one on Python floats (_Alone,
-built on core.point_on_line), with _system's operations.  As every entry of
-R and J comes from the arithmetic of the scalar expression it stands for,
-each sum adding in slot order, R, J and the steps are bit for bit those of
-a lone member, stacked or alone (but for the sign of a zero R entry, which
-a padding slot's +0.0 turns from -0.0 to +0.0 and no step or stop reads),
-and each member counts its own evaluations of R, each with J but its 41st
-(newton_iterations; stacked_evaluations counts _system calls, none for the
-scalar tail): a trial comes out the same in any batch, whenever it joins.
+splits it in proportion to the normal forces.  In a pass's last block the
+last _TAIL running members are finished one by one on Python floats
+(_Alone, built on core.point_on_line), with _system's operations.  As every
+entry of R and J comes from the arithmetic of the scalar expression it
+stands for, each sum adding in slot order, R, J and the steps are bit for
+bit those of a lone member, stacked or alone (but for the sign of a zero R
+entry, which a padding slot's +0.0 turns from -0.0 to +0.0 and no step or
+stop reads), and each member counts its own evaluations of R, each with J
+but its 41st (newton_iterations; stacked_evaluations counts _system calls,
+none for the scalar tail): a trial comes out the same in any batch.
+
+Everything else is done once per pass, per block or per distinct part, as
+arrays.  A hypothesis is one hand option and one environment option of the
+enumeration; each distinct (interface, contact, label) is a column of the
+pass's table (_ContactRows), and each part's columns, flags and screen
+verdicts are found once and gathered into the pass's index matrix, one row
+per hypothesis.  A batch (_Batch) is rows of that matrix, so building,
+compacting and handing off a batch are gathers (see _newton, _solve_pass).
+The members a block stops are checked together (_screen), those that pass
+once more together at the pass's end (_misplaced), and each trial ends as a
+reason code and an evaluation count in the pass's arrays.
 
 Before any block is built, a hypothesis whose contacts all lie on lines of
 the fixed world (ground, walls) is screened: its object x/y balance rows
@@ -84,10 +87,11 @@ Among the hypotheses that survive all feasibility checks the resolver picks
 the one with minimal slip dissipation (sum of squared tangential relative
 displacements).  Among modes within 1e-13 of the least it prefers more
 sticking contacts, then fewer active contacts, then the lesser repr of
-to_json(): a key of the hypothesis alone, so the choice does not depend on
-the order the hypotheses are listed in.  The repr is unique among feasible
-trials, which all come from one pass (the fallback runs only when the first
-pass found nothing), and a pass has at most one flush candidate per face.
+to_json(), which only a tie computes: a key of the hypothesis alone, so the
+choice does not depend on the order the hypotheses are listed in.  The repr
+is unique among feasible trials, which all come from one pass (the fallback
+runs only when the first found nothing), and a pass has at most one flush
+candidate per face.
 """
 
 import functools
@@ -96,7 +100,7 @@ import itertools
 import math
 import os
 import struct
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
@@ -104,11 +108,10 @@ from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ..core import (PlanarPose, Wrench2, cross2, hand_tangent,
-                    point_on_line, wrap_angle)
+from ..core import PlanarPose, Wrench2, cross2, point_on_line, wrap_angle
 from ..errors import JammedConfiguration, NoFeasibleMode
 from .modes import ACTIVATION_BAND, ContactModeHypothesis, enumerate_modes
-from .world import SimWorld, penetration_depth
+from .world import SimWorld
 
 _OBJ, _HAND, _WORLD = 0, 1, 2          # bodies; the world has no unknowns
 
@@ -208,8 +211,14 @@ class ModeSolution:
     screened: int              # no_converge trials rejected before Newton
 
 
-# one solved hypothesis: reason "" (feasible) comes with what the report needs
-_Trial = namedtuple("_Trial", "hyp reason evaluations solution")
+# why a trial is infeasible, by code ("" when feasible), in check order
+_REASONS = ("", "no_converge", "negative_normal", "slip_direction",
+            "off_segment", "off_face", "force_bound", "cone", "patch_gone",
+            "penetration", "tip_inside", "segment_crossing")
+_CODE = {reason: k for k, reason in enumerate(_REASONS)}
+# one pass's trials: per hypothesis a code in _REASONS and its evaluations
+# of R, the report's needs of each feasible one by index, the _system calls
+_Pass = namedtuple("_Pass", "hyps reasons evaluations solutions calls")
 _Columns = namedtuple("_Columns", "v v_perp basis lo hi s s_mu on_point "
                       "on_line sign d_angle lb d_rows gather kind iface "
                       "hand_point stick")
@@ -228,14 +237,18 @@ def _columns(data, ints, flags) -> _Columns:
         ints[32], ints[33], flags[0], flags[1])
 
 
+# a pass's hypotheses as arrays: each one's columns (padded with -1) and
+# count, flags, screen verdicts and flush face (-1 for none)
+_Layout = namedtuple("_Layout", "index counts min_norm paired world "
+                     "unbalanced misfit flush")
+
+
 class _ContactRows:
-    """The contacts of one pass as one table.  Calling it with a hypothesis
-    gives its active contacts as a tuple of columns, one per distinct
-    (interface, contact, label) row, built once however many hypotheses
-    share it: rows[c] is (row, (iface, label)).  index() derives, once, what
-    the solver and the checks read per column (col, with the empty column
-    -1 last), the derivatives' fixed parts by kind of slot and _Alone's
-    plain floats."""
+    """The contacts of one pass as one table, a column per distinct
+    (interface, contact, label): rows[c] is (row, (iface, label)).  layout()
+    lays the pass out on it and derives what the solver and the checks read
+    per column (col, the empty column -1 last), the derivatives' fixed
+    parts by kind of slot and _Alone's plain floats."""
 
     _EMPTY = ((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), (None, None))
 
@@ -248,12 +261,64 @@ class _ContactRows:
         self.mu = np.array([sw.mu_hand, sw.mu_ground]
                            + [sw.mu_wall] * len(sw.world.walls))
 
-    def __call__(self, hyp: ContactModeHypothesis) -> tuple:
-        keys = [("hand", hyp.hand_contact, hyp.hand_label)] \
-            if hyp.hand_label != "none" else []
-        keys += [("ground", v, lab) for v, lab in hyp.ground
-                 if lab != "separate"]
-        keys += [(k, v, lab) for k, v, lab in hyp.walls if lab != "separate"]
+    def layout(self, hyps, weight) -> _Layout:
+        """hyps as arrays, derived per distinct part: a hypothesis is a hand
+        part (label, contact) and an environment part (ground and wall
+        labels), told apart by the objects enumerate_modes shares among an
+        option's hypotheses.  Its row is its hand part's columns, then its
+        environment part's.  A stick pair lies within a part (the hand's
+        contacts and the world's differ in interface and kind), and only a
+        hand part without contacts leaves a hypothesis on world lines: each
+        flag and verdict of a hypothesis is one of its parts'."""
+        hand_at, env_at, hp, ep = {}, {}, [], []
+        for h in hyps:
+            hp.append(hand_at.setdefault((h.hand_label, id(h.hand_contact)),
+                                         len(hand_at)))
+            ep.append(env_at.setdefault((id(h.ground), id(h.walls)),
+                                        len(env_at)))
+        # a hypothesis of each part, by part number
+        hand, env = ([h for _, h in sorted(dict(zip(at, hyps)).items())]
+                     for at in (hp, ep))
+        parts = [self._part([("hand", h.hand_contact, h.hand_label)]
+                            if h.hand_label != "none" else []) for h in hand]
+        parts += [self._part(
+            [("ground", v, lab) for v, lab in h.ground if lab != "separate"]
+            + [w for w in h.walls if w[2] != "separate"]) for h in env]
+        self._derive()
+        # per part its row, count and flags: min_norm, two sticking contacts
+        # on one interface (their tangential split is wrench neutral, a null
+        # space a plain solve would blow up on); paired, two of one kind,
+        # which the misfit screen checks; its misfit verdict; off the world
+        counts = np.array([len(part) for part in parts], dtype=int)
+        index = np.full((len(parts), max(1, counts.max(initial=0))), -1)
+        index[np.arange(index.shape[1]) < counts[:, None]] = list(
+            itertools.chain.from_iterable(parts))
+        c = self.col
+        keys = np.sort(np.where(c.stick[index],
+                                [c.iface[index], c.kind[index]], -1))
+        min_norm, paired = ((keys[..., 1:] == keys[..., :-1])
+                            & (keys[..., 1:] >= 0)).any(axis=2)
+        misfit = [p and _misfit(self, part)
+                  for p, part in zip(paired.tolist(), parts)]
+        flags = np.array([min_norm, paired, misfit,
+                          (c.lb[index] != _WORLD).any(axis=1)], dtype=bool)
+        hp, ep = np.array(hp, dtype=int), np.array(ep, dtype=int) + len(hand)
+        min_norm, paired, misfit, off_world = flags[:, hp] | flags[:, ep]
+        unbalanced = np.zeros(len(parts), dtype=bool)
+        for e in set(ep[~off_world].tolist()):
+            unbalanced[e] = _unbalanced(self, parts[e], weight)
+        total = counts[hp] + counts[ep]
+        rows = np.concatenate((index[hp], index[ep]), axis=1)
+        out = np.full((len(hp), max(1, total.max(initial=0))), -1)
+        out[np.arange(out.shape[1]) < total[:, None]] = rows[rows >= 0]
+        flush = np.array([h.hand_contact.face if h.hand_contact is not None
+                          and h.hand_contact.kind == "flush" else -1
+                          for h in hand], dtype=int)
+        return _Layout(out, total, min_norm, paired, ~off_world,
+                       ~off_world & unbalanced[ep], misfit, flush[hp])
+
+    def _part(self, keys) -> tuple:
+        """The columns of a part's rows, by their keys, each built once."""
         out = ()
         for key in keys:
             if key not in self.cache:
@@ -262,16 +327,6 @@ class _ContactRows:
                 self.rows += rows
                 self.iface += [self.ifaces.index(key[0])] * len(rows)
             out += self.cache[key]
-        return out
-
-    def index(self, hyp_cols) -> np.ndarray:
-        """The (N, max(1, most contacts)) index matrix of N tuples of
-        columns, each padded with -1; derives the table first."""
-        self._derive()
-        counts = np.array([len(c) for c in hyp_cols], dtype=int)
-        out = np.full((len(counts), max(1, counts.max(initial=0))), -1)
-        out[np.arange(out.shape[1]) < counts[:, None]] = list(
-            itertools.chain.from_iterable(hyp_cols))
         return out
 
     def _derive(self):
@@ -847,13 +902,14 @@ def _newton(ref, batch, z, count, handoff):
 
 @np.errstate(all="ignore")     # the members that did not converge may overflow
 def _screen(ref, b, z, res):
-    """The array checks in their order: convergence, normal force signs,
-    contact by contact the line's extent and the slip direction, then per
-    interface the force bound on its summed forces (a flush patch is two
-    anchors sharing one physical contact) and the cone on its sticking ones,
-    summed in slot order from 0.0.  Returns the first failing reason per
-    member ("" when all pass) and the end geometry of those that pass: world
-    points (C, 2), n and t (C, 2, 2) and slips (C,) per contact slot."""
+    """The array checks of a block's members in their order: convergence,
+    normal force signs, contact by contact the line's extent and the slip
+    direction, then per interface the force bound on its summed forces (a
+    flush patch is two anchors sharing one physical contact) and the cone on
+    its sticking ones, summed in slot order from 0.0.  Returns the code in
+    _REASONS of the first that fails per member (0 when all pass), and the
+    end geometry per member and contact slot: world points (M, C, 2), n and
+    t (M, C, 2, 2) and slips (M, C)."""
     g, _, turned = b.place(ref.poses(z, wrap=True), 6)
     point, tan, (M, C), c = g[:2] + turned[4:6], turned[2:4], b.cols.shape, b.col
 
@@ -865,79 +921,104 @@ def _screen(ref, b, z, res):
     off = (extent < c.lo - 1e-9) | (extent > c.hi + 1e-9)
     bad = (off | (slips * c.s < -1e-9)).reshape(M, C)
     first = np.arange(M) * C + bad.argmax(axis=1)
-    late = np.where(~off[first], "slip_direction",
-                    np.where(c.lb[first] == _HAND, "off_segment", "off_face"))
-    # per member, slot and interface number: its contacts, its sticking ones
-    mu, forces = b.table.mu, z[:, 6:].reshape(M, C, 1, 2)
+    late = np.where(~off[first], _CODE["slip_direction"], np.where(
+        c.lb[first] == _HAND, _CODE["off_segment"], _CODE["off_face"]))
+    # per member, slot and interface number: a contact on it, a sticking
+    # one, and their forces
+    mu = b.table.mu
     on = c.iface.reshape(M, C, 1) == np.arange(len(mu))
-    on = np.stack([on, on & c.stick.reshape(M, C, 1)])[..., None]
+    on = np.stack([on, on & c.stick.reshape(M, C, 1)])
+    terms = np.where(on[..., None], z[:, 6:].reshape(M, C, 1, 2), 0.0)
     sums = np.zeros((2, M, len(mu), 2))
     for s in range(C):
-        sums += np.where(on[:, :, s], forces[:, s], 0.0)
-    cone = on[1, ..., 0].any(axis=1) & (
+        sums += terms[:, :, s]
+    cone = on[1].any(axis=1) & (
         np.abs(sums[1, ..., 1]) > mu * sums[1, ..., 0] + 1e-9)
-    reasons = np.where(res > 1e-9, "no_converge", np.where(
-        (z[:, 6::2] < -1e-9).any(axis=1), "negative_normal", np.where(
+    reasons = np.where(res > 1e-9, _CODE["no_converge"], np.where(
+        (z[:, 6::2] < -1e-9).any(axis=1), _CODE["negative_normal"], np.where(
             bad.any(axis=1), late, np.where(
-                (np.abs(sums[0]) > _FORCE_BOUND).any(axis=(1, 2)), "force_bound",
-                np.where(cone.any(axis=1), "cone", "")))))
-    point = point.reshape(2, M, C).transpose(1, 2, 0)
-    directions = turned[:4].reshape(2, 2, M, C).transpose(2, 3, 0, 1)
-    slips = slips.reshape(M, C)
-    return reasons.tolist(), {j: (point[j], directions[j], slips[j])
-                              for j in np.flatnonzero(reasons == "").tolist()}
+                (np.abs(sums[0]) > _FORCE_BOUND).any(axis=(1, 2)),
+                _CODE["force_bound"], np.where(cone.any(axis=1), _CODE["cone"], 0)))))
+    return reasons, (point.reshape(2, M, C).transpose(1, 2, 0),
+                     turned[:4].reshape(2, 2, M, C).transpose(2, 3, 0, 1),
+                     slips.reshape(M, C))
 
 
-def _misplaced(sw, hyp, z):
-    """The geometric checks of a member that passed _screen, in their order,
-    on the poses its iterate z ends at: the reason of the first that fails
-    ("" when all pass), and the end poses."""
-    obj = PlanarPose(sw.object_pose.position + z[0:2], sw.object_pose.angle + z[2])
-    hand = PlanarPose(sw.hand_pose.position + z[3:5], sw.hand_pose.angle + z[5])
-    t_hat, center, half = hand_tangent(hand.angle), hand.position, \
+def _misplaced(sw, z, flush):
+    """The geometric checks, in their order, of members that passed _screen
+    (a flush member, flush >= 0 its face, must keep a positive overlap), on
+    the poses their iterates z end at: per member the code in _REASONS of
+    the first that fails (0 when all pass), and the end poses (M, 6), object
+    then hand (x, y, angle).  Every value is bit for bit the one PlanarPose,
+    penetration_depth and all_face_residuals give a lone member: angles
+    wrapped as wrap_angle does and turned by math.cos and math.sin, the same
+    operations element by element, and the products a lone member takes with
+    @ kept as @ on C-ordered stacks, each member's the same BLAS call on the
+    same layout (the vertices turned, their hand gaps, the tips in the
+    object's frame, the face residuals; np.vecdot for the patch ends)."""
+    ends = np.array([*sw.object_pose.position, sw.object_pose.angle,
+                     *sw.hand_pose.position, sw.hand_pose.angle]) + z[:, :6]
+    ends[:, 2::3] = _wrap(ends[:, 2::3])
+    (co, ch), (so, sh) = (np.array([list(map(f, a)) for a in
+                                    ends[:, 2::3].T.tolist()])
+                          for f in (math.cos, math.sin))
+    obj, center, poly, half = ends[:, None, :2], ends[:, 3:5], sw.polygon, \
         sw.hand.half_length
-    # flush patch must keep positive overlap
-    hc = hyp.hand_contact
-    if hc is not None and hc.kind == "flush":
-        ta, tb = (float(t_hat @ (obj.transform(v) - center))
-                  for v in sw.polygon.face_endpoints(hc.face))
-        lo, hi = min(ta, tb), max(ta, tb)
-        if min(hi, half) - max(lo, -half) <= 1e-9:
-            return "patch_gone", None
-    if penetration_depth(sw, obj, hand) < -PENETRATION_TOL:
-        return "penetration", None
-    Rm, tips = obj.rotation, (center - half * t_hat, center + half * t_hat)
-    for tip in tips:
-        tip_obj = Rm.T @ (tip - obj.position)
-        if np.all(sw.polygon.all_face_residuals(tip_obj) < -1e-9):
-            return "tip_inside", None
-    if _segment_face_crossing(sw.polygon.vertices @ Rm.T + obj.position, *tips):
-        return "segment_crossing", None
-    return "", (obj, hand)
+    rot = np.stack([co, -so, so, co], axis=1).reshape(-1, 2, 2)
+    t_hat, n_hat = np.stack([ch, sh], axis=1), np.stack([sh, -ch], axis=1)
+    # the flush patch's ends along the hand, its face turned as transform()
+    gone, on = np.zeros(len(z), dtype=bool), np.flatnonzero(flush >= 0)
+    if len(on):
+        c, s = co[on], so[on]
+        ta, tb = (np.vecdot(t_hat[on], np.stack(
+            [c * v[:, 0] - s * v[:, 1], s * v[:, 0] + c * v[:, 1]], axis=1)
+            + obj[on, 0] - center[on]) for v in (
+                poly.vertices[(flush[on] + k) % poly.n_vertices] for k in (0, 1)))
+        gone[on] = np.minimum(np.maximum(ta, tb), half) \
+            - np.maximum(np.minimum(ta, tb), -half) <= 1e-9
+    # penetration_depth's: the ground, each wall and the hand
+    verts = poly.vertices @ rot.transpose(0, 2, 1) + obj
+    rel = verts - center[:, None]
+    tang, gaps = ((rel @ u[..., None])[..., 0] for u in (t_hat, n_hat))
+    worst = np.minimum.reduce([
+        verts[..., 1] - sw.world.ground_height,
+        *(wall.facing * (verts[..., 0] - wall.x) for wall in sw.world.walls),
+        np.where(np.abs(tang) <= half + 1e-9, gaps, math.inf)]).min(axis=1)
+    tips = np.stack([center - half * t_hat, center + half * t_hat], axis=1)
+    tip_obj = rot[:, None].transpose(0, 1, 3, 2) @ (tips - obj)[..., None]
+    inside = ((poly.normals @ tip_obj)[..., 0] - poly.offsets < -1e-9).all(axis=2)
+    reasons = np.where(gone, _CODE["patch_gone"], np.where(
+        worst < -PENETRATION_TOL, _CODE["penetration"], np.where(
+            inside.any(axis=1), _CODE["tip_inside"], np.where(
+                _segment_face_crossing(verts, tips[:, 0], tips[:, 1]),
+                _CODE["segment_crossing"], 0))))
+    return reasons, ends
 
 
-def _segment_face_crossing(verts, tip_a, tip_b) -> bool:
-    """True if the hand segment properly crosses any polygon face, grazing
-    within tolerance not counting: every face at once, by cross products."""
-    ends, seg = np.roll(verts, -1, axis=0), tip_b - tip_a
+def _segment_face_crossing(verts, tip_a, tip_b):
+    """Whether the hand segment properly crosses any polygon face, grazing
+    within tolerance not counting: every face at once, by cross products,
+    for each leading index of verts (..., n, 2) and the tips (..., 2)."""
+    ends, seg = np.roll(verts, -1, axis=-2), tip_b - tip_a
     edge = ends - verts
-    d1, d2 = (edge[:, 0] * (t[1] - verts[:, 1]) - edge[:, 1] * (t[0] - verts[:, 0])
+    d1, d2 = (edge[..., 0] * (t[..., 1, None] - verts[..., 1])
+              - edge[..., 1] * (t[..., 0, None] - verts[..., 0])
               for t in (tip_a, tip_b))
-    d3, d4 = (seg[0] * (v[:, 1] - tip_a[1]) - seg[1] * (v[:, 0] - tip_a[0])
+    d3, d4 = (seg[..., 0, None] * (v[..., 1] - tip_a[..., 1, None])
+              - seg[..., 1, None] * (v[..., 0] - tip_a[..., 0, None])
               for v in (verts, ends))
-    return bool(((d1 * d2 < -1e-18) & (d3 * d4 < -1e-18) & (np.minimum(
-        abs(d1), abs(d2)) > 1e-9 * np.maximum(1.0, np.hypot(*edge.T)))).any())
+    return ((d1 * d2 < -1e-18) & (d3 * d4 < -1e-18) & (np.minimum(
+        abs(d1), abs(d2)) > 1e-9 * np.maximum(1.0, np.hypot(
+            edge[..., 0], edge[..., 1])))).any(axis=-1)
 
 
 def _unbalanced(table, cols, weight) -> bool:
-    """True when the object touches only lines of the fixed world and their
-    forces cannot cancel its weight whatever the iterate (see _inconsistent).
-    """
-    rows = [table.rows[c][0] for c in cols]
-    if any(row[_LB] != _WORLD for row in rows):
-        return False
-    return _inconsistent(weight, tuple((*row[_N:_N + 4], row[_S] * row[_MU])
-                                       for row in rows))
+    """True when forces on the world lines of cols (an environment part)
+    cannot cancel the object's weight whatever the iterate (see
+    _inconsistent)."""
+    return _inconsistent(weight, tuple(
+        (*row[_N:_N + 4], row[_S] * row[_MU])
+        for row, _ in (table.rows[c] for c in cols)))
 
 
 def _misfit(table, cols) -> bool:
@@ -980,53 +1061,46 @@ def _inconsistent(weight, lines) -> bool:
     return float(np.linalg.norm(A @ f - b)) > 1e-6 * math.sqrt(len(A))
 
 
-def _solve_pass(sw, target, hyps):
-    """Solve and screen one enumeration pass: one trial per hypothesis, and
-    the number of _system calls.
+def _solve_pass(sw, target, hyps) -> _Pass:
+    """Solve and screen one enumeration pass of any hypotheses, laid out
+    once per distinct part (_ContactRows.layout).
 
     Hypotheses whose world contacts cannot balance the weight, and those
     with a misfit stick pair, are rejected as no_converge before Newton
-    runs.  The rest stream, in (min_norm, contact count) order, so that each
-    system size is one run and padding stays small, through blocks of at
-    most _SLOTS contact slots, which keeps the stacked arrays to a few MB
-    when a wall brings hundreds of hypotheses.  Once the members still
-    running in a block fill no more than _HANDOFF of the slots and
-    hypotheses are left, they are handed off with their iterates and counts
-    to the next block, which the next hypotheses in order fill up: a block's
-    slowest members ride along with fresh ones instead of iterating alone,
-    each iteration a _system call whatever the batch size.  Each block's
-    batch gathers its members' rows of the pass's index matrix, carried
-    ones included; as each admits at least 1 - _HANDOFF of the slots anew,
-    a pass builds at most twice as many batches as blocks at one half.
+    runs.  The rest stream, in (min_norm, contact count) order, so that
+    each system size is one run and padding stays small, through blocks of
+    at most _SLOTS contact slots, a few MB of stacked arrays.  Once the
+    members still running in a block fill no more than _HANDOFF of the
+    slots and hypotheses are left, they are handed off with their iterates
+    and counts to the next block, which the next hypotheses fill up: a
+    block's slowest members ride along with fresh ones, each iteration one
+    _system call whatever the batch size.  As each block admits at least 1
+    - _HANDOFF of the slots anew, a pass builds at most twice as many
+    batches as blocks at one half.  The members a block stops are screened
+    together (_screen); those that pass, once more at the pass's end
+    (_misplaced).
     """
     table, ref = _ContactRows(sw), _Reference(sw, target)
-    cols = [table(h) for h in hyps]
-    index, c, counts = table.index(cols), table.col, [len(t) for t in cols]
-    # sticking contacts by interface and by kind: two stick points on one line
-    # leave the tangential split wrench neutral, a null space a plain solve
-    # would blow up on; a screen fails only on world lines or a pair of a kind
-    keys = np.sort(np.where(c.stick[index], [c.iface[index], c.kind[index]], -1))
-    pair = (keys[..., 1:] == keys[..., :-1]) & (keys[..., 1:] >= 0)
-    min_norm, paired = pair.any(axis=2)
-    world = (c.lb[index] == _WORLD).all(axis=1).tolist()
-    trials, queue = [None] * len(hyps), []
-    for i in np.lexsort((counts, min_norm)).tolist():
-        if world[i] and _unbalanced(table, cols[i], ref.weight) \
-                or paired[i] and _misfit(table, cols[i]):
-            trials[i] = _Trial(hyps[i], "no_converge", 0, None)
-        else:
-            queue.append(i)
+    lay = table.layout(hyps, ref.weight)
+    counts = lay.counts.tolist()
+    reasons = np.where(lay.unbalanced | lay.misfit, _CODE["no_converge"], 0)
+    evaluations, solutions = np.zeros(len(hyps), dtype=int), {}
+    passed = {}     # by hypothesis: its iterate, residual and end geometry
+    order = np.lexsort((lay.counts, lay.min_norm))
+    queue = order[reasons[order] == 0].tolist()
     # block: the members handed off, with their iterates z and counts
     block, z, count, calls, pos = [], np.zeros((0, 6)), np.zeros(0, int), 0, 0
     while pos < len(queue):
-        width, carried = max((counts[i] for i in block), default=1), len(block)
-        while pos < len(queue):
-            w = max(width, counts[queue[pos]])
-            if len(block) > carried and (len(block) + 1) * w > _SLOTS:
-                break
-            block.append(queue[pos])
-            width, pos = w, pos + 1
-        batch = _Batch(table, index[block, :width], min_norm[block])
+        # the next hypotheses join while the block's slots fit, one at least
+        carried = len(block)
+        width = np.maximum.accumulate(np.maximum(
+            lay.counts[queue[pos:]], lay.counts[block].max() if block else 1))
+        n = max(1, np.count_nonzero(
+            (carried + 1 + np.arange(len(width))) * width <= _SLOTS))
+        block += queue[pos:pos + n]
+        width, pos = int(width[n - 1]), pos + n
+        members = np.array(block)
+        batch = _Batch(table, lay.index[members, :width], lay.min_norm[members])
         zb = np.zeros((len(block), 6 + 2 * width))
         cb = np.zeros(len(block), int)
         zb[:carried, :z.shape[1]], cb[:carried] = z[:, :zb.shape[1]], count
@@ -1034,32 +1108,39 @@ def _solve_pass(sw, target, hyps):
             if pos < len(queue) else 0
         res, running, block_calls = _newton(ref, batch, zb, cb, handoff)
         calls += block_calls
-        reasons, geometry = _screen(ref, batch, zb, res)
-        for j in np.flatnonzero(~running).tolist():
+        codes, geometry = _screen(ref, batch, zb, res)
+        stopped = ~running
+        reasons[members[stopped]] = codes[stopped]
+        evaluations[members[stopped]] = cb[stopped]
+        for j in np.flatnonzero(stopped & (codes == 0)).tolist():
             i = block[j]
-            m, reason, sol = 6 + 2 * counts[i], reasons[j], None
-            if not reason:
-                reason, poses = _misplaced(sw, hyps[i], zb[j])
-            if not reason:
-                rows = [table.rows[k] for k in cols[i]]
-                slips = geometry[j][2][:counts[i]].tolist()
-                sol = {"rows": rows, "z": zb[j, :m].copy(), "poses": poses,
-                       "geometry": geometry[j], "residual": float(res[j]),
-                       "dissipation": float(sum(
-                           sl ** 2 for sl, (row, _) in zip(slips, rows)
-                           if row[_S] != 0))}
-            trials[i] = _Trial(hyps[i], reason, cb.item(j), sol)
-        block = [block[j] for j in np.flatnonzero(running).tolist()]
+            passed[i] = (zb[j, :6 + 2 * counts[i]].copy(), float(res[j]),
+                         tuple(g[j] for g in geometry))
+        block = members[running].tolist()
         z, count = zb[running], cb[running]
-    return trials, calls
+    if passed:
+        at = list(passed)
+        reasons[at] = _misplaced(sw, np.array([passed[i][0][:6] for i in at]),
+                                 lay.flush[at])[0]
+    for i, (zi, residual, geometry) in passed.items():
+        if reasons[i]:
+            continue
+        rows = [table.rows[k] for k in lay.index[i, :counts[i]].tolist()]
+        slips = geometry[2][:counts[i]].tolist()
+        solutions[i] = {
+            "rows": rows, "z": zi, "geometry": geometry, "residual": residual,
+            "dissipation": float(sum(sl ** 2 for sl, (row, _) in
+                                     zip(slips, rows) if row[_S] != 0))}
+    return _Pass(hyps, reasons, evaluations, solutions, calls)
 
 
-def _finish(sw, chosen, trials, stacked) -> ModeSolution:
-    """The chosen trial's report, with the tangential force of each stick
-    group re-split in proportion to the normal forces (wrench neutral)."""
-    sol = chosen.solution
-    z, (obj, hand), (points, directions, slips) = sol["z"], sol["poses"], \
-        sol["geometry"]
+def _finish(sw, hyp, sol, passes) -> ModeSolution:
+    """The report of the chosen trial (hyp, sol) of the passes, with the
+    tangential force of each stick group re-split in proportion to the
+    normal forces (wrench neutral)."""
+    z, (points, directions, slips) = sol["z"], sol["geometry"]
+    obj = PlanarPose(sw.object_pose.position + z[0:2], sw.object_pose.angle + z[2])
+    hand = PlanarPose(sw.hand_pose.position + z[3:5], sw.hand_pose.angle + z[5])
     forces = [[f, t] for f, t in zip(z[6::2].tolist(), z[7::2].tolist())]
     groups = {}
     for i, (row, (iface, _)) in enumerate(sol["rows"]):
@@ -1085,26 +1166,25 @@ def _finish(sw, chosen, trials, stacked) -> ModeSolution:
         if iface == "hand":
             hand_F += F
             hand_tau += cross2(point - center, F)
+    codes = np.concatenate([p.reasons for p in passes])
     return ModeSolution(
-        hypothesis=chosen.hyp, object_pose=obj,
+        hypothesis=hyp, object_pose=obj,
         hand_pose=hand, contacts=tuple(records),
         hand_wrench=Wrench2(hand_F, hand_tau, center),
         dissipation=sol["dissipation"], residual_norm=sol["residual"],
-        trials=len(trials),
-        newton_iterations=sum(t.evaluations for t in trials),
-        stacked_evaluations=stacked,
-        rejections=dict(sorted(Counter(t.reason for t in trials
-                                       if t.reason).items())),
+        trials=len(codes),
+        newton_iterations=sum(int(p.evaluations.sum()) for p in passes),
+        stacked_evaluations=sum(p.calls for p in passes),
+        rejections=dict(sorted((_REASONS[k], n) for k, n in enumerate(
+            np.bincount(codes).tolist()) if k and n)),
         # Newton evaluates every member it runs at least once
-        screened=sum(t.evaluations == 0 for t in trials))
+        screened=sum(int(np.count_nonzero(p.evaluations == 0)) for p in passes))
 
 
 def resolve_mode(sw: SimWorld, target: PlanarPose) -> ModeSolution:
     """Pick and solve the contact mode for one impedance target."""
-    hyps = enumerate_modes(sw)
-    trials, stacked = _solve_pass(sw, target, hyps)
-    ok = [t for t in trials if not t.reason]
-    if not ok:
+    passes = [_solve_pass(sw, target, enumerate_modes(sw))]
+    if not passes[0].solutions:
         # a flush candidate may suppress the slide label the command needs,
         # and one command may sweep across a contact the band does not see
         # yet; the screens still reject what the motion cannot touch
@@ -1114,27 +1194,27 @@ def resolve_mode(sw: SimWorld, target: PlanarPose) -> ModeSolution:
         radius = float(np.max(np.linalg.norm(
             verts - verts.mean(axis=0), axis=1)))
         reach = dp + dth * (sw.hand.half_length + 2.0 * radius)
-        seen = set(hyps)
-        more, calls = _solve_pass(sw, target, [
+        seen = set(passes[0].hyps)
+        passes.append(_solve_pass(sw, target, [
             h for h in enumerate_modes(sw, ACTIVATION_BAND + reach,
                                        suppress_overlaps=False)
-            if h not in seen])
-        trials, stacked = trials + more, stacked + calls
-        ok = [t for t in trials if not t.reason]
+            if h not in seen]))
+    ok = [(p.hyps[i], sol) for p in passes for i, sol in p.solutions.items()]
     if not ok:
-        diag = [{"mode": t.hyp.to_json(), "reason": t.reason} for t in trials]
-        if any(t.reason == "force_bound" for t in trials):
+        diag = [{"mode": h.to_json(), "reason": _REASONS[code]}
+                for p in passes for h, code in zip(p.hyps, p.reasons.tolist())]
+        if any(d["reason"] == "force_bound" for d in diag):
             raise JammedConfiguration(
-                f"all {len(trials)} mode hypotheses infeasible, contact force "
+                f"all {len(diag)} mode hypotheses infeasible, contact force "
                 f"bound {_FORCE_BOUND:g} N exceeded", diagnostics=diag)
         raise NoFeasibleMode(
-            f"no feasible contact mode among {len(trials)} hypotheses",
+            f"no feasible contact mode among {len(diag)} hypotheses",
             diagnostics=diag)
 
-    best_d = min(t.solution["dissipation"] for t in ok)
+    best_d = min(sol["dissipation"] for _, sol in ok)
+    tied = [(h, sol) for h, sol in ok if sol["dissipation"] <= best_d + 1e-13]
     # ties: a key of the hypothesis alone (see the module docstring)
-    chosen = min((t for t in ok
-                  if t.solution["dissipation"] <= best_d + 1e-13),
-                 key=lambda t: (-t.hyp.stick_count(), t.hyp.active_count(),
-                                repr(t.hyp.to_json())))
-    return _finish(sw, chosen, trials, stacked)
+    hyp, sol = tied[0] if len(tied) == 1 else min(
+        tied, key=lambda t: (-t[0].stick_count(), t[0].active_count(),
+                             repr(t[0].to_json())))
+    return _finish(sw, hyp, sol, passes)

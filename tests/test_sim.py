@@ -6,13 +6,15 @@ back from the solver.
 """
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 from unittest import mock
 
@@ -25,13 +27,15 @@ import ccfg.sim.engine as engine
 import ccfg.sim.resolve as resolve
 from ccfg.config import NoiseConfig, ZERO_NOISE
 from ccfg.core import (HandModel, PlanarPose, PolygonModel, Wall, WorldModel,
-                       cross2, rotation)
+                       cross2, hand_tangent, rotation)
 from ccfg.errors import InvariantViolation, JammedConfiguration, NoFeasibleMode
 from ccfg.sim import (Observation, SimWorld, enumerate_modes, resolve_mode,
                       step, synthesize_measurements)
-from ccfg.sim.modes import ACTIVE_LABELS, ContactModeHypothesis
+from ccfg.sim.modes import (ACTIVE_LABELS, ContactModeHypothesis,
+                             _hand_candidates)
 from ccfg.sim.resolve import (_HAND, _OBJ, _WORLD, _Batch, _ContactRows,
                               _Reference, _steps, _system)
+from ccfg.sim.world import penetration_depth
 
 BOX = PolygonModel([[-0.06, -0.04], [0.06, -0.04], [0.06, 0.04], [-0.06, 0.04]])
 MASS = 0.5
@@ -97,6 +101,33 @@ def assert_matches_recording(sols, worlds, recorded):
                                    rec["object_pose"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(sw.hand_pose.as_vector(),
                                    rec["hand_pose"], rtol=0, atol=1e-12)
+
+
+# one hypothesis's trial in a pass: its reason ("" when feasible), its
+# evaluations of R and, when feasible, what the report needs of it
+Trial = namedtuple("Trial", "hyp reason evaluations solution")
+
+
+def pass_trials(solved):
+    """The trials of a pass that resolve._solve_pass returned, in order."""
+    return [Trial(h, resolve._REASONS[code], n, solved.solutions.get(i))
+            for i, (h, code, n) in enumerate(zip(
+                solved.hyps, solved.reasons.tolist(),
+                solved.evaluations.tolist()))]
+
+
+def solve_pass(sw, target, hyps):
+    """One resolver pass over hyps, as trials."""
+    return pass_trials(resolve._solve_pass(sw, target, hyps))
+
+
+def laid_out(sw, hyps):
+    """A table of sw's contacts and hyps laid out on it, with each
+    hypothesis's tuple of columns."""
+    build = _ContactRows(sw)
+    lay = build.layout(hyps, WEIGHT)
+    return build, lay, [tuple(row[:n].tolist())
+                        for row, n in zip(lay.index, lay.counts)]
 
 
 def net_wrench_residual(sw, sol):
@@ -175,6 +206,29 @@ def test_vertex_on_ground_and_wall_must_double_stick():
                 assert ground[v] == "stick" and lab == "stick"
                 saw_double += 1
     assert saw_double > 0
+
+
+def test_tip_candidates_come_tip_major():
+    # a house-shaped pentagon whose roof, two faces 0.6 degrees off flat,
+    # faces the level hand resting on its ridge: the left tip (-1) lies
+    # within the band of the left roof face (3), the right tip (+1) within
+    # that of the right one (2).  The face sweep meets face 2 first; sorted,
+    # the candidates, and so the hypotheses and their to_json() order, come
+    # tip by tip
+    house = PolygonModel([[-0.06, -0.04], [0.06, -0.04], [0.06, 0.04],
+                          [0.0, 0.0406], [-0.06, 0.04]])
+    sw = make_world(PlanarPose([0.0, 0.04], 0.0),
+                    PlanarPose([0.0, 0.0806], 0.0), polygon=house)
+    assert _hand_candidates(sw, sw.vertices_world(), 1e-3)[1] \
+        == [(-1, 3), (1, 2)]
+    seen = []
+    for h in enumerate_modes(sw):
+        hc = h.hand_contact
+        if hc is not None and hc.kind in ("tip", "pair") and (
+                hc.kind, hc.face, hc.tip, hc.vertex) not in seen:
+            seen.append((hc.kind, hc.face, hc.tip, hc.vertex))
+    assert seen == [("tip", 3, -1, -1), ("tip", 2, 1, -1),
+                    ("pair", 3, -1, 3), ("pair", 2, 1, 3)]
 
 
 # -------------------------------------------------------------- statics oracles
@@ -380,7 +434,7 @@ def test_corner_handoff_during_long_drag(monkeypatch):
         assert len(hyps) == sol.trials
         feasible, rejected = 0, Counter()
         for h in hyps:
-            [trial], _ = resolve._solve_pass(before, tgt, [h])
+            [trial] = solve_pass(before, tgt, [h])
             if trial.reason:
                 rejected[trial.reason] += 1
             else:
@@ -449,11 +503,12 @@ def test_contact_jacobian_matches_finite_differences():
     sw = make_world(PlanarPose([0.0, 0.04], 0.0),
                     PlanarPose([0.03, 0.0805], 0.0), world=w)
     tgt = PlanarPose([0.032, 0.079], 0.01)
-    build = _ContactRows(sw)
+    hyps = enumerate_modes(sw, suppress_overlaps=False)
+    build, _, cols = laid_out(sw, hyps)
     picked, kinds = [], set()
-    for h in enumerate_modes(sw, suppress_overlaps=False):
+    for h, c in zip(hyps, cols):
         new = {(row[0], row[1], iface[:4], label == "stick")
-               for row, (iface, label) in map(build.rows.__getitem__, build(h))
+               for row, (iface, label) in map(build.rows.__getitem__, c)
                } - kinds
         if new:
             picked.append(h)
@@ -463,8 +518,8 @@ def test_contact_jacobian_matches_finite_differences():
     assert {(pb, lb, where, stick) for pb, lb, where in want
             for stick in (True, False)} <= kinds
 
-    batch = _Batch(build, build.index([build(h) for h in picked]),
-                   np.zeros(len(picked), bool))
+    build, lay, _ = laid_out(sw, picked)
+    batch = _Batch(build, lay.index, np.zeros(len(picked), bool))
     ref = _Reference(sw, tgt)
     rng = np.random.default_rng(11)
     M, n = len(picked), 6 + 2 * batch.slots
@@ -607,6 +662,66 @@ def test_enumeration_matches_recording(setting):
     assert h.hexdigest() == digest
 
 
+# what _unbalanced and _misfit read of a table: its rows
+Table = namedtuple("Table", "rows")
+
+
+def reference_layout(sw, hyps):
+    """Per hypothesis, from its own rows as each pass once derived them: its
+    rows and labels, min_norm (two sticking contacts on one interface),
+    paired (two of one kind), world (only world lines), the weight screen's
+    verdict on a world hypothesis, the misfit screen's on a paired one, and
+    its flush face (-1 for none).  Rows are built once per key."""
+    build, built, out = _ContactRows(sw), {}, []
+    for h in hyps:
+        keys = [("hand", h.hand_contact, h.hand_label)] \
+            if h.hand_label != "none" else []
+        keys += [("ground", v, lab) for v, lab in h.ground if lab != "separate"]
+        keys += [(k, v, lab) for k, v, lab in h.walls if lab != "separate"]
+        for key in keys:
+            if key not in built:
+                built[key] = build._build(*key)
+        rows = [r for key in keys for r in built[key]]
+        sticks = [(iface, row[0], row[1]) for row, (iface, _) in rows
+                  if row[resolve._S] == 0]
+        paired = len({s[1:] for s in sticks}) < len(sticks)
+        world = all(row[1] == _WORLD for row, _ in rows)
+        table, hc = Table(rows), h.hand_contact
+        out.append((rows, len({s[0] for s in sticks}) < len(sticks), paired,
+                    world,
+                    world and resolve._unbalanced(table, range(len(rows)), WEIGHT),
+                    paired and resolve._misfit(table, range(len(rows))),
+                    hc.face if hc is not None and hc.kind == "flush" else -1))
+    return out
+
+
+def test_layout_matches_per_hypothesis_reference():
+    # each pass's layout, derived per hand and environment part, against
+    # each hypothesis derived on its own: the drag, wall and pivot states at
+    # the three enumeration settings, each list forward and reversed, and
+    # every 20th state's default list one hypothesis at a time
+    def layout(sw, hyps):
+        build, lay, cols = laid_out(sw, hyps)
+        return [([build.rows[c] for c in col], *flags)
+                for col, *flags in zip(cols, *(
+                    getattr(lay, f).tolist() for f in (
+                        "min_norm", "paired", "world", "unbalanced",
+                        "misfit", "flush")))]
+
+    states, checked, screened = drag_states() + wall_states() + pivot_states(), 0, 0
+    for kwargs, _ in ENUMERATION_DIGESTS.values():
+        for k, (sw, _) in enumerate(states):
+            hyps = enumerate_modes(sw, **kwargs)
+            want = reference_layout(sw, hyps)
+            assert layout(sw, hyps) == want
+            assert layout(sw, hyps[::-1]) == want[::-1]
+            if not kwargs and k % 20 == 0:
+                assert [layout(sw, [h])[0] for h in hyps] == want
+            checked += len(hyps)
+            screened += sum(w[4] or w[5] for w in want)
+    assert checked == 234400 and screened > 10000
+
+
 def unscreened(trials_of):
     """Run trials_of() with both screens before Newton switched off."""
     with mock.patch.object(resolve, "_unbalanced", return_value=False), \
@@ -623,11 +738,11 @@ def test_screened_hypotheses_never_converge():
     screened = 0
     for sw, target in drag_states()[::4] + wall_states()[::2] \
             + pivot_states():
-        build = _ContactRows(sw)
-        hyps = [h for h in enumerate_modes(sw)
-                if resolve._unbalanced(build, build(h), WEIGHT)]
+        hyps = enumerate_modes(sw)
+        hyps = [h for h, unbalanced in zip(
+            hyps, laid_out(sw, hyps)[1].unbalanced) if unbalanced]
         assert all(h.hand_label == "none" for h in hyps)
-        trials, _ = unscreened(lambda: resolve._solve_pass(sw, target, hyps))
+        trials = unscreened(lambda: solve_pass(sw, target, hyps))
         assert all(t.reason == "no_converge" and t.evaluations > 0
                    for t in trials)
         screened += len(hyps)
@@ -661,16 +776,15 @@ def test_misfit_stick_pairs_stay_above_the_bound():
 
     screened = evaluations = 0
     for sw, target in drag_states() + wall_states() + pivot_states():
-        build = _ContactRows(sw)
-        hyps = [h for h in enumerate_modes(sw)
-                if resolve._misfit(build, build(h))]
+        hyps = enumerate_modes(sw)
+        hyps = [h for h, misfit in zip(hyps, laid_out(sw, hyps)[1].misfit)
+                if misfit]
         if not hyps:
             continue
         last_iterate.clear()
         with mock.patch.object(resolve, "_system", stacked), \
                 mock.patch.object(resolve._Alone, "system", alone):
-            trials, _ = unscreened(
-                lambda: resolve._solve_pass(sw, target, hyps))
+            trials = unscreened(lambda: solve_pass(sw, target, hyps))
         assert all(t.reason == "no_converge" and t.evaluations > 0
                    for t in trials)
         screened += len(hyps)
@@ -702,15 +816,13 @@ def test_trial_does_not_depend_on_its_batch():
     for sw, target in drag_states()[::4] + wall_states()[::2]:
         hyps = enumerate_modes(sw)
         with mock.patch.object(resolve, "_SLOTS", 10 ** 6):
-            whole = [trial_outcome(t)
-                     for t in resolve._solve_pass(sw, target, hyps)[0]]
+            whole = [trial_outcome(t) for t in solve_pass(sw, target, hyps)]
         with mock.patch.object(resolve, "_SLOTS", 24):
             rev = [trial_outcome(t)
-                   for t in resolve._solve_pass(sw, target, hyps[::-1])[0]]
+                   for t in solve_pass(sw, target, hyps[::-1])]
         assert whole == rev[::-1]
-        assert whole == [
-            trial_outcome(resolve._solve_pass(sw, target, [h])[0][0])
-            for h in hyps]
+        assert whole == [trial_outcome(solve_pass(sw, target, [h])[0])
+                         for h in hyps]
         alone += len(hyps)
         feasible += sum(len(o) > 2 for o in whole)
     assert feasible > 100 and alone > 15000
@@ -724,9 +836,10 @@ def test_handoff_carries_trials_unchanged():
     batches, owner, newton = [], {}, resolve._newton
 
     class Named(_ContactRows):
-        def __call__(self, hyp):
-            out = super().__call__(hyp)
-            owner[id(self), out] = hyp
+        def layout(self, hyps, weight):
+            out = super().layout(hyps, weight)
+            for hyp, row, n in zip(hyps, out.index, out.counts):
+                owner[id(self), tuple(row[:n].tolist())] = hyp
             return out
 
     def recorded(ref, batch, *args):
@@ -742,15 +855,28 @@ def test_handoff_carries_trials_unchanged():
         with mock.patch.object(resolve, "_SLOTS", 64), \
                 mock.patch.object(resolve, "_ContactRows", Named), \
                 mock.patch.object(resolve, "_newton", recorded):
-            trials, _ = resolve._solve_pass(sw, target, hyps)
+            trials = solve_pass(sw, target, hyps)
         assert [t.hyp for t in trials] == hyps
         seen = Counter(h for batch in batches for h in batch)
         carried = [i for i, h in enumerate(hyps) if seen[h] > 1]
         for i in carried:
-            [alone], _ = resolve._solve_pass(sw, target, [hyps[i]])
+            [alone] = solve_pass(sw, target, [hyps[i]])
             assert trial_outcome(trials[i]) == trial_outcome(alone)
         carried_total += len(carried)
     assert carried_total > 0
+
+
+def test_resolve_enumerates_through_the_module_once_per_pass():
+    # resolve_mode looks enumerate_modes up on ccfg.sim.resolve for each
+    # pass, the name perfbench/tracing.py rebinds to time sim.enumerate: once
+    # on a state the first pass settles, twice on a wall state that needs
+    # the fallback pass
+    for (sw, target), passes in ((wall_states()[0], 1), (wall_states()[33], 2)):
+        with mock.patch.object(resolve, "enumerate_modes",
+                               wraps=enumerate_modes) as enumerated:
+            sol = resolve_mode(sw, target)
+        assert enumerated.call_count == passes
+        assert (sol.trials > len(enumerate_modes(sw))) == (passes == 2)
 
 
 def test_stacked_evaluations_count_system_calls():
@@ -784,9 +910,8 @@ def test_steps_route_singular_and_ill_conditioned_members_to_gelsy():
     # step exceeds 1e8 take gelsy's minimum-norm step, which solves
     # J dz = -R on J's range
     sw = flush_world(0.0800)
-    build = _ContactRows(sw)
-    batch = _Batch(build, build.index([build(enumerate_modes(sw)[1])] * 3),
-                   np.zeros(3, bool))
+    build, lay, _ = laid_out(sw, [enumerate_modes(sw)[1]] * 3)
+    batch = _Batch(build, lay.index, np.zeros(3, bool))
     n = 6 + 2 * batch.slots
     rng = np.random.default_rng(5)
     regular = rng.normal(size=(n, n)) + n * np.eye(n)
@@ -821,9 +946,10 @@ def test_system_layout_is_per_member():
     # their rows byte for byte
     rng, systems = np.random.default_rng(27), 0
     for sw, target in drag_states()[::20] + wall_states()[::10] + pivot_states():
-        build, ref = _ContactRows(sw), _Reference(sw, target)
-        cols = [c for c in map(build, enumerate_modes(sw)) if c]
-        batch = _Batch(build, build.index(cols), np.zeros(len(cols), bool))
+        ref = _Reference(sw, target)
+        build, lay, _ = laid_out(sw, enumerate_modes(sw))
+        cols = lay.index[lay.counts > 0]
+        batch = _Batch(build, cols, np.zeros(len(cols), bool))
         M, n = len(cols), 6 + 2 * batch.slots
         own = np.arange(n) < 6 + 2 * batch.counts[:, None]
         random = np.concatenate([rng.normal(0.0, 1e-3, (M, 6)),
@@ -881,7 +1007,7 @@ def test_scalar_member_matches_system_bit_for_bit():
 
     def recorded(*args):
         out = passes(*args)
-        trials.extend(out[0])
+        trials.extend(pass_trials(out))
         return out
 
     with mock.patch.object(resolve, "_TAIL", 0), \
@@ -922,11 +1048,10 @@ def test_tail_ends_members_as_the_stacked_loop_does():
     w = WorldModel(ground_height=0.0, walls=(Wall(0.0605, -1),))
     sw = make_world(PlanarPose([0.0, 0.04], 0.0),
                     PlanarPose([0.03, 0.0805], 0.0), world=w)
-    build, ref = _ContactRows(sw), _Reference(sw, PlanarPose([0.032, 0.079],
-                                                            0.01))
-    rows = [build(h) for h in enumerate_modes(sw, suppress_overlaps=False)]
+    ref = _Reference(sw, PlanarPose([0.032, 0.079], 0.01))
+    build, lay, rows = laid_out(sw, enumerate_modes(sw, suppress_overlaps=False))
     rows = [r for r in rows if r]
-    batch = _Batch(build, build.index(rows), np.zeros(len(rows), bool))
+    batch = _Batch(build, lay.index[lay.counts > 0], np.zeros(len(rows), bool))
     rng = np.random.default_rng(3)
     n = 6 + 2 * batch.slots
     z = np.zeros((len(rows), n))
@@ -1045,10 +1170,10 @@ def test_screen_rejects_only_what_newton_cannot_balance(
     hyp = ContactModeHypothesis("none", None, tuple(ground),
                                 tuple((0, v, lab) for v, lab in walls))
     target = sw.hand_pose
-    [trial], _ = resolve._solve_pass(sw, target, [hyp])
+    [trial] = solve_pass(sw, target, [hyp])
     if trial.evaluations == 0:
         assert trial.reason == "no_converge"
-        [full], _ = unscreened(lambda: resolve._solve_pass(sw, target, [hyp]))
+        [full] = unscreened(lambda: solve_pass(sw, target, [hyp]))
         assert full.reason == "no_converge" and full.evaluations > 0
 
 
@@ -1082,6 +1207,183 @@ def test_segment_face_crossing_matches_the_loop():
         assert resolve._segment_face_crossing(verts, tip_a, tip_b) == want
         crossings += want
     assert 1000 < crossings < 5000
+
+
+def misplaced_member(sw, face, z):
+    """_misplaced's checks as the resolver ran them, one member at a time
+    (face: its flush face, -1 for none): the first that fails ("" when all
+    pass) and the end poses, the one kept for the report."""
+    obj = PlanarPose(sw.object_pose.position + z[0:2], sw.object_pose.angle + z[2])
+    hand = PlanarPose(sw.hand_pose.position + z[3:5], sw.hand_pose.angle + z[5])
+    ends = np.r_[obj.as_vector(), hand.as_vector()]
+    t_hat, center, half = hand_tangent(hand.angle), hand.position, \
+        sw.hand.half_length
+    if face >= 0:
+        ta, tb = (float(t_hat @ (obj.transform(v) - center))
+                  for v in sw.polygon.face_endpoints(face))
+        lo, hi = min(ta, tb), max(ta, tb)
+        if min(hi, half) - max(lo, -half) <= 1e-9:
+            return "patch_gone", ends
+    if penetration_depth(sw, obj, hand) < -resolve.PENETRATION_TOL:
+        return "penetration", ends
+    Rm, tips = obj.rotation, (center - half * t_hat, center + half * t_hat)
+    for tip in tips:
+        tip_obj = Rm.T @ (tip - obj.position)
+        if np.all(sw.polygon.all_face_residuals(tip_obj) < -1e-9):
+            return "tip_inside", ends
+    if segment_face_crossing_loop(sw.polygon.vertices @ Rm.T + obj.position,
+                                  *tips):
+        return "segment_crossing", ends
+    return "", ends
+
+
+def assert_misplaced_per_member(sw, z, flush, misplaced=resolve._misplaced):
+    """_misplaced on a block gives each member's reason and end poses bit
+    for bit; returns the reasons."""
+    codes, ends = misplaced(sw, z, flush)
+    want = [misplaced_member(sw, face, zi) for zi, face in zip(z, flush)]
+    assert [resolve._REASONS[c] for c in codes.tolist()] == [w[0] for w in want]
+    assert ends.tobytes() == np.array([w[1] for w in want]).tobytes()
+    return [w[0] for w in want]
+
+
+def test_block_misplaced_matches_per_member_checks():
+    # every member that passes _screen on the drag, wall and pivot states,
+    # first and fallback passes, as the resolver checks them: each pass's
+    # at once (1,843 members in 401 calls, up to 21 at a time)
+    misplaced, reasons = resolve._misplaced, Counter()
+
+    def checked(sw, z, flush):
+        reasons.update(assert_misplaced_per_member(sw, z, flush, misplaced))
+        return misplaced(sw, z, flush)
+
+    with mock.patch.object(resolve, "_misplaced", checked):
+        for sw, target in drag_states() + wall_states() + pivot_states():
+            resolve_mode(sw, target)
+    assert reasons == {"": 635, "penetration": 533, "tip_inside": 675}
+
+
+# End iterates at each geometric check's tolerance, for the box at rest by a
+# wall with the hand above it (EDGE_WORLD): per case its flush face, its
+# two reasons, the iterate z at the tie with object and hand level, the
+# scale by which a draw moves each entry of z, and the direction in z that
+# crosses from the first reason to the second.  The cases: the lowest vertex
+# 1e-9 below the ground, a vertex 1e-9 past the wall, a hand tip 1e-9 inside
+# the top face, the hand line cutting the top right corner 1e-9 deep
+# (penetration, else segment_crossing), and a flush patch on the top face
+# (face 2) 1e-9 long.
+EDGE_WORLD = make_world(PlanarPose([0.0, 0.04], 0.0),
+                        PlanarPose([0.03, 0.0805], 0.0),
+                        world=WorldModel(ground_height=0.0,
+                                         walls=(Wall(0.0605, -1),)))
+_Q = math.sqrt(0.5)
+EDGE_CASES = [
+    (-1, ("penetration", ""), (0.0, -1e-9, 0.0, 0.0, 0.0, 0.0),
+     (0.0, 2e-9, 1e-9, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+    (-1, ("", "penetration"), (5e-4 + 1e-9, 0.0, 0.0, 0.0, 0.0, 0.0),
+     (2e-9, 0.0, 1e-9, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    (-1, ("tip_inside", ""),
+     (0.0, 0.0, 0.0, 0.029 + 0.05 * _Q, 0.05 * _Q - 5e-4 - 1e-9, math.pi / 4),
+     (0.0, 0.0, 1e-9, 2e-9, 2e-9, 1e-9), (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
+    (-1, ("penetration", "segment_crossing"),
+     (0.0, 0.0, 0.0, 0.03 - 1e-9 * _Q, -5e-4 - 1e-9 * _Q, -math.pi / 4),
+     (0.0, 0.0, 1e-9, 5e-10, 5e-10, 1e-9), (0.0, 0.0, 0.0, _Q, _Q, 0.0)),
+    (2, ("", "patch_gone"), (0.0, 0.0, 0.0, 0.08 - 1e-9, -5e-4, 0.0),
+     (0.0, 0.0, 1e-9, 2e-9, 1e-9, 1e-9), (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)),
+]
+# the object turns at which edge_ties() finds each case's tie
+EDGE_TURNS = tuple(0.1 + 0.2 * k for k in range(-6, 6))
+
+
+def turned(case, theta):
+    """The iterate of an EDGE_CASES case with the object turned by theta,
+    and its direction: at the ground or the wall, the tie worked out again
+    for the turned vertices, with the hand raised well clear; otherwise the
+    object lifted clear of the ground and the wall, and the hand and the
+    direction turned with it about the object's center."""
+    _, _, z, _, direction = case
+    verts, turn = BOX.vertices @ rotation(theta).T, rotation(theta)
+    if direction[1]:
+        return np.r_[-0.02, -1e-9 - 0.04 - verts[:, 1].min(), theta, 0, 0.1,
+                     0], np.array(direction)
+    if direction[0]:
+        return np.r_[0.0605 + 1e-9 - verts[:, 0].max(), 0.05, theta, 0, 0.1,
+                     0], np.array(direction)
+    obj, lift = EDGE_WORLD.object_pose.position + z[0:2], np.array([-0.03, 0.05])
+    hand = EDGE_WORLD.hand_pose.position + z[3:5]
+    return np.r_[np.add(z[0:2], lift), z[2] + theta, obj + lift + turn @ (
+        hand - obj) - EDGE_WORLD.hand_pose.position, z[5] + theta], \
+        np.r_[0.0, 0.0, 0.0, turn @ direction[3:5], 0.0]
+
+
+@functools.lru_cache(maxsize=None)
+def edge_ties():
+    """Per case and turn in EDGE_TURNS, the two iterates of the turned scene
+    next to its tie along the case's direction, on the first reason's side
+    and on the second's: bisected from 0.8e-9 either side of turned() until
+    no entry of the midpoint differs from both."""
+    ties = []
+    for case, theta in itertools.product(EDGE_CASES, EDGE_TURNS):
+        face, reasons = case[:2]
+        z, direction = turned(case, theta)
+        lo, hi = -0.8e-9, 0.8e-9
+        assert [misplaced_member(EDGE_WORLD, face, z + t * direction)[0]
+                for t in (lo, hi)] == list(reasons)
+        while True:
+            mid = (lo + hi) / 2
+            at = z + mid * direction
+            if (at == z + lo * direction).all() or (at == z + hi * direction).all():
+                break
+            if misplaced_member(EDGE_WORLD, face, at)[0] == reasons[0]:
+                lo = mid
+            else:
+                hi = mid
+        ties.append((z + lo * direction, z + hi * direction))
+    return ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.integers(0, len(EDGE_CASES) - 1),
+    st.one_of(st.none(), st.integers(0, len(EDGE_TURNS) - 1)),
+    st.one_of(st.just([0.0] * 6), st.lists(st.floats(-1.0, 1.0), min_size=6,
+                                           max_size=6)),
+    st.integers(-3, 3)), min_size=1, max_size=8))
+@example([(k, t, [0.0] * 6, s) for k in range(len(EDGE_CASES))
+          for t in range(len(EDGE_TURNS)) for s in (-1, 0, 1, 2)])
+@example([(k, None, [s] * 6, 0) for k in range(len(EDGE_CASES))
+          for s in (-1.0, 1.0)])
+def test_block_misplaced_matches_per_member_at_the_tolerances(members):
+    # blocks of end iterates about the tolerances of EDGE_CASES, level or
+    # turned: moved by their scale, or from a turned scene's tie by up to 3
+    # floats in the entry its direction moves most, where one rounding
+    # apart would flip a reason: each member's reason and end poses are its
+    # own checks' bit for bit
+    z = []
+    for k, turn, p, steps in members:
+        face, _, base, scale, direction = EDGE_CASES[k]
+        zk = np.add(base if turn is None else
+                    edge_ties()[k * len(EDGE_TURNS) + turn][0],
+                    np.multiply(scale, p))
+        axis = np.abs(direction).argmax()
+        zk[axis] += steps * np.spacing(zk[axis])
+        z.append(zk)
+    flush = np.array([EDGE_CASES[k][0] for k, *_ in members])
+    assert_misplaced_per_member(EDGE_WORLD, np.array(z), flush)
+
+
+def test_tolerance_iterates_straddle_their_checks():
+    # moved by their scale one way and the other along their direction, the
+    # level iterates of EDGE_CASES give their two reasons, and so do the two
+    # sides of each turned tie
+    for case, (lo, hi) in zip([c for c in EDGE_CASES for _ in EDGE_TURNS],
+                              edge_ties()):
+        face, reasons, base, scale, direction = case
+        assert [misplaced_member(EDGE_WORLD, face, np.add(
+            base, np.multiply(scale, direction) * s))[0] for s in (-1, 1)] \
+            == list(reasons)
+        assert (misplaced_member(EDGE_WORLD, face, lo)[0],
+                misplaced_member(EDGE_WORLD, face, hi)[0]) == reasons
 
 
 # ------------------------------------------------------------- measurements
@@ -1406,8 +1708,8 @@ def test_flush_rotation_needs_the_fallback_pass():
     # mode, and the fallback finds the tip sliding along the top face
     target = PlanarPose([0.003, 0.0802], -0.02)
     sw = flush_world(0.0802)
-    first, _ = resolve._solve_pass(sw, target, enumerate_modes(sw))
-    assert all(t.reason for t in first)
+    first = resolve._solve_pass(sw, target, enumerate_modes(sw))
+    assert first.reasons.all() and not first.solutions
     sol = assert_flush_command_physical(target)
     assert sol.hypothesis.hand_mode == "slide_neg_point"
     hc = sol.hypothesis.hand_contact

@@ -20,17 +20,19 @@ held on, as a gap in a fixed world basis (world x/y at the hand, the line's
 own normal and tangent at the ground and walls); slide keeps the normal gap
 closed and ties f_t to -s * mu * f_n.  A face seated on the hand is two
 point contacts at the overlap patch ends, which reproduces the patch torque
-limits through f_n >= 0 at both ends.
+limits through f_n >= 0 at both ends.  Two contacts that stick on one
+interface are one patch: the first end is pinned, and the second, free end
+keeps its normal gap closed with f_t = 0, so the patch's tangential force
+is one unknown, which the report splits in proportion to the normal forces.
 
 The hypotheses of one enumeration pass stream through stacked Newton
 iteration with analytic Jacobians, one stacked LU solve per system size, at
 most _SLOTS contact slots at a time.  A member stops when it converges (max
 |R| <= 1e-10), diverges (a non-finite step or a pose step above 0.5) or has
 taken 40 steps; its residual is then evaluated once more, without the
-Jacobian.  Two collinear stick points leave the tangential split statically
-indeterminate and wrench-neutral: those systems, and any whose LU step is
-singular or above 1e8, take minimum-norm (gelsy) steps, and the report
-splits it in proportion to the normal forces.  In a pass's last block the
+Jacobian.  A system whose LU step is singular or above 1e8 (a jammed
+object, its forces undetermined, or an iterate that cannot converge)
+takes a minimum-norm (gelsy) step.  In a pass's last block the
 last _TAIL running members are finished one by one on Python floats
 (_Alone, built on core.point_on_line), with _system's operations.  As every
 entry of R and J comes from the arithmetic of the scalar expression it
@@ -43,8 +45,8 @@ none for the scalar tail): a trial comes out the same in any batch.
 
 Everything else is done once per pass, per block or per distinct part, as
 arrays.  A hypothesis is one hand option and one environment option of the
-enumeration; each distinct (interface, contact, label) is a column of the
-pass's table (_ContactRows), and each part's columns, flags and screen
+enumeration; each distinct (interface, contact, label, free) is a column of
+the pass's table (_ContactRows), and each part's columns, flags and screen
 verdicts are found once and gathered into the pass's index matrix, one row
 per hypothesis.  A batch (_Batch) is rows of that matrix, so building,
 compacting and handing off a batch are gathers (see _newton, _solve_pass).
@@ -73,9 +75,9 @@ g2| >= delta = | |p1 - p2| - |a1 - a2| |.  Hence max |R| >= delta /
 (2 sqrt(2)) at every iterate in exact arithmetic.  The feasibility test
 passes a trial at max |R| <= 1e-9 only, and rounding moves a stick row and
 delta by a few ulps of the rigs' coordinates, about 1e-16 m; a bound above
-1e-9 + 1e-12 therefore leaves the trial only no_converge.  The flush-stick
-patches of a rotated object are the case it catches: their anchors sit a
-hand spacing d apart, the face points d / cos(dtheta).
+1e-9 + 1e-12 therefore leaves the trial only no_converge.  A patch's free
+end is not pinned, so the pairs it checks lie on two interfaces: a ground
+vertex and a wall vertex that both stick.
 
 Only when no trial of the first pass, over enumerate_modes(sw), is feasible
 does one fallback pass run, over the hypotheses it has not tried with the
@@ -121,10 +123,11 @@ _OBJ, _HAND, _WORLD = 0, 1, 2          # bodies; the world has no unknowns
 # point of the line; pin is where the contact started (slip is measured from
 # it); the contact must stay within [lo, hi] along t from origin.  basis
 # holds the two stick residual rows in world coordinates, s the slide sign
-# (0 for stick).
-_PB, _LB, _P, _ANCHOR, _N, _BASIS, _LO, _HI, _S, _MU = \
-    0, 1, 2, 4, 6, 14, 18, 19, 20, 21
-_NCOL = 22
+# (0 for stick), free 1 on a stick patch's second end, whose rows are the
+# slide rows with s mu = 0.
+_PB, _LB, _P, _ANCHOR, _N, _BASIS, _LO, _HI, _S, _MU, _FREE = \
+    0, 1, 2, 4, 6, 14, 18, 19, 20, 21, 22
+_NCOL = 23
 
 _SIGN = {"stick": 0, "slide_pos": 1, "slide_neg": -1}
 _WORLD_POSE = np.array([0.0, 0.0, 1.0, 0.0])      # x, y, cos, sin
@@ -221,26 +224,26 @@ _CODE = {reason: k for k, reason in enumerate(_REASONS)}
 _Pass = namedtuple("_Pass", "hyps reasons evaluations solutions calls")
 _Columns = namedtuple("_Columns", "v v_perp basis lo hi s s_mu on_point "
                       "on_line sign d_angle lb d_rows gather kind iface "
-                      "hand_point stick")
+                      "hand_point stick slide")
 
 
 def _columns(data, ints, flags) -> _Columns:
     """Views of a table's (or a batch's) float, int and bool rows, per column:
     n, t, p, anchor, pin, origin (v) and their +90 degree turns, each body's
     incidence and sign (+1 on the point's body, -1 on the line's), the stick
-    rows' J by the pose deltas (d_rows), where place() gathers, the kind."""
+    rows' J by the pose deltas (d_rows), where place() gathers, the kind, a
+    stick label (stick) and slide rows (slide: a slide or a free end)."""
     K = data.shape[1]
     return _Columns(
         data[0:12], data[12:24], data[24:28].reshape(2, 2, K), data[28],
         data[29], data[30], data[31], data[32:34], data[34:36], data[36:38],
         data[38:44], data[44], data[45:57].reshape(2, 6, K), ints[:32],
-        ints[32], ints[33], flags[0], flags[1])
+        ints[32], ints[33], flags[0], flags[1], flags[2])
 
 
 # a pass's hypotheses as arrays: each one's columns (padded with -1) and
 # count, flags, screen verdicts and flush face (-1 for none)
-_Layout = namedtuple("_Layout", "index counts min_norm paired world "
-                     "unbalanced misfit flush")
+_Layout = namedtuple("_Layout", "index counts world unbalanced misfit flush")
 
 
 class _ContactRows:
@@ -285,25 +288,21 @@ class _ContactRows:
             [("ground", v, lab) for v, lab in h.ground if lab != "separate"]
             + [w for w in h.walls if w[2] != "separate"]) for h in env]
         self._derive()
-        # per part its row, count and flags: min_norm, two sticking contacts
-        # on one interface (their tangential split is wrench neutral, a null
-        # space a plain solve would blow up on); paired, two of one kind,
-        # which the misfit screen checks; its misfit verdict; off the world
+        # per part its row, count and flags: its misfit verdict, checked
+        # where two pinned contacts are of one kind; off the world
         counts = np.array([len(part) for part in parts], dtype=int)
         index = np.full((len(parts), max(1, counts.max(initial=0))), -1)
         index[np.arange(index.shape[1]) < counts[:, None]] = list(
             itertools.chain.from_iterable(parts))
         c = self.col
-        keys = np.sort(np.where(c.stick[index],
-                                [c.iface[index], c.kind[index]], -1))
-        min_norm, paired = ((keys[..., 1:] == keys[..., :-1])
-                            & (keys[..., 1:] >= 0)).any(axis=2)
+        kinds = np.sort(np.where(c.stick[index] & ~c.slide[index],
+                                 c.kind[index], -1))
+        paired = ((kinds[:, 1:] == kinds[:, :-1]) & (kinds[:, 1:] >= 0)).any(axis=1)
         misfit = [p and _misfit(self, part)
                   for p, part in zip(paired.tolist(), parts)]
-        flags = np.array([min_norm, paired, misfit,
-                          (c.lb[index] != _WORLD).any(axis=1)], dtype=bool)
+        flags = np.array([misfit, (c.lb[index] != _WORLD).any(axis=1)], dtype=bool)
         hp, ep = np.array(hp, dtype=int), np.array(ep, dtype=int) + len(hand)
-        min_norm, paired, misfit, off_world = flags[:, hp] | flags[:, ep]
+        misfit, off_world = flags[:, hp] | flags[:, ep]
         unbalanced = np.zeros(len(parts), dtype=bool)
         for e in set(ep[~off_world].tolist()):
             unbalanced[e] = _unbalanced(self, parts[e], weight)
@@ -314,13 +313,16 @@ class _ContactRows:
         flush = np.array([h.hand_contact.face if h.hand_contact is not None
                           and h.hand_contact.kind == "flush" else -1
                           for h in hand], dtype=int)
-        return _Layout(out, total, min_norm, paired, ~off_world,
-                       ~off_world & unbalanced[ep], misfit, flush[hp])
+        return _Layout(out, total, ~off_world, ~off_world & unbalanced[ep],
+                       misfit, flush[hp])
 
     def _part(self, keys) -> tuple:
-        """The columns of a part's rows, by their keys, each built once."""
-        out = ()
-        for key in keys:
+        """The columns of a part's rows, by their keys, each built once; a
+        stick after the first on its interface is its patch's free end."""
+        out, seen = (), set()
+        for where, which, label in keys:
+            key = (where, which, label, label == "stick" and (where, label) in seen)
+            seen.add((where, label))
             if key not in self.cache:
                 rows, k = self._build(*key), len(self.rows)
                 self.cache[key] = tuple(range(k, k + len(rows)))
@@ -334,12 +336,13 @@ class _ContactRows:
                        dtype=float).T
         K, ids, s = col.shape[1], np.array([[_OBJ], [_HAND]]), col[_S]
         self.data, self.ints, self.flags = \
-            np.zeros((57, K)), np.zeros((34, K), int), np.zeros((2, K), bool)
+            np.zeros((57, K)), np.zeros((34, K), int), np.zeros((3, K), bool)
         c = self.col = _columns(self.data, self.ints, self.flags)
         c.v[:4], c.v[4:6] = col[_N:_N + 4], col[_P:_P + 2]
         c.v[6:8], c.v[8:] = col[_ANCHOR:_N], col[_N + 4:_BASIS]
         c.v_perp[0::2], c.v_perp[1::2] = -c.v[1::2], c.v[0::2]
-        c.basis[:] = col[_BASIS:_LO].reshape(2, 2, K) * (s == 0)
+        slide = c.slide[:] = (s != 0) | (col[_FREE] != 0)
+        c.basis[:] = col[_BASIS:_LO].reshape(2, 2, K) * ~slide
         c.lo[:], c.hi[:], c.s[:], c.s_mu[:] = col[_LO], col[_HI], s, s * col[_MU]
         c.on_point[:], c.on_line[:] = col[_PB] == ids, col[_LB] == ids
         c.sign[:] = c.on_point - c.on_line
@@ -364,11 +367,11 @@ class _ContactRows:
         # per column for _Alone: bodies, p, anchor, n, t, basis, stick, s mu
         self.scalar = [
             (divmod(k, 3), *divmod(k, 3), x[4:6], x[6:8], x[0:2], x[2:4],
-             *x[8:12], x[12] == 0, *x[13:20]) for k, x in zip(c.kind.tolist(), (
-                 np.concatenate((self.data[:8], self.data[24:28], self.data[30:38])
-                                ).T.tolist()))]
+             *x[8:12], not sl, *x[13:20]) for k, sl, x in zip(
+                 c.kind.tolist(), slide.tolist(), np.concatenate((
+                     self.data[:8], self.data[24:28], self.data[30:38])).T.tolist())]
 
-    def _build(self, where, which, label):
+    def _build(self, where, which, label, free):
         sw, hc = self.sw, which
         if where != "hand":         # object vertex on the ground or a wall
             if where == "ground":
@@ -381,15 +384,16 @@ class _ContactRows:
                 pin = (wall.x, float(self.verts_w[which, 1]))
             return [((_OBJ, _WORLD, *sw.polygon.vertices[which], *pin, *n, *t,
                       *pin, 0.0, 0.0, *n, *t, -math.inf, math.inf,
-                      _SIGN[label], mu), (iface, label))]
+                      _SIGN[label], mu, free), (iface, label))]
         if hc.kind == "vertex":
             return [self._on_hand(label, vertex=hc.vertex)]
         if hc.kind == "flush":
-            # a sticking patch pins the object material at both patch ends;
+            # a sticking patch pins the object material at its first end;
             # a sliding one glides the face under fixed hand coordinates
             if label == "stick":
-                return [self._on_hand(label, p=(ox, oy), t0=float(t_star))
-                        for t_star, ox, oy in hc.anchors]
+                return [self._on_hand(label, p=(ox, oy), t0=float(t_star),
+                                      free=k > 0)
+                        for k, (t_star, ox, oy) in enumerate(hc.anchors)]
             return [self._on_face(hc.face, float(t_star), label)
                     for t_star, _, _ in hc.anchors]
         if hc.kind == "pair":
@@ -402,7 +406,7 @@ class _ContactRows:
                     for vi in (hc.face, (hc.face + 1) % len(self.verts_w))]
         return [self._on_face(hc.face, hc.tip * self.half, label)]  # a tip
 
-    def _on_hand(self, label, vertex=None, p=None, t0=None):
+    def _on_hand(self, label, vertex=None, p=None, t0=None, free=False):
         """Object vertex (or point p at hand coordinate t0) on the hand."""
         if vertex is not None:
             p = self.sw.polygon.vertices[vertex]
@@ -410,7 +414,7 @@ class _ContactRows:
         anchor = (t0, 0.0) if label == "stick" else (0.0, 0.0)
         return ((_OBJ, _HAND, p[0], p[1], *anchor, 0.0, -1.0, 1.0, 0.0,
                  t0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, -self.half, self.half,
-                 _SIGN[label], self.sw.mu_hand), ("hand", label))
+                 _SIGN[label], self.sw.mu_hand, free), ("hand", label))
 
     def _on_face(self, j, t0, label):
         """Hand point at coordinate t0 riding on object face j.  Slide labels
@@ -430,29 +434,28 @@ class _ContactRows:
         anchor = a + min(max(s_start, 0.0), length) * e_obj if s == 0 else a
         return ((_HAND, _OBJ, t0, 0.0, *anchor, *sw.polygon.normals[j],
                  *(-e_obj), *(a + s_start * e_obj), *a, -1.0, 0.0, 0.0, -1.0,
-                 -length, 0.0, s, sw.mu_hand), ("hand", label))
+                 -length, 0.0, s, sw.mu_hand, False), ("hand", label))
 
 
 class _Batch:
-    """Hypotheses of one pass sorted by (min_norm, contact count), as rows
-    of an index matrix into its table (_ContactRows): member i's slots are
-    the columns cols[i], padded with the empty column -1 to `slots`.  A
-    build, and so a take, gathers the table: per slot its columns (col) and
-    where place() gathers body coordinates; per member the runs of LU
-    members of one size and, once _system reads it, a template of the
-    entries of J no iterate moves."""
+    """Hypotheses of one pass sorted by contact count, as rows of an index
+    matrix into its table (_ContactRows): member i's slots are the columns
+    cols[i], padded with the empty column -1 to `slots`.  A build, and so a
+    take, gathers the table: per slot its columns (col) and where place()
+    gathers body coordinates; per member the runs of members of one size
+    and, once _system reads it, a template of the entries of J no iterate
+    moves."""
 
-    def __init__(self, table: _ContactRows, cols, min_norm):
-        self.table, self.cols, self.min_norm = table, cols, min_norm
+    def __init__(self, table: _ContactRows, cols):
+        self.table, self.cols = table, cols
         (M, C), flat = cols.shape, cols.ravel()
         self.slots, self.counts = C, np.count_nonzero(cols >= 0, axis=1)
         self.col = _columns(*(np.take(a, flat, axis=1) for a in (
             table.data, table.ints, table.flags)))      # C order, as _system reads
         self.gather = self.col.gather + 14 * np.repeat(np.arange(M), C)
-        lu = M - np.count_nonzero(min_norm)
-        edges = [0, *(np.flatnonzero(np.diff(self.counts[:lu])) + 1).tolist(), lu]
+        edges = [0, *(np.flatnonzero(np.diff(self.counts)) + 1).tolist(), M]
         self.runs = [(lo, hi, 6 + 2 * int(self.counts[lo]))
-                     for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
+                     for lo, hi in zip(edges[:-1], edges[1:])]
 
     @functools.cached_property
     def template(self):
@@ -461,17 +464,16 @@ class _Batch:
         J0[:, 6:, :6] = c.d_rows.reshape(2, 6, M, C).transpose(
             2, 3, 0, 1).reshape(M, 2 * C, 6)
         J0[:, f + 1, f] = c.s_mu.reshape(M, C)
-        J0[:, f + 1, f + 1] = np.abs(c.s).reshape(M, C)
+        J0[:, f + 1, f + 1] = c.slide.reshape(M, C)
         return J0
 
     def take(self, keep) -> "_Batch":
         """The members selected by keep (a mask or indices)."""
-        return _Batch(self.table, self.cols[keep], self.min_norm[keep])
+        return _Batch(self.table, self.cols[keep])
 
     def alone(self, i) -> "_Batch":
         """A batch of member i alone, with no padding slot."""
-        return _Batch(self.table, self.cols[i:i + 1, :max(1, self.counts[i])],
-                      self.min_norm[i:i + 1])
+        return _Batch(self.table, self.cols[i:i + 1, :max(1, self.counts[i])])
 
     def place(self, poses, vectors, out=None):
         """x, y of point, line, object and hand body, the cos and sin turning
@@ -592,7 +594,7 @@ def _system(z, ref, b, jacobian=True):
     terms = terms.reshape(-1, M, C)
     for s in range(C):      # an accumulate would cost a call per short row
         first += terms[:, :, s]
-    R, slide = np.empty((M, n)), (c.s != 0).reshape(M, C, 1)
+    R, slide = np.empty((M, n)), c.slide.reshape(M, C, 1)
     R[:, :6], rows = first[:6].T, R[:, 6:].reshape(M, C, 2)
     np.copyto(rows, table[:2].reshape(2, M, C).transpose(1, 2, 0))
     np.copyto(rows, table[2:4].reshape(2, M, C).transpose(1, 2, 0), where=slide)
@@ -626,17 +628,16 @@ def _gelsy_step(J, minus_R):
 
 def _steps(R, J, b, keep):
     """Newton steps dz with J dz = -R for the members of batch b that keep
-    selects.  Each run of LU members of one size is one stacked solve; its
+    selects.  Each run of members of one size is one stacked LU solve; its
     gufunc marks an exactly singular member with NaN where np.linalg.solve
-    would raise.  Such members, steps above 1e8 and the min_norm members
-    take a gelsy step instead."""
+    would raise.  Such members and steps above 1e8 take a gelsy step
+    instead."""
     dz = np.zeros_like(R)
     for lo, hi, m in b.runs:
         if keep[lo:hi].any():
             dz[lo:hi, :m] = _umath_linalg.solve1(
                 J[lo:hi, :m, :m], -R[lo:hi, :m], signature="dd->d")
-    for i in np.flatnonzero(
-            keep & (b.min_norm | ~(np.abs(dz).max(axis=1) <= 1e8))).tolist():
+    for i in np.flatnonzero(keep & ~(np.abs(dz).max(axis=1) <= 1e8)).tolist():
         m = 6 + 2 * int(b.counts[i])
         dz[i, :m] = _gelsy_step(J[i, :m, :m], -R[i, :m])
     return dz
@@ -673,7 +674,7 @@ class _Alone:
 
     def __init__(self, ref, b, i):
         self.m = m = 6 + 2 * int(b.counts[i])
-        self.ref, self.min_norm, self.lone = ref, bool(b.min_norm[i]), (b, i)
+        self.ref, self.lone = ref, (b, i)
         self.template = b.template[i, :m, :m].ravel().tolist()
         self.contacts = [(*b.table.scalar[c], f, f * m, (f + 1) * m)
                          for f, c in zip(range(6, m, 2), b.cols[i].tolist())]
@@ -804,15 +805,13 @@ def _packer(m):
     return struct.Struct(f"{m}d").pack, struct.Struct(f"{m * m}d").pack
 
 
-def _step_alone(R, J, min_norm):
+def _step_alone(R, J):
     """One member's Newton step (a list), routed as _steps routes it: LU,
-    or gelsy for a min_norm member, an exactly singular J or a step above
-    1e8."""
+    or gelsy for an exactly singular J or a step above 1e8."""
     minus_R = np.frombuffer(_packer(len(R))[0](*[-x for x in R]))
-    if not min_norm:
-        dz = _umath_linalg.solve1(J, minus_R, signature="dd->d").tolist()
-        if all(abs(d) <= 1e8 for d in dz):
-            return dz
+    dz = _umath_linalg.solve1(J, minus_R, signature="dd->d").tolist()
+    if all(abs(d) <= 1e8 for d in dz):
+        return dz
     return _gelsy_step(J, minus_R).tolist()
 
 
@@ -833,7 +832,7 @@ def _newton_alone(ref, b, i, z, count):
         if r <= _NEWTON_TOL or last:
             res = r
             break
-        dz = _step_alone(R, J, alone.min_norm)
+        dz = _step_alone(R, J)
         if not (all(abs(d) <= 0.5 for d in dz[:6])
                 and all(abs(d) < math.inf for d in dz)):
             break                           # diverged
@@ -1022,12 +1021,12 @@ def _unbalanced(table, cols, weight) -> bool:
 
 
 def _misfit(table, cols) -> bool:
-    """True when two stick rows with the same point body and line body
-    space their points and their anchors so differently that max |R| stays
-    above _MISFIT_BOUND at every iterate (see the module docstring)."""
+    """True when two stick rows, no patch's free end, with the same point
+    body and line body space their points and anchors so differently that
+    max |R| stays above _MISFIT_BOUND at every iterate (module docstring)."""
     sticks = {}
     for row, _ in (table.rows[c] for c in cols):
-        if row[_S] == 0:
+        if row[_S] == 0 and not row[_FREE]:
             sticks.setdefault((row[_PB], row[_LB]), []).append(row)
     for group in sticks.values():
         for r1, r2 in itertools.combinations(group, 2):
@@ -1067,8 +1066,8 @@ def _solve_pass(sw, target, hyps) -> _Pass:
 
     Hypotheses whose world contacts cannot balance the weight, and those
     with a misfit stick pair, are rejected as no_converge before Newton
-    runs.  The rest stream, in (min_norm, contact count) order, so that
-    each system size is one run and padding stays small, through blocks of
+    runs.  The rest stream, in contact count order, so that each system
+    size is one run and padding stays small, through blocks of
     at most _SLOTS contact slots, a few MB of stacked arrays.  Once the
     members still running in a block fill no more than _HANDOFF of the
     slots and hypotheses are left, they are handed off with their iterates
@@ -1086,7 +1085,7 @@ def _solve_pass(sw, target, hyps) -> _Pass:
     reasons = np.where(lay.unbalanced | lay.misfit, _CODE["no_converge"], 0)
     evaluations, solutions = np.zeros(len(hyps), dtype=int), {}
     passed = {}     # by hypothesis: its iterate, residual and end geometry
-    order = np.lexsort((lay.counts, lay.min_norm))
+    order = np.argsort(lay.counts, kind="stable")
     queue = order[reasons[order] == 0].tolist()
     # block: the members handed off, with their iterates z and counts
     block, z, count, calls, pos = [], np.zeros((0, 6)), np.zeros(0, int), 0, 0
@@ -1100,7 +1099,7 @@ def _solve_pass(sw, target, hyps) -> _Pass:
         block += queue[pos:pos + n]
         width, pos = int(width[n - 1]), pos + n
         members = np.array(block)
-        batch = _Batch(table, lay.index[members, :width], lay.min_norm[members])
+        batch = _Batch(table, lay.index[members, :width])
         zb = np.zeros((len(block), 6 + 2 * width))
         cb = np.zeros(len(block), int)
         zb[:carried, :z.shape[1]], cb[:carried] = z[:, :zb.shape[1]], count

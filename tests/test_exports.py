@@ -115,7 +115,10 @@ def test_packages_run_without_importing_scipy_linalg():
     # resolve.py loads gelsy from scipy/linalg/_flapack's file; importing
     # scipy.linalg (and scipy._lib._util under it) would be most of the time
     # it takes to import ccfg.sim. A fresh interpreter imports the packages
-    # and resolves a flush-stick step, whose Newton solve takes gelsy steps.
+    # and resolves a flush press. Its stick flush patch takes LU steps; gelsy
+    # runs on its trials that cannot converge, whose LU steps are singular
+    # (the box on one sticking ground vertex, no hand contact) or above 1e8
+    # (the hand sliding flush while the box slides on the ground).
     script = """
 import json, sys
 import numpy as np

@@ -29,8 +29,8 @@ The hypotheses of one enumeration pass stream through stacked Newton
 iteration with analytic Jacobians, one stacked LU solve per system size, at
 most _SLOTS contact slots at a time.  A member stops when it converges (max
 |R| <= 1e-10), diverges (a non-finite step or a pose step above 0.5) or has
-taken 40 steps; its residual is then evaluated once more, without the
-Jacobian.  A system whose LU step is singular or above 1e8 (a jammed
+taken 40 steps; its residual is then evaluated once more, with a J that
+no step reads.  A system whose LU step is singular or above 1e8 (a jammed
 object, its forces undetermined, or an iterate that cannot converge)
 takes a minimum-norm (gelsy) step.  In a pass's last block the
 last _TAIL running members are finished one by one on Python floats
@@ -39,9 +39,9 @@ entry of R and J comes from the arithmetic of the scalar expression it
 stands for, each sum adding in slot order, R, J and the steps are bit for
 bit those of a lone member, stacked or alone (but for the sign of a zero R
 entry, which a padding slot's +0.0 turns from -0.0 to +0.0 and no step or
-stop reads), and each member counts its own evaluations of R, each with J
-but its 41st (newton_iterations; stacked_evaluations counts _system calls,
-none for the scalar tail): a trial comes out the same in any batch.
+stop reads), and each member counts its own evaluations of R and J
+(newton_iterations; stacked_evaluations counts _system calls, none for
+the scalar tail): a trial comes out the same in any batch.
 
 Everything else is done once per pass, per block or per distinct part, as
 arrays.  A hypothesis is one hand option and one environment option of the
@@ -165,10 +165,10 @@ _NEWTON_MAX_ITER = 40  # steps before an unconverged member is given up
 # running members that a pass's last block finishes one by one on floats
 # (_newton_alone) rather than stacked.  Cost model, 2-vCPU host: a stacked
 # call (_system and _steps) takes 178 us plus 2.9 us per slot of its batch,
-# a 3-contact member's scalar iteration 38 us (16 us for R alone).  Replayed
-# on the recorded passes of the drag states, the Newton time per step falls
-# from 11.1 ms stacked to 8.8, 8.6, 8.5 and 8.7 ms at 4, 6, 8 and 12; the
-# wall states' last blocks are flat from 4 to 16.
+# a 3-contact member's scalar iteration 38 us.  Replayed on the recorded
+# passes of the drag states, the Newton time per step falls from 11.1 ms
+# stacked to 8.8, 8.6, 8.5 and 8.7 ms at 4, 6, 8 and 12; the wall states'
+# last blocks are flat from 4 to 16.
 _TAIL = 8
 # |z| up to which _Alone's terms are all finite: past it (no trial gets
 # there) it hands the iterate to _system
@@ -203,8 +203,7 @@ class ModeSolution:
     dissipation: float
     residual_norm: float
     trials: int
-    # evaluations of R summed over all trials, each with J but a member's
-    # 41st
+    # evaluations of R and J summed over all trials
     newton_iterations: int
     # _system calls over all passes, one per stacked iteration of a batch;
     # the scalar tail (the members a pass's last block finishes alone,
@@ -248,10 +247,10 @@ _Layout = namedtuple("_Layout", "index counts world unbalanced misfit flush")
 
 class _ContactRows:
     """The contacts of one pass as one table, a column per distinct
-    (interface, contact, label): rows[c] is (row, (iface, label)).  layout()
-    lays the pass out on it and derives what the solver and the checks read
-    per column (col, the empty column -1 last), the derivatives' fixed
-    parts by kind of slot and _Alone's plain floats."""
+    (interface, contact, label, free): rows[c] is (row, (iface, label)).
+    layout() lays the pass out on it and derives what the solver and the
+    checks read per column (col, the empty column -1 last), the
+    derivatives' fixed parts by kind of slot and _Alone's plain floats."""
 
     _EMPTY = ((_WORLD, _WORLD) + (0.0,) * (_NCOL - 2), (None, None))
 
@@ -517,15 +516,15 @@ class _Reference:
         return out
 
 
-def _system(z, ref, b, jacobian=True):
-    """Stacked residuals R (M, n) and Jacobians J (M, n, n; None unless
-    jacobian) at iterates z.  Rows: object balance (3), hand balance (3),
-    then two per contact slot.  Columns: object and hand pose deltas, then
-    (f_n, f_t) per slot.  Empty slots have zero residual rows.  Each balance
-    row and pose block entry starts from its value with no contact (first)
-    and adds its contacts in slot order, like the scalar sum it stands for.
-    The contact rows, the force columns and the angle columns take every
-    slot's stick entries, then a slide slot's entries over them."""
+def _system(z, ref, b):
+    """Stacked residuals R (M, n) and Jacobians J (M, n, n) at iterates z.
+    Rows: object balance (3), hand balance (3), then two per contact slot.
+    Columns: object and hand pose deltas, then (f_n, f_t) per slot.  Empty
+    slots have zero residual rows.  Each balance row and pose block entry
+    starts from its value with no contact (first) and adds its contacts in
+    slot order, like the scalar sum it stands for.  The contact rows, the
+    force columns and the angle columns take every slot's stick entries,
+    then a slide slot's entries over them."""
     (M, n), C, c = z.shape, b.slots, b.col
     K, poses = M * C, ref.poses(z)
     # per slot -F_y, F, n, t (slices for the moments), offset and anchor
@@ -550,37 +549,36 @@ def _system(z, ref, b, jacobian=True):
 
     # per slot the sums' terms, the wrench on each body and its derivative
     # by the pose deltas (6 + 36 rows), and the entries R and J take
-    terms = np.empty((42 if jacobian else 6, K))
+    terms = np.empty((42, K))
     np.multiply(force, c.sign[:, None], out=terms[:6].reshape(2, 3, K)[:, :2])
     np.multiply(cross[:, 0], c.sign, out=terms[2:6:3])
-    table = np.empty((26 if jacobian else 4, K))
+    table = np.empty((26, K))
     np.add(c.basis[:, 0] * gap[0], c.basis[:, 1] * gap[1], out=table[:2])
     np.add(nrm[0] * gap[0], nrm[1] * gap[1], out=table[2])
     np.add(ft, c.s_mu * fn, out=table[3])
-    if jacobian:
-        th_point = th[:2, None] * c.on_point
-        th_gap = th_point - th[2:, None] * c.on_line
-        d_force = table[4:16].reshape(2, 2, 3, K)     # body, n or t, row
-        np.multiply(c.sign[:, None, None], w[3:7].reshape(2, 2, K),
-                    out=d_force[:, :, :2])
-        np.multiply(cross[:, 1:], c.sign[:, None], out=d_force[:, :, 2])
-        np.add(c.basis[:, 0, None] * th_gap[0], c.basis[:, 1, None] * th_gap[1],
-               out=table[16:20].reshape(2, 2, K))
-        d_gap = b.table.d_gap[..., c.kind]
-        d_gap[:, 2::3] = th_gap
-        perp_gap = nrm[0] * gap[1] - nrm[1] * gap[0]
-        np.add(perp_gap * c.d_angle + nrm[0] * d_gap[0], nrm[1] * d_gap[1],
-               out=table[20:])
+    th_point = th[:2, None] * c.on_point
+    th_gap = th_point - th[2:, None] * c.on_line
+    d_force = table[4:16].reshape(2, 2, 3, K)     # body, n or t, row
+    np.multiply(c.sign[:, None, None], w[3:7].reshape(2, 2, K),
+                out=d_force[:, :, :2])
+    np.multiply(cross[:, 1:], c.sign[:, None], out=d_force[:, :, 2])
+    np.add(c.basis[:, 0, None] * th_gap[0], c.basis[:, 1, None] * th_gap[1],
+           out=table[16:20].reshape(2, 2, K))
+    d_gap = b.table.d_gap[..., c.kind]
+    d_gap[:, 2::3] = th_gap
+    perp_gap = nrm[0] * gap[1] - nrm[1] * gap[0]
+    np.add(perp_gap * c.d_angle + nrm[0] * d_gap[0], nrm[1] * d_gap[1],
+           out=table[20:])
 
-        d_wrench = terms[6:].reshape(2, 3, 6, K)
-        np.negative(force[1], out=w[0])
-        np.multiply(w[:2, None] * c.d_angle, c.sign[:, None, None],
-                    out=d_wrench[:, :2])
-        d_lever = b.table.d_lever[..., c.kind]
-        d_lever[:, :, 2::3] = th_point
-        np.multiply(d_lever[:, 0] * force[1] - d_lever[:, 1] * force[0]
-                    + lever_force[:, None] * c.d_angle, c.sign[:, None],
-                    out=d_wrench[:, 2])
+    d_wrench = terms[6:].reshape(2, 3, 6, K)
+    np.negative(force[1], out=w[0])
+    np.multiply(w[:2, None] * c.d_angle, c.sign[:, None, None],
+                out=d_wrench[:, :2])
+    d_lever = b.table.d_lever[..., c.kind]
+    d_lever[:, :, 2::3] = th_point
+    np.multiply(d_lever[:, 0] * force[1] - d_lever[:, 1] * force[0]
+                + lever_force[:, None] * c.d_angle, c.sign[:, None],
+                out=d_wrench[:, 2])
 
     first = np.empty((len(terms), M))
     co, so, (comx, comy) = poses[:, 6], poses[:, 8], ref.com
@@ -588,9 +586,8 @@ def _system(z, ref, b, jacobian=True):
     np.multiply(-ref.weight, co * comx - so * comy, out=first[2])
     first[3:5] = (ref.stiffness[:2] * (ref.target[:2] - poses[:, 3:5])).T
     np.multiply(ref.stiffness[2], _wrap(ref.turn - z[:, 5]), out=first[5])
-    if jacobian:
-        first[6:] = ref.pose_block
-        np.multiply(ref.weight, so * comx + co * comy, out=first[6 + 14])
+    first[6:] = ref.pose_block
+    np.multiply(ref.weight, so * comx + co * comy, out=first[6 + 14])
     terms = terms.reshape(-1, M, C)
     for s in range(C):      # an accumulate would cost a call per short row
         first += terms[:, :, s]
@@ -598,8 +595,6 @@ def _system(z, ref, b, jacobian=True):
     R[:, :6], rows = first[:6].T, R[:, 6:].reshape(M, C, 2)
     np.copyto(rows, table[:2].reshape(2, M, C).transpose(1, 2, 0))
     np.copyto(rows, table[2:4].reshape(2, M, C).transpose(1, 2, 0), where=slide)
-    if not jacobian:
-        return R, None
     J = b.template.copy()
     J[:, :6, :6] = first[6:].reshape(6, 6, M).transpose(2, 0, 1)
     # J[3 j + q, f + v]: body j's balance row q by the slot's f_n or f_t
@@ -682,15 +677,15 @@ class _Alone:
         self.stiffness, self.target = ref.stiffness.tolist(), ref.target.tolist()
         self.turn = float(ref.turn)
 
-    def system(self, z, jacobian=True):
-        """R (a list) and J (an (m, m) array, None unless jacobian) at
-        iterate z (a list).  An iterate with some |z| above _FAITHFUL is
-        evaluated by _system itself, on a batch of this member alone."""
+    def system(self, z):
+        """R (a list) and J (an (m, m) array) at iterate z (a list).  An
+        iterate with some |z| above _FAITHFUL is evaluated by _system
+        itself, on a batch of this member alone."""
         ref, m = self.ref, self.m
         if max(map(abs, z)) > _FAITHFUL:
             b, i = self.lone
-            R, J = _system(np.array([z]), ref, b.alone(i), jacobian=jacobian)
-            return R[0].tolist(), J[0] if jacobian else None
+            R, J = _system(np.array([z]), ref, b.alone(i))
+            return R[0].tolist(), J[0]
         P = ref.poses(np.array([z[:6]]))[0].tolist()
         body = ((P[0], P[1], P[6], P[8]), (P[3], P[4], P[7], P[9]),
                 (P[10], P[11], P[12], P[13]))
@@ -701,10 +696,9 @@ class _Alone:
         r3, r4 = k0 * (self.target[0] - xh), k1 * (self.target[1] - yh)
         r5 = k2 * wrap_angle(self.turn - z[5])
         R = [0.0] * m
-        if jacobian:
-            js = self.first_J[:]            # J[r, c] at js[6 r + c]
-            js[14] = weight * (so * comx + co * comy)
-            J = self.template[:]
+        js = self.first_J[:]                # J[r, c] at js[6 r + c]
+        js[14] = weight * (so * comx + co * comy)
+        J = self.template[:]
         for (kind, pb, lb, p, anchor, nv, tv, b00, b01, b10, b11, stick, s_mu,
              op0, op1, ol0, ol1, s0, s1, f, fm, f1m) in self.contacts:
             (px, py), (ox, oy), (nx, ny), (tx, ty), (gx, gy), normal_gap, _, \
@@ -724,8 +718,6 @@ class _Alone:
                 R[f], R[f + 1] = b00 * gx + b01 * gy, b10 * gx + b11 * gy
             else:
                 R[f], R[f + 1] = normal_gap, ft + s_mu * fn
-            if not jacobian:
-                continue
             # the balance rows by the contact's forces
             J[f], J[m + f], J[2 * m + f] = \
                 s0 * nx, s0 * ny, (l0x * ny - l0y * nx) * s0
@@ -792,8 +784,6 @@ class _Alone:
             elif kind != (_OBJ, _WORLD):
                 raise ValueError(f"no scalar rows for bodies {kind}")
         R[:6] = r0, r1, r2, r3, r4, r5
-        if not jacobian:
-            return R, None
         for r in range(6):
             J[r * m:r * m + 6] = js[6 * r:6 * r + 6]
         return R, np.frombuffer(_packer(m)[1](*J)).reshape(m, m)
@@ -818,18 +808,17 @@ def _step_alone(R, J):
 def _newton_alone(ref, b, i, z, count):
     """Finish member i of batch b on its own, from iterate z (its row,
     updated in place) after count evaluations, with _newton's steps and
-    stops: _steps' LU or gelsy step, the 41st evaluation without J.
-    Returns the final max |R| (inf when diverged) and the count."""
+    stops: _steps' LU or gelsy step, and at most 41 evaluations.  Returns
+    the final max |R| (inf when diverged) and the count."""
     alone = _Alone(ref, b, i)
     zl, res = z[:alone.m].tolist(), math.inf
     while True:
-        last = count >= _NEWTON_MAX_ITER
-        R, J = alone.system(zl, jacobian=not last)
+        R, J = alone.system(zl)
         count += 1
         r = _max_abs(R)
         if not r < math.inf:                # non-finite: dropped
             break
-        if r <= _NEWTON_TOL or last:
+        if r <= _NEWTON_TOL or count > _NEWTON_MAX_ITER:
             res = r
             break
         dz = _step_alone(R, J)
@@ -843,36 +832,27 @@ def _newton_alone(ref, b, i, z, count):
 
 def _newton(ref, batch, z, count, handoff):
     """Newton iteration on every member of a batch at once, from iterates z
-    (N, n) after count evaluations of R per member (zero for a member
-    that has not run yet); both are updated in place.  A member's count is
-    its iteration index, so its trajectory does not depend on when it joined
-    the batch: its 41st evaluation skips the Jacobian and ends it.  Returns
-    the final max |R| per member (inf when diverged or still running), which
-    members are still running and the number of _system calls.  Stacked
-    iteration stops when no more than `handoff` members are running.  In
-    the last block of a pass (handoff 0) it stops at _TAIL, and
-    _newton_alone finishes the members still running one by one (see
-    _TAIL)."""
+    (N, n) after count evaluations per member (zero for a member that has
+    not run yet); both are updated in place.  A member's count is its
+    iteration index, so its trajectory does not depend on when it joined
+    the batch: its 41st evaluation ends it.  Returns the final max |R| per
+    member (inf when diverged or still running), which members are still
+    running and the number of _system calls.  Stacked iteration stops when
+    no more than `handoff` members are running.  In the last block of a
+    pass (handoff 0) it stops at _TAIL, and _newton_alone finishes the
+    members still running one by one (see _TAIL)."""
     N = len(batch.counts)
     res, running = np.full(N, math.inf), np.zeros(N, dtype=bool)
     # b holds rows `at` of z and count, as zb and cb
     at, b, zb, cb = np.arange(N), batch, z, count
-    active, live, limit = np.ones(N, dtype=bool), N, handoff or _TAIL
-    # no count exceeds oldest, so below _NEWTON_MAX_ITER no member is on its
-    # last evaluation and none needs a mask
-    oldest, calls = int(count.max()), 0
+    active, live, limit, calls = np.ones(N, dtype=bool), N, handoff or _TAIL, 0
     with np.errstate(all="ignore"):   # non-finite members are dropped below
         while live > limit:
-            last = cb >= _NEWTON_MAX_ITER \
-                if oldest >= _NEWTON_MAX_ITER else None
-            R, J = _system(zb, ref, b, jacobian=last is None
-                           or bool((active & ~last).any()))
+            R, J = _system(zb, ref, b)
             cb += active
             r = np.abs(R).max(axis=1)
             ok = active & np.isfinite(r)
-            done = ok & (r <= _NEWTON_TOL)
-            if last is not None:
-                done |= ok & last
+            done = ok & ((r <= _NEWTON_TOL) | (cb > _NEWTON_MAX_ITER))
             if done.any():
                 res[at[done]] = r[done]
             keep = ok ^ done
@@ -883,8 +863,7 @@ def _newton(ref, batch, z, count, handoff):
                     & (step.max(axis=1) < math.inf)
                 np.add(zb, dz, out=zb, where=keep[:, None])
             del R, J                # before the next evaluation allocates
-            live, active, oldest, calls = np.count_nonzero(keep), keep, \
-                oldest + 1, calls + 1
+            live, active, calls = np.count_nonzero(keep), keep, calls + 1
             # drop stopped members once they are half the batch or 9, about
             # a take's cost in member iterations (chosen on a cost model)
             if live > limit and len(keep) - live >= min(live, 9):

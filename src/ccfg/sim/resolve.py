@@ -28,20 +28,21 @@ is one unknown, which the report splits in proportion to the normal forces.
 The hypotheses of one enumeration pass stream through stacked Newton
 iteration with analytic Jacobians, one stacked LU solve per system size, at
 most _SLOTS contact slots at a time.  A member stops when it converges (max
-|R| <= 1e-10), diverges (a non-finite step or a pose step above 0.5) or has
-taken 40 steps; its residual is then evaluated once more, with a J that
-no step reads.  A system whose LU step is singular or above 1e8 (a jammed
-object, its forces undetermined, or an iterate that cannot converge)
-takes a minimum-norm (gelsy) step.  In a pass's last block the
-last _TAIL running members are finished one by one on Python floats
-(_Alone, built on core.point_on_line), with _system's operations.  As every
-entry of R and J comes from the arithmetic of the scalar expression it
-stands for, each sum adding in slot order, R, J and the steps are bit for
-bit those of a lone member, stacked or alone (but for the sign of a zero R
-entry, which a padding slot's +0.0 turns from -0.0 to +0.0 and no step or
-stop reads), and each member counts its own evaluations of R and J
-(newton_iterations; stacked_evaluations counts _system calls, none for
-the scalar tail): a trial comes out the same in any batch.
+|R| <= 1e-10), diverges or has taken 40 steps; its residual is then
+evaluated once more, with a J that no step reads.  It diverges, and its
+trial ends no_converge, when a pose step is above 0.5 or a step component
+is not finite or above 1e8: the LU step of a jammed object, its forces
+undetermined (an exactly singular J gives NaN), or of an iterate that
+cannot converge.  The rule reads the member's own step only.  In a pass's
+last block the last _TAIL running members are finished one by one on Python
+floats (_Alone, built on core.point_on_line), with _system's operations.  As
+every entry of R and J comes from the arithmetic of the scalar expression
+it stands for, each sum adding in slot order, R, J and the steps are bit
+for bit those of a lone member, stacked or alone (but for the sign of a
+zero R entry, which a padding slot's +0.0 turns from -0.0 to +0.0 and no
+step or stop reads), and each member counts its own evaluations of R and J
+(newton_iterations; stacked_evaluations counts _system calls, none for the
+scalar tail): a trial comes out the same in any batch.
 
 Everything else is done once per pass, per block or per distinct part, as
 arrays.  A hypothesis is one hand option and one environment option of the
@@ -97,15 +98,11 @@ candidate per face.
 """
 
 import functools
-import importlib.util
 import itertools
 import math
-import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
-                                 FileFinder)
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -135,27 +132,6 @@ _WORLD_POSE = np.array([0.0, 0.0, 1.0, 0.0])      # x, y, cos, sin
 _COORDINATE = np.array([[0, 3, 10], [1, 4, 11], [6, 7, 12], [8, 9, 13]])
 
 
-def _load_gelsy():
-    """LAPACK's dgelsy and its workspace query, from scipy's compiled
-    scipy/linalg/_flapack loaded as ccfg.sim._flapack, which runs no
-    scipy/linalg/__init__.py: importing scipy.linalg for it would cost most
-    of the time it takes to import ccfg.sim."""
-    where = os.path.join(
-        importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
-    found = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)) \
-        .find_spec("_flapack")
-    if found is None:
-        raise ImportError(f"no _flapack extension in {where} "
-                          f"(suffixes tried: {', '.join(EXTENSION_SUFFIXES)})")
-    spec = importlib.util.spec_from_file_location(f"{__package__}._flapack",
-                                                  found.origin)
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dgelsy, flapack.dgelsy_lwork
-
-
-_GELSY, _GELSY_LWORK = _load_gelsy()
-_EPS = float(np.finfo(np.float64).eps)
 _SLOTS = 512   # contact slots per batch, carried members included; ~1 MB
 # share of _SLOTS that a block's running members fill at most when they are
 # handed off to the next block; bounds the batches built (see _solve_pass)
@@ -608,33 +584,16 @@ def _system(z, ref, b):
     return R, J
 
 
-@functools.lru_cache(maxsize=None)
-def _gelsy_lwork(m):            # gelsy's workspace, as lstsq sizes it
-    return int(_GELSY_LWORK(m, m, 1, _EPS)[0])
-
-
-def _gelsy_step(J, minus_R):
-    """gelsy's minimum-norm solution of J dz = minus_R, one (m, m) system."""
-    m = len(minus_R)
-    # zero pivots: gelsy leads with no column
-    return _GELSY(J, minus_R, np.zeros((m, 1), dtype=np.int32), _EPS,
-                  _gelsy_lwork(m), False, False)[1]
-
-
 def _steps(R, J, b, keep):
     """Newton steps dz with J dz = -R for the members of batch b that keep
     selects.  Each run of members of one size is one stacked LU solve; its
     gufunc marks an exactly singular member with NaN where np.linalg.solve
-    would raise.  Such members and steps above 1e8 take a gelsy step
-    instead."""
+    would raise, and _newton stops it as it stops a step above 1e8."""
     dz = np.zeros_like(R)
     for lo, hi, m in b.runs:
         if keep[lo:hi].any():
             dz[lo:hi, :m] = _umath_linalg.solve1(
                 J[lo:hi, :m, :m], -R[lo:hi, :m], signature="dd->d")
-    for i in np.flatnonzero(keep & ~(np.abs(dz).max(axis=1) <= 1e8)).tolist():
-        m = 6 + 2 * int(b.counts[i])
-        dz[i, :m] = _gelsy_step(J[i, :m, :m], -R[i, :m])
     return dz
 
 
@@ -796,20 +755,19 @@ def _packer(m):
 
 
 def _step_alone(R, J):
-    """One member's Newton step (a list), routed as _steps routes it: LU,
-    or gelsy for an exactly singular J or a step above 1e8."""
+    """One member's Newton step (a list), _steps' LU solve: NaN where J is
+    exactly singular."""
     minus_R = np.frombuffer(_packer(len(R))[0](*[-x for x in R]))
-    dz = _umath_linalg.solve1(J, minus_R, signature="dd->d").tolist()
-    if all(abs(d) <= 1e8 for d in dz):
-        return dz
-    return _gelsy_step(J, minus_R).tolist()
+    return _umath_linalg.solve1(J, minus_R, signature="dd->d").tolist()
 
 
 def _newton_alone(ref, b, i, z, count):
     """Finish member i of batch b on its own, from iterate z (its row,
     updated in place) after count evaluations, with _newton's steps and
-    stops: _steps' LU or gelsy step, and at most 41 evaluations.  Returns
-    the final max |R| (inf when diverged) and the count."""
+    stops: _steps' LU step, diverged on a step component that is not
+    finite or above 1e8 or a pose step above 0.5, and at most 41
+    evaluations.  Returns the final max |R| (inf when diverged) and the
+    count."""
     alone = _Alone(ref, b, i)
     zl, res = z[:alone.m].tolist(), math.inf
     while True:
@@ -823,7 +781,7 @@ def _newton_alone(ref, b, i, z, count):
             break
         dz = _step_alone(R, J)
         if not (all(abs(d) <= 0.5 for d in dz[:6])
-                and all(abs(d) < math.inf for d in dz)):
+                and all(abs(d) <= 1e8 for d in dz)):
             break                           # diverged
         zl = [a + d for a, d in zip(zl, dz)]
     z[:alone.m] = zl
@@ -860,7 +818,7 @@ def _newton(ref, batch, z, count, handoff):
                 dz = _steps(R, J, b, keep)
                 step = np.abs(dz)
                 keep &= (step[:, :6].max(axis=1) <= 0.5) \
-                    & (step.max(axis=1) < math.inf)
+                    & (step.max(axis=1) <= 1e8)
                 np.add(zb, dz, out=zb, where=keep[:, None])
             del R, J                # before the next evaluation allocates
             live, active, calls = np.count_nonzero(keep), keep, calls + 1

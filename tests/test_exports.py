@@ -1,15 +1,18 @@
 """Package exports and imports: every name in a package's __all__ resolves
 on it, every module uses what it imports, every private module-level name is
 read somewhere in the package, every program name the benchmark's traced
-pass rebinds exists, and importing and running the packages leaves
-scipy.linalg unimported."""
+pass rebinds exists, the declared dependencies are the third-party modules
+the package imports, and importing and running the packages loads no
+scipy module."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 import types
 from pathlib import Path
 
@@ -111,24 +114,36 @@ def test_benchmark_rebinds_name_program_attributes():
     assert missing == []
 
 
-def test_packages_run_without_importing_scipy_linalg():
-    # resolve.py loads gelsy from scipy/linalg/_flapack's file; importing
-    # scipy.linalg (and scipy._lib._util under it) would be most of the time
-    # it takes to import ccfg.sim. A fresh interpreter imports the packages
-    # and resolves a flush press. Its stick flush patch takes LU steps; gelsy
-    # runs on its trials that cannot converge, whose LU steps are singular
-    # (the box on one sticking ground vertex, no hand contact) or above 1e8
-    # (the hand sliding flush while the box slides on the ground).
+def test_declared_dependencies_are_imported():
+    # pyproject.toml's [project] dependencies are exactly the third-party
+    # top-level modules that some module under src/ccfg imports
+    root = Path(ccfg.__file__).parent
+    project = tomllib.loads(
+        (root.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+                for d in project["dependencies"]}
+    imported = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert declared == imported - set(sys.stdlib_module_names) - {"ccfg"}
+
+
+def test_packages_run_without_scipy():
+    # no module under src/ccfg loads scipy, nor scipy's compiled LAPACK
+    # wrappers under a name of the package (ccfg.sim._flapack): a fresh
+    # interpreter imports the packages and resolves a flush press, which
+    # takes LU steps only, and loads no scipy module
     script = """
 import json, sys
 import numpy as np
 import ccfg.core, ccfg.estimator, ccfg.graph, ccfg.sim
-import ccfg.sim.resolve as resolve
 from ccfg.core import HandModel, PlanarPose, PolygonModel, WorldModel
 from ccfg.sim import SimWorld, resolve_mode
 
-calls, gelsy = [], resolve._GELSY
-resolve._GELSY = lambda *args: calls.append(1) or gelsy(*args)
 sw = SimWorld(
     polygon=PolygonModel([[-0.06, -0.04], [0.06, -0.04], [0.06, 0.04],
                           [-0.06, 0.04]]),
@@ -138,9 +153,10 @@ sw = SimWorld(
     mu_hand=0.9, mu_ground=0.25, mu_wall=0.3,
     stiffness=np.array([600.0, 600.0, 20.0]))
 sol = resolve_mode(sw, PlanarPose([0.0, 0.079], 0.0))
-print(json.dumps({"mode": sol.hypothesis.hand_mode, "gelsy_calls": len(calls),
-                  "loaded": [m for m in ("scipy.linalg", "scipy._lib._util")
-                             if m in sys.modules]}))
+print(json.dumps({"mode": sol.hypothesis.hand_mode,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m == "ccfg.sim._flapack"
+                                   or m.split(".")[0] == "scipy")}))
 """
     src = Path(ccfg.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -148,5 +164,5 @@ print(json.dumps({"mode": sol.hypothesis.hand_mode, "gelsy_calls": len(calls),
     out = json.loads(subprocess.run(
         [sys.executable, "-c", script], env=env, check=True,
         capture_output=True, text=True).stdout)
-    assert out["mode"] == "stick_flush" and out["gelsy_calls"] > 0
+    assert out["mode"] == "stick_flush"
     assert out["loaded"] == []
